@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/mjpeg.hpp"
 #include "bench_util.hpp"
 #include "media/frame.hpp"
 #include "media/jpeg.hpp"
@@ -271,77 +270,6 @@ void bench_kernels() {
             "1080p plane, fused vs dispatched 2-pass");
   }
 
-  // Same discipline for the fused separable blur: blur_hv vs its own
-  // dispatched blur_h-into-scratch + blur_v composition. The fused win
-  // is the elided full-plane intermediate (the ring stays in L1);
-  // main() gates this row at >= 1.0x like the downscale_blend one.
-  {
-    const int k = 5;
-    media::Frame scratch(media::PixelFormat::kGray, w, h);
-    media::PlaneView sp = scratch.plane(0);
-    auto [base, opt] = best_ms_pair(
-        40,
-        [&] {
-          media::blur_h(src->plane(0), sp, k, 0, h);
-          media::blur_v(media::ConstPlaneView{sp.data, sp.width, sp.height,
-                                              sp.stride},
-                        dst.plane(0), k, 0, h);
-        },
-        [&] { media::blur_hv(src->plane(0), dst.plane(0), k, 0, h); });
-    add_row("blur_hv_k5_vs_2pass", base, opt,
-            "1080p plane, fused vs dispatched 2-pass");
-  }
-}
-
-// --- end-to-end MJPEG throughput (wall clock, thread executor) --------------
-//
-// Frames/s and compressed-MB/s of the frame-parallel decode application
-// (apps::run_mjpeg_decode), 1 worker vs a multi-worker pool. These are
-// HOST wall-clock numbers: on a single-core runner the multi-worker leg
-// gains little, so the rows are reported for trend tracking but not
-// gated. 4K x 4 workers is the paper-motivated real-time target point.
-
-void bench_throughput() {
-  auto run = [](int w, int h, int frames, int workers) {
-    apps::MjpegDecodeConfig c;
-    c.width = w;
-    c.height = h;
-    c.frames = frames;
-    c.clip_frames = 2;  // bounds synth+encode setup cost, decode unchanged
-    c.quality = 85;
-    c.slices = 2;
-    c.window = workers;
-    c.workers = workers;
-    c.entropy_workers = 1;
-    c.restart = 0;
-    return apps::run_mjpeg_decode(c);
-  };
-  auto add_tp_row = [](const std::string& name, const char* what,
-                       const apps::MjpegDecodeResult& w1,
-                       const apps::MjpegDecodeResult& wn, int workers) {
-    char unit[160];
-    std::snprintf(unit, sizeof unit,
-                  "%s; 1 worker %.1f f/s, %d workers %.1f f/s (%.1f MB/s)",
-                  what, w1.frames_per_sec, workers, wn.frames_per_sec,
-                  wn.mb_per_sec);
-    g_report.add(name, w1.wall_seconds * 1e3, wn.wall_seconds * 1e3, unit);
-  };
-  const int frames_1080 = g_smoke ? 8 : 24;
-  const int frames_4k = g_smoke ? 4 : 12;
-  {
-    auto w1 = run(1920, 1080, frames_1080, 1);
-    auto w4 = run(1920, 1080, frames_1080, 4);
-    char what[48];
-    std::snprintf(what, sizeof what, "%d 1080p frames", frames_1080);
-    add_tp_row("mjpeg_throughput_1080p", what, w1, w4, 4);
-  }
-  {
-    auto w1 = run(3840, 2160, frames_4k, 1);
-    auto w4 = run(3840, 2160, frames_4k, 4);
-    char what[48];
-    std::snprintf(what, sizeof what, "%d 4K frames", frames_4k);
-    add_tp_row("mjpeg_throughput_4k", what, w1, w4, 4);
-  }
 }
 
 }  // namespace
@@ -360,7 +288,6 @@ int main(int argc, char** argv) {
   g_report.add_context("mode", g_smoke ? "smoke" : "full");
   bench_decode();
   bench_kernels();
-  bench_throughput();
   g_report.write_json(out);
   // The headline acceptance bar: the new decode path must be at least
   // 3x the old bit-at-a-time decoder on the 1080p stream. Without a
@@ -381,12 +308,6 @@ int main(int argc, char** argv) {
   if (fused < 1.0) {
     std::printf("FAIL: downscale_blend_f2 fused %.2fx slower than its "
                 "dispatched 2-pass composition\n", fused);
-    return 1;
-  }
-  double fused_blur = g_report.speedup_of("blur_hv_k5_vs_2pass");
-  if (fused_blur < 1.0) {
-    std::printf("FAIL: blur_hv fused %.2fx slower than its dispatched "
-                "2-pass composition\n", fused_blur);
     return 1;
   }
   std::printf("OK\n");

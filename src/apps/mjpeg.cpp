@@ -1,6 +1,5 @@
 #include "apps/mjpeg.hpp"
 
-#include "components/clip_cache.hpp"
 #include "components/components.hpp"
 #include "components/sinks.hpp"
 #include "hinch/runtime.hpp"
@@ -13,8 +12,8 @@ namespace {
 
 using support::format;
 
-// Decode chain: entropy decode (optionally restart-parallel) followed by
-// three concurrent sliced IDCTs, reassembled by the sink.
+// Decode chain: entropy decode followed by three concurrent sliced
+// IDCTs, reassembled by the sink.
 const char* kDecodeProcedure = R"(
   <procedure name="mjpeg_chain">
     <formal name="jpeg" kind="stream"/>
@@ -22,10 +21,8 @@ const char* kDecodeProcedure = R"(
     <formal name="pu" kind="stream"/>
     <formal name="pv" kind="stream"/>
     <formal name="slices" kind="value"/>
-    <formal name="entropy_workers" kind="value"/>
     <body>
       <component name="dec" class="jpeg_decode">
-        <param name="workers" value="$entropy_workers"/>
         <inport name="jpeg" stream="jpeg"/>
         <outport name="coeffs" stream="coeffs"/>
       </component>
@@ -84,9 +81,8 @@ std::string mjpeg_xspcl(const MjpegDecodeConfig& c) {
       "        <arg name=\"pu\" stream=\"pu\"/>\n"
       "        <arg name=\"pv\" stream=\"pv\"/>\n"
       "        <arg name=\"slices\" value=\"%d\"/>\n"
-      "        <arg name=\"entropy_workers\" value=\"%d\"/>\n"
       "      </call>\n",
-      c.slices, c.entropy_workers);
+      c.slices);
   body += format(
       "      <component name=\"sink\" class=\"yuv_sink\">\n"
       "        <param name=\"store\" value=\"%d\"/>\n"
@@ -117,10 +113,9 @@ MjpegDecodeResult run_mjpeg_decode(const MjpegDecodeConfig& config) {
   options.backend = hinch::Backend::kThreads;
   options.workers = config.workers;
   options.metrics = &metrics;
-  hinch::RunResult rr = hinch::run(*prog.value(), options);
+  hinch::run(*prog.value(), options);
 
   MjpegDecodeResult result;
-  result.wall_seconds = rr.wall_seconds;
   result.frames_done_metric = metrics.get_int("live.frames_done");
   for (int i = 0; i < prog.value()->component_count(); ++i) {
     auto* sink = dynamic_cast<const components::SinkAccess*>(
@@ -129,22 +124,6 @@ MjpegDecodeResult run_mjpeg_decode(const MjpegDecodeConfig& config) {
     result.checksum = sink->sink().checksum();
     result.frames = sink->sink().frames();
     break;
-  }
-
-  // Compressed payload actually pushed through the decoder (the clip
-  // loops when frames > clip_frames).
-  components::ClipKey key{config.seed,        config.width,
-                          config.height,      media::PixelFormat::kYuv420,
-                          config.clip_frames, config.quality,
-                          config.restart};
-  auto clip = components::cached_mjpeg_clip(key);
-  for (int t = 0; t < config.frames; ++t)
-    result.compressed_bytes += clip->frame(t % clip->frame_count()).size();
-
-  if (result.wall_seconds > 0) {
-    result.frames_per_sec = result.frames / result.wall_seconds;
-    result.mb_per_sec = static_cast<double>(result.compressed_bytes) /
-                        (1e6 * result.wall_seconds);
   }
   return result;
 }

@@ -4,15 +4,14 @@
 // the work-stealing thread executor, so successive frames decode
 // concurrently (every frame of an MJPEG stream is independently coded).
 //
-// Three orthogonal parallelism knobs:
-//   workers          host threads in the executor pool (frame-parallel
-//                    via the iteration window),
-//   slices           data-parallel IDCT slices inside one frame,
-//   entropy_workers  restart-segment threads inside one entropy decode
-//                    (needs restart > 0 at encode time).
+// Two orthogonal parallelism knobs, both in the coordination layer (the
+// components stay sequential):
+//   workers  host threads in the executor pool (frame-parallel via the
+//            iteration window),
+//   slices   data-parallel IDCT slices inside one frame.
 //
-// Throughput is measured in wall seconds (thread backend); the
-// simulated-cycle models are not involved.
+// Wall-clock throughput of this graph is measured by perfbench's
+// mjpeg_1080p workload.
 #pragma once
 
 #include <cstdint>
@@ -27,21 +26,16 @@ struct MjpegDecodeConfig {
   int clip_frames = 8;  // distinct synthetic frames in the clip
   int quality = 85;
   uint64_t seed = 501;
-  int slices = 1;           // IDCT slices per plane
-  int window = 4;           // concurrently in-flight frames
-  int workers = 4;          // executor threads
-  int entropy_workers = 1;  // restart-parallel Huffman threads
-  int restart = 0;          // restart interval encoded into the clip (MCUs)
+  int slices = 1;   // IDCT slices per plane
+  int window = 4;   // concurrently in-flight frames
+  int workers = 4;  // executor threads
+  int restart = 0;  // restart interval encoded into the clip (MCUs)
   bool store_output = false;
 };
 
 struct MjpegDecodeResult {
-  double wall_seconds = 0;
   int frames = 0;
   uint64_t checksum = 0;
-  uint64_t compressed_bytes = 0;  // total input payload actually decoded
-  double frames_per_sec = 0;
-  double mb_per_sec = 0;  // compressed megabytes per second
   int64_t frames_done_metric = 0;  // final "live.frames_done" gauge
 };
 
@@ -49,7 +43,7 @@ struct MjpegDecodeResult {
 std::string mjpeg_xspcl(const MjpegDecodeConfig& config);
 
 // Build and run the program on the thread backend; aborts on malformed
-// config (this is a bench/test entry point, not a library API).
+// config (this is a test entry point, not a library API).
 MjpegDecodeResult run_mjpeg_decode(const MjpegDecodeConfig& config);
 
 }  // namespace apps

@@ -31,7 +31,8 @@
 //                                  Sliced by rows.
 //   jpeg_decode    in:"jpeg" out:"coeffs"
 //                                  Entropy decode + dequantize into a
-//                                  CoeffImage packet.
+//                                  CoeffImage packet. Sequential; no
+//                                  params.
 //   idct           in:"coeffs" out:"out"
 //                                  IDCT of component `plane` into a gray
 //                                  frame. Sliced by block rows.
@@ -52,10 +53,6 @@
 //                                  factor, src_plane, x, y, alpha,
 //                                  plane. Honours "pos=X,Y". Sliced by
 //                                  downscaled rows.
-//   blur_hv        in:"in" out:"out"
-//                                  Both blur passes over a
-//                                  kernel_size-row ring. Honours
-//                                  "kernel=N". Sliced by rows.
 //   idct_downscale in:"coeffs" out:"out"
 //                                  IDCT + box downscale through an
 //                                  lcm(8, factor)-row strip. params:
@@ -136,7 +133,6 @@ void register_standard_globally();
 // (static storage; safe to hand to sp::fuse_kernels_pass by pointer):
 //   jpeg_decode -> idct x3   =>  jpeg_decode_planes
 //   downscale -> blend       =>  downscale_blend   (slice-preserving)
-//   blur_h -> blur_v         =>  blur_hv           (slice-preserving)
 //   idct -> downscale        =>  idct_downscale    (slice-preserving)
 const sp::KernelFusionRegistry& standard_fusions();
 

@@ -75,20 +75,13 @@ void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
 class JpegDecodePlanesComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    int workers =
-        static_cast<int>(hinch::param_int_or(config.params, "workers", 1));
-    if (workers < 1 || workers > 256)
-      return support::invalid_argument(
-          "jpeg_decode_planes: workers must be in [1, 256]");
-    return std::unique_ptr<hinch::Component>(
-        new JpegDecodePlanesComponent(workers));
+      const hinch::ComponentConfig&) {
+    return std::unique_ptr<hinch::Component>(new JpegDecodePlanesComponent());
   }
 
-  explicit JpegDecodePlanesComponent(int workers)
+  JpegDecodePlanesComponent()
       : in_(declare_input("jpeg")),
-        outs_{declare_output("y"), declare_output("u"), declare_output("v")},
-        workers_(workers) {}
+        outs_{declare_output("y"), declare_output("u"), declare_output("v")} {}
 
   void run(ExecContext& ctx) override {
     auto bytes = ctx.read(in_).get<std::vector<uint8_t>>();
@@ -98,8 +91,7 @@ class JpegDecodePlanesComponent : public hinch::Component {
       spare_ = std::make_shared<CoeffImage>();
     auto img = spare_;
     support::Status st = media::jpeg::decode_to_coefficients_into(
-        bytes->data(), bytes->size(), img.get(),
-        media::jpeg::HuffmanImpl::kLookupTable, workers_);
+        bytes->data(), bytes->size(), img.get());
     SUP_CHECK_MSG(st.is_ok(), st.to_string().c_str());
     SUP_CHECK_MSG(img->comps.size() == 3,
                   "jpeg_decode_planes: stream is not YUV");
@@ -128,7 +120,6 @@ class JpegDecodePlanesComponent : public hinch::Component {
  private:
   int in_;
   int outs_[3];
-  int workers_;
   std::shared_ptr<CoeffImage> spare_;
 };
 
@@ -224,73 +215,6 @@ class DownscaleBlendComponent : public hinch::Component {
   int y_ = 0;
   int alpha_ = 256;
   int plane_ = -1;
-};
-
-// --- blur_hv -----------------------------------------------------------------
-//
-// Both blur passes in one traversal over a kernel_size-row ring
-// (media::blur_hv). The horizontally-blurred plane never materializes;
-// each band recomputes its halo rows, so bands stay independent and the
-// rewrite is slice-preserving.
-class BlurHvComponent : public hinch::Component {
- public:
-  static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    int kernel =
-        static_cast<int>(hinch::param_int_or(config.params, "kernel", 3));
-    if (kernel != 3 && kernel != 5)
-      return support::invalid_argument("blur_hv: kernel must be 3 or 5");
-    int plane =
-        static_cast<int>(hinch::param_int_or(config.params, "plane", 0));
-    return std::unique_ptr<hinch::Component>(
-        new BlurHvComponent(kernel, plane));
-  }
-
-  BlurHvComponent(int kernel, int plane)
-      : in_(declare_input("in")),
-        out_(declare_output("out")),
-        kernel_(kernel),
-        plane_(plane) {}
-
-  void reconfigure(std::string_view request) override {
-    auto req = std::string(request);
-    if (support::starts_with(req, "kernel=")) {
-      auto k = support::parse_int(req.substr(7));
-      if (k.is_ok() && (k.value() == 3 || k.value() == 5))
-        kernel_ = static_cast<int>(k.value());
-    }
-  }
-
-  int kernel() const { return kernel_; }
-
-  void run(ExecContext& ctx) override {
-    FramePtr src = ctx.read(in_).frame();
-    int plane = src->planes() == 1 ? 0 : plane_;
-    SUP_CHECK_MSG(plane < src->planes(), "blur_hv: no such plane");
-    media::ConstPlaneView sp = src->plane(plane);
-    FramePtr dst = output_stream(out_)->get_or_alloc_frame(
-        ctx.iteration(), media::PixelFormat::kGray, sp.width, sp.height);
-    int r0 = 0, r1 = 0;
-    hinch::slice_rows(sp.height, slice_index(), slice_count(), &r0, &r1);
-    media::blur_hv(sp, dst->plane(0), kernel_, r0, r1);
-    // The vertical taps reach kernel_/2 rows past the band, and the ring
-    // h-blurs exactly the source rows those taps need.
-    int halo = kernel_ / 2;
-    charge_touch_rows(ctx, true, in_, *src, plane, std::max(0, r0 - halo),
-                      std::min(sp.height, r1 + halo));
-    uint64_t ring = static_cast<uint64_t>(kernel_) *
-                    static_cast<uint64_t>(sp.width);
-    ctx.touch_scratch(ring);
-    ctx.touch_scratch_read(ring);
-    ctx.charge_compute(media::blur_hv_cycles(sp.width, r1 - r0, kernel_));
-    charge_touch_rows(ctx, false, out_, *dst, 0, r0, r1);
-  }
-
- private:
-  int in_;
-  int out_;
-  int kernel_;
-  int plane_;
 };
 
 // --- idct_downscale ----------------------------------------------------------
@@ -441,31 +365,8 @@ support::Result<sp::LeafSpec> rewrite_jpeg_decode_planes(
   sp::LeafSpec fused;
   fused.instance = joined_instance(specs);
   fused.klass = "jpeg_decode_planes";
-  fused.params = {{"workers", param_or(dec, "workers", "1")}};
   fused.inputs = {{"jpeg", *jpeg}};
   fused.outputs = std::move(outs);
-  return fused;
-}
-
-// blur_h -> blur_v  =>  blur_hv
-support::Result<sp::LeafSpec> rewrite_blur_hv(
-    const std::vector<const sp::LeafSpec*>& specs) {
-  const sp::LeafSpec& bh = *specs[0];
-  const sp::LeafSpec& bv = *specs[1];
-  if (param_or(bh, "kernel", "3") != param_or(bv, "kernel", "3"))
-    return unsupported("blur_hv fusion: passes use different kernels");
-  const std::string* in = binding(bh.inputs, "in");
-  const std::string* out = binding(bv.outputs, "out");
-  if (!in || !out)
-    return unsupported("blur_hv fusion: missing port binding");
-  sp::LeafSpec fused;
-  fused.instance = joined_instance(specs);
-  fused.klass = "blur_hv";
-  fused.params = {{"kernel", param_or(bh, "kernel", "3")},
-                  {"plane", param_or(bh, "plane", "0")}};
-  fused.inputs = {{"in", *in}};
-  fused.outputs = {{"out", *out}};
-  fused.initial_reconfig = bh.initial_reconfig;
   return fused;
 }
 
@@ -500,7 +401,6 @@ void register_fused(hinch::ComponentRegistry& registry) {
                           &JpegDecodePlanesComponent::create);
   registry.register_class("downscale_blend",
                           &DownscaleBlendComponent::create);
-  registry.register_class("blur_hv", &BlurHvComponent::create);
   registry.register_class("idct_downscale",
                           &IdctDownscaleComponent::create);
 }
@@ -515,10 +415,6 @@ const sp::KernelFusionRegistry& standard_fusions() {
     r->add({"downscale_blend",
             {"downscale", "blend"},
             &rewrite_downscale_blend,
-            /*slice_preserving=*/true});
-    r->add({"blur_hv",
-            {"blur_h", "blur_v"},
-            &rewrite_blur_hv,
             /*slice_preserving=*/true});
     r->add({"idct_downscale",
             {"idct", "downscale"},

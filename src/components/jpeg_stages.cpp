@@ -37,27 +37,18 @@ uint64_t coeff_plane_offset(const CoeffImage& img, int plane) {
   return off;
 }
 
-// Entropy decode + dequantization. The Huffman bitstream is inherently
-// sequential — unless the encoder emitted restart markers, in which case
-// the `workers` param splits the scan across that many host threads
-// (bit-identical result; streams without markers decode serially). The
-// simulated-cycle charge is unaffected either way.
+// Entropy decode + dequantization: sequential over the whole scan
+// (restart-coded streams included). MJPEG decode runs frames of the
+// stream concurrently through the iteration window instead.
 class JpegDecodeComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    int workers =
-        static_cast<int>(hinch::param_int_or(config.params, "workers", 1));
-    if (workers < 1 || workers > 256)
-      return support::invalid_argument(
-          "jpeg_decode: workers must be in [1, 256]");
-    return std::unique_ptr<hinch::Component>(
-        new JpegDecodeComponent(workers));
+      const hinch::ComponentConfig&) {
+    return std::unique_ptr<hinch::Component>(new JpegDecodeComponent());
   }
 
-  explicit JpegDecodeComponent(int workers)
-      : in_(declare_input("jpeg")), out_(declare_output("coeffs")),
-        workers_(workers) {}
+  JpegDecodeComponent()
+      : in_(declare_input("jpeg")), out_(declare_output("coeffs")) {}
 
   void run(hinch::ExecContext& ctx) override {
     auto bytes = ctx.read(in_).get<std::vector<uint8_t>>();
@@ -69,8 +60,7 @@ class JpegDecodeComponent : public hinch::Component {
       spare_ = std::make_shared<CoeffImage>();
     auto img = spare_;
     support::Status st = media::jpeg::decode_to_coefficients_into(
-        bytes->data(), bytes->size(), img.get(),
-        media::jpeg::HuffmanImpl::kLookupTable, workers_);
+        bytes->data(), bytes->size(), img.get());
     SUP_CHECK_MSG(st.is_ok(), st.to_string().c_str());
     uint64_t out_bytes = coeff_bytes(*img);
     uint64_t blocks = total_blocks(*img);
@@ -84,7 +74,6 @@ class JpegDecodeComponent : public hinch::Component {
  private:
   int in_;
   int out_;
-  int workers_;
   std::shared_ptr<CoeffImage> spare_;
 };
 

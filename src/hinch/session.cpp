@@ -83,12 +83,20 @@ SessionExecutor::~SessionExecutor() { shutdown(); }
 SessionPtr SessionExecutor::submit(std::unique_ptr<Program> prog,
                                    const SessionConfig& cfg) {
   SUP_CHECK_MSG(prog != nullptr, "submit: null program");
-  Program* raw = prog.get();
   SessionPtr s(new Session());
+  s->prog_ = prog.get();
   s->owned_prog_ = std::move(prog);
-  s->prog_ = raw;
+  return admit(std::move(s), cfg);
+}
+
+SessionPtr SessionExecutor::submit(Program& prog, const SessionConfig& cfg) {
+  SessionPtr s(new Session());
+  s->prog_ = &prog;
+  return admit(std::move(s), cfg);
+}
+
+SessionPtr SessionExecutor::admit(SessionPtr s, const SessionConfig& cfg) {
   s->config_ = cfg;
-  SessionPtr to_start;
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
     SUP_CHECK_MSG(accepting_, "submit on a shut-down SessionExecutor");
@@ -112,44 +120,9 @@ SessionPtr SessionExecutor::submit(std::unique_ptr<Program> prog,
     ++active_;
     peak_active_ = std::max(peak_active_, active_);
     live_.push_back(s);
-    to_start = s;
     publish_server_gauges();
   }
-  start_session(to_start);
-  return s;
-}
-
-SessionPtr SessionExecutor::submit(Program& prog, const SessionConfig& cfg) {
-  // Borrowing variant: wrap without ownership. Mirrors the owning
-  // overload otherwise.
-  SessionPtr s(new Session());
-  s->prog_ = &prog;
-  s->config_ = cfg;
-  SessionPtr to_start;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    SUP_CHECK_MSG(accepting_, "submit on a shut-down SessionExecutor");
-    s->id_ = next_id_++;
-    if (cfg.metrics != nullptr) {
-      s->metrics_ = cfg.metrics;
-    } else {
-      s->metrics_view_ = std::make_unique<obs::MetricsRegistry>(
-          metrics_.get(), "session." + std::to_string(s->id_) + ".");
-      s->metrics_ = s->metrics_view_.get();
-    }
-    s->scheduler_ = std::make_unique<Scheduler>(*s->prog_, cfg.run);
-    if (active_cap_ > 0 && active_ >= active_cap_) {
-      queue_.push_back(s);
-      publish_server_gauges();
-      return s;
-    }
-    ++active_;
-    peak_active_ = std::max(peak_active_, active_);
-    live_.push_back(s);
-    to_start = s;
-    publish_server_gauges();
-  }
-  start_session(to_start);
+  start_session(s);
   return s;
 }
 
@@ -533,22 +506,37 @@ bool SessionExecutor::steal(int id, Job* out) {
   return false;
 }
 
+bool SessionExecutor::any_job_queued() {
+  for (const auto& w : slots_) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    if (!w->jobs.empty()) return true;
+  }
+  return false;
+}
+
 void SessionExecutor::park(Worker& self) {
   std::unique_lock<std::mutex> lock(idle_mu_);
   if (stop_.load(std::memory_order_relaxed)) return;
   uint64_t epoch = wake_epoch_;
-  ++sleepers_;
-  self.parks.fetch_add(1, std::memory_order_relaxed);
-  // Bounded wait: a producer that observed sleepers_ == 0 an instant
-  // before we got here may skip its wakeup; the timeout turns that
-  // lost-wakeup window into a short stall instead of a hang.
-  idle_cv_.wait_for(lock, std::chrono::microseconds(200), [&] {
-    return wake_epoch_ != epoch || stop_.load(std::memory_order_relaxed);
-  });
-  --sleepers_;
+  // Publish this sleeper, then re-scan every deque. A producer pushes
+  // its job, fences, then reads sleepers_ (wake_sleepers): either it
+  // sees this increment and bumps the epoch, or the push precedes the
+  // scan below and the scan finds the job. No wakeup can be lost, so
+  // the wait needs no timeout.
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  if (!any_job_queued()) {
+    self.parks.fetch_add(1, std::memory_order_relaxed);
+    idle_cv_.wait(lock, [&] {
+      return wake_epoch_ != epoch || stop_.load(std::memory_order_relaxed);
+    });
+  }
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void SessionExecutor::wake_sleepers(size_t new_jobs) {
+  // Pairs with the sleepers_ increment in park(): orders the caller's
+  // job push before this load.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (sleepers_.load(std::memory_order_relaxed) == 0) return;
   {
     std::lock_guard<std::mutex> lock(idle_mu_);

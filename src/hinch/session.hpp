@@ -226,8 +226,12 @@ class SessionExecutor {
   bool pop_own(Worker& self, Job* out);
   bool steal(int id, Job* out);
   void park(Worker& self);
+  bool any_job_queued();
   void wake_sleepers(size_t new_jobs);
 
+  // The admission path shared by both submit overloads: `s` carries its
+  // program; the session starts now or joins the FIFO queue.
+  SessionPtr admit(SessionPtr s, const SessionConfig& cfg);
   void start_session(const SessionPtr& s);
   void run_chain(int worker_id, Job job);
   // One pending unit of `s` retired (job executed or dropped); if it
@@ -259,8 +263,10 @@ class SessionExecutor {
   std::atomic<bool> stop_{false};
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-  uint64_t wake_epoch_ = 0;       // guarded by idle_mu_
-  std::atomic<int> sleepers_{0};  // relaxed hint for producers
+  uint64_t wake_epoch_ = 0;  // guarded by idle_mu_
+  // Workers inside park(); published before their final deque scan (see
+  // park() for the ordering argument).
+  std::atomic<int> sleepers_{0};
 };
 
 }  // namespace hinch

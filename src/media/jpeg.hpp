@@ -44,8 +44,7 @@ struct CoeffImage {
 
 // Encode a kGray or kYuv420 frame as baseline JPEG. quality in [1, 100].
 // restart_interval > 0 emits a DRI segment and an RSTn marker every that
-// many MCUs (resynchronization points; also what would let a parallel
-// decoder split the entropy stream).
+// many MCUs (resynchronization points).
 support::Result<std::vector<uint8_t>> encode(const Frame& frame, int quality,
                                              int restart_interval = 0);
 
@@ -65,17 +64,14 @@ enum class IdctImpl {
 };
 
 // Phase 1: parse markers, entropy-decode, dequantize. Both Huffman
-// implementations produce bit-identical CoeffImages.
-//
-// workers > 1 entropy-decodes restart-marker-delimited segments of the
-// scan on that many host threads (kLookupTable only). Restart segments
-// share no decoder state by construction (T.81 §F.2.1.3.1: DC predictors
-// reset, byte-aligned), so the result is bit-identical to the serial
-// decode; streams without restart markers — and malformed marker layouts
-// — silently take the serial path so every error keeps its serial text.
+// implementations produce bit-identical CoeffImages. The decode is
+// sequential; restart-coded streams have every RSTn checked in order and
+// the DC predictors reset at each one (T.81 §F.2.1.3.1). MJPEG decode
+// parallelises across frames in the coordination layer instead
+// (apps/mjpeg.hpp).
 support::Result<CoeffImage> decode_to_coefficients(
     const uint8_t* data, size_t size,
-    HuffmanImpl impl = HuffmanImpl::kLookupTable, int workers = 1);
+    HuffmanImpl impl = HuffmanImpl::kLookupTable);
 
 // Streaming variant: decodes into `*out`, reusing its coefficient-block
 // storage when the geometry matches the previous frame. For an MJPEG
@@ -84,7 +80,7 @@ support::Result<CoeffImage> decode_to_coefficients(
 // On error `*out` is left in an unspecified (but reusable) state.
 support::Status decode_to_coefficients_into(
     const uint8_t* data, size_t size, CoeffImage* out,
-    HuffmanImpl impl = HuffmanImpl::kLookupTable, int workers = 1);
+    HuffmanImpl impl = HuffmanImpl::kLookupTable);
 
 // Phase 2: IDCT block rows [block_row0, block_row1) of one component into
 // `out` (which must have the component's pixel dimensions). Thread-safe

@@ -1,9 +1,7 @@
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
-#include <thread>
 
 #include "media/jpeg.hpp"
 #include "media/jpeg_common.hpp"
@@ -389,8 +387,8 @@ struct FrameComponent {
 // whole scan when there are no restart markers. The reader must be
 // positioned at the segment's first entropy byte with an empty
 // accumulator, and `comps` carries the DC predictors (reset to 0 at
-// every restart boundary by the callers). Nonzero-coefficient counts
-// accumulate into *nonzero so parallel segment decodes stay disjoint.
+// every restart boundary by the caller). Nonzero-coefficient counts
+// accumulate into *nonzero.
 template <class Reader>
 support::Status decode_mcu_run(
     Reader& br, std::vector<FrameComponent>& comps,
@@ -511,118 +509,6 @@ support::Status decode_scan(
     if (!st.is_ok()) return st;
   }
   img.nonzero_coeffs += nonzero;
-  return support::Status::ok();
-}
-
-// ---- restart-marker parallel entropy decode --------------------------------
-//
-// Restart segments are independent by construction (T.81 §F.2.1.3.1):
-// byte-aligned, DC predictors reset, delimited by RST(n mod 8) markers.
-// A fresh FastBitReader positioned just past a restart marker is in
-// exactly the state the serial reader has after consume_restart (empty
-// accumulator, end = kNone), and each segment decodes a disjoint
-// [mcu_begin, mcu_end) block range, so segments can run on independent
-// threads and remain bit-identical to the serial decode.
-
-// One restart-delimited span of the entropy stream.
-struct RestartSegment {
-  int mcu_begin = 0;
-  int mcu_end = 0;  // exclusive
-  size_t pos = 0;   // first entropy byte (just past the preceding RSTn)
-};
-
-// Walk the entropy stream once, recording where each restart segment
-// starts (0xFF00 is a stuffed data byte, anything else 0xFF-prefixed is
-// a marker). Returns false when the layout is not the well-formed one
-// the parallel decoder handles — a wrong-index or non-RST marker, or the
-// stream ending early — in which case the caller falls back to the
-// serial path so malformed streams keep their exact serial error text.
-bool prescan_restart_segments(const uint8_t* data, size_t size,
-                              size_t scan_start, int total_mcus,
-                              int restart_interval,
-                              std::vector<RestartSegment>* segs) {
-  const int nseg = (total_mcus + restart_interval - 1) / restart_interval;
-  segs->clear();
-  segs->reserve(static_cast<size_t>(nseg));
-  size_t pos = scan_start;
-  for (int s = 0; s < nseg; ++s) {
-    segs->push_back({s * restart_interval,
-                     std::min(total_mcus, (s + 1) * restart_interval), pos});
-    if (s == nseg - 1) break;  // last segment ends at EOI, not RSTn
-    for (;;) {
-      if (pos + 1 >= size) return false;  // ran off the stream
-      if (data[pos] != 0xff) {
-        ++pos;
-        continue;
-      }
-      uint8_t m = data[pos + 1];
-      if (m == 0x00) {
-        pos += 2;  // stuffed data byte
-        continue;
-      }
-      if (m != static_cast<uint8_t>(kRST0 + (s & 7))) return false;
-      pos += 2;
-      break;
-    }
-  }
-  return true;
-}
-
-// Decode the prescanned segments on up to `workers` threads. Each
-// segment's failure set is identical to the serial decode's (same reader
-// state, same deterministic walk), so returning the earliest failing
-// segment's status reproduces the serial error exactly; the trailing
-// RSTn / EOI checks the serial path does between and after runs are
-// folded into each segment here.
-support::Status decode_scan_restart_parallel(
-    const uint8_t* data, size_t size,
-    const std::vector<FrameComponent>& comps,
-    const std::array<std::array<uint16_t, 64>, 4>& quant_tables,
-    const std::array<HuffDecodeTable, 4>& dc_tables,
-    const std::array<HuffDecodeTable, 4>& ac_tables, int mcus_x,
-    const std::vector<RestartSegment>& segs, int workers, CoeffImage& img,
-    bool zero_blocks) {
-  const int nseg = static_cast<int>(segs.size());
-  std::vector<support::Status> status(static_cast<size_t>(nseg));
-  std::vector<size_t> nonzero(static_cast<size_t>(nseg), 0);
-  std::atomic<int> next{0};
-  auto work = [&]() {
-    for (;;) {
-      const int s = next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= nseg) return;
-      const RestartSegment& seg = segs[static_cast<size_t>(s)];
-      FastBitReader br(data, size);
-      br.set_pos(seg.pos);
-      std::vector<FrameComponent> local = comps;
-      for (FrameComponent& c : local) c.dc_pred = 0;
-      support::Status st = decode_mcu_run(
-          br, local, quant_tables, dc_tables, ac_tables, mcus_x,
-          seg.mcu_begin, seg.mcu_end, img, &nonzero[static_cast<size_t>(s)],
-          zero_blocks);
-      if (st.is_ok()) {
-        if (s + 1 < nseg) {
-          // The segment must end exactly at its own restart marker (the
-          // prescan found one, but a short segment can leave undecoded
-          // entropy bytes before it — serial fails there too).
-          if (!br.consume_restart(s & 7)) st = bad("missing RSTn");
-        } else if (!br.at_trailing_marker(kEOI)) {
-          st = bad("entropy data not terminated by EOI");
-        }
-      }
-      status[static_cast<size_t>(s)] = st;
-    }
-  };
-  const int nthreads = std::max(1, std::min(workers, nseg));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(nthreads - 1));
-  for (int i = 1; i < nthreads; ++i) threads.emplace_back(work);
-  work();
-  for (std::thread& t : threads) t.join();
-  for (int s = 0; s < nseg; ++s) {
-    if (!status[static_cast<size_t>(s)].is_ok())
-      return status[static_cast<size_t>(s)];
-    img.nonzero_coeffs += nonzero[static_cast<size_t>(s)];
-  }
   return support::Status::ok();
 }
 
@@ -820,8 +706,8 @@ void idct8x8_scalar(const int16_t in[64], const int32_t prescale[64],
 namespace media::jpeg {
 
 support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
-                                            CoeffImage* out, HuffmanImpl impl,
-                                            int workers) {
+                                            CoeffImage* out,
+                                            HuffmanImpl impl) {
   if (size < 4 || data[0] != 0xff || data[1] != kSOI)
     return bad("missing SOI marker");
 
@@ -1002,19 +888,6 @@ support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
 
   // --- entropy decode ---
   if (impl == HuffmanImpl::kLookupTable) {
-    // Restart-parallel path: only for well-formed restart layouts (the
-    // prescan proves every delimiter is in place); anything else decodes
-    // serially so malformed streams keep their exact serial error text.
-    if (workers > 1 && restart_interval > 0 && mcus_x * mcus_y > 1) {
-      std::vector<RestartSegment> segs;
-      if (prescan_restart_segments(data, size, scan_start, mcus_x * mcus_y,
-                                   restart_interval, &segs) &&
-          segs.size() > 1) {
-        return decode_scan_restart_parallel(data, size, comps, quant_tables,
-                                            dc_tables, ac_tables, mcus_x,
-                                            segs, workers, img, zero_blocks);
-      }
-    }
     FastBitReader br(data, size);
     br.set_pos(scan_start);
     support::Status st =
@@ -1038,11 +911,9 @@ support::Status decode_to_coefficients_into(const uint8_t* data, size_t size,
 
 support::Result<CoeffImage> decode_to_coefficients(const uint8_t* data,
                                                    size_t size,
-                                                   HuffmanImpl impl,
-                                                   int workers) {
+                                                   HuffmanImpl impl) {
   CoeffImage img;
-  support::Status st =
-      decode_to_coefficients_into(data, size, &img, impl, workers);
+  support::Status st = decode_to_coefficients_into(data, size, &img, impl);
   if (!st.is_ok()) return st;
   return img;
 }

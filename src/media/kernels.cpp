@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <vector>
 
 #include "media/kernels_simd.hpp"
 #include "support/cpu.hpp"
@@ -380,32 +379,6 @@ const int16_t* gaussian_taps(int kernel_size) {
   return kernel_size == 3 ? detail::kBlurTaps3 : detail::kBlurTaps5;
 }
 
-namespace {
-
-// One horizontal-blur row — the shared per-row code of blur_h and the
-// fused blur_hv, so the two entry points are bit-identical by
-// construction (same border/interior split, same dispatched row
-// kernel).
-inline void blur_h_one_row(const uint8_t* in, uint8_t* out, int w,
-                           int kernel_size, const int16_t* taps, int r,
-                           const detail::KernelOps* ops) {
-  if (w <= 2 * r) {  // degenerate: every column is a border column
-    blur_h_border(in, out, 0, w, taps, r, w);
-    return;
-  }
-  if (kernel_size == 3) {
-    blur_h_border(in, out, 0, 1, taps, r, w);
-    ops->blur_h3_row(in, out, w);
-    blur_h_border(in, out, w - 1, w, taps, r, w);
-    return;
-  }
-  blur_h_border(in, out, 0, 2, taps, r, w);
-  ops->blur_h5_row(in, out, w);
-  blur_h_border(in, out, w - 2, w, taps, r, w);
-}
-
-}  // namespace
-
 void blur_h(ConstPlaneView src, PlaneView dst, int kernel_size, int row0,
             int row1) {
   SUP_CHECK(src.width == dst.width && src.height == dst.height);
@@ -415,8 +388,21 @@ void blur_h(ConstPlaneView src, PlaneView dst, int kernel_size, int row0,
   row1 = clampi(row1, 0, dst.height);
   const int w = dst.width;
   const detail::KernelOps* ops = detail::kernel_ops();
-  for (int y = row0; y < row1; ++y)
-    blur_h_one_row(src.row(y), dst.row(y), w, kernel_size, taps, r, ops);
+  for (int y = row0; y < row1; ++y) {
+    const uint8_t* in = src.row(y);
+    uint8_t* out = dst.row(y);
+    if (w <= 2 * r) {  // degenerate: every column is a border column
+      blur_h_border(in, out, 0, w, taps, r, w);
+    } else if (kernel_size == 3) {
+      blur_h_border(in, out, 0, 1, taps, r, w);
+      ops->blur_h3_row(in, out, w);
+      blur_h_border(in, out, w - 1, w, taps, r, w);
+    } else {
+      blur_h_border(in, out, 0, 2, taps, r, w);
+      ops->blur_h5_row(in, out, w);
+      blur_h_border(in, out, w - 2, w, taps, r, w);
+    }
+  }
 }
 
 void blur_v(ConstPlaneView src, PlaneView dst, int kernel_size, int row0,
@@ -447,54 +433,6 @@ uint64_t blur_cycles(int width, int rows, int kernel_size) {
   // kernel_size multiply-accumulates + clamp/shift per pixel.
   uint64_t per_pixel = static_cast<uint64_t>(kernel_size) * 2 + 2;
   return static_cast<uint64_t>(width) * rows * per_pixel;
-}
-
-// ---- fused separable blur ----------------------------------------------------
-
-void blur_hv(ConstPlaneView src, PlaneView dst, int kernel_size, int row0,
-             int row1) {
-  SUP_CHECK(src.width == dst.width && src.height == dst.height);
-  const int16_t* taps = gaussian_taps(kernel_size);
-  const int r = kernel_size / 2;
-  row0 = clampi(row0, 0, dst.height);
-  row1 = clampi(row1, 0, dst.height);
-  if (row0 >= row1) return;
-  const int w = dst.width;
-  const int hmax = src.height - 1;
-  const detail::KernelOps* ops = detail::kernel_ops();
-  // Ring of kernel_size horizontally-blurred rows, slot = source row mod
-  // kernel_size. Walking y upward needs at most one new h-row per output
-  // row (y + r); clamped border rows hit slots already resident.
-  std::vector<uint8_t> ring(static_cast<size_t>(kernel_size) *
-                            static_cast<size_t>(w));
-  int slot_row[5] = {-1, -1, -1, -1, -1};
-  auto hrow = [&](int sy) -> const uint8_t* {
-    const int slot = sy % kernel_size;
-    uint8_t* buf = ring.data() + static_cast<size_t>(slot) * w;
-    if (slot_row[slot] != sy) {
-      blur_h_one_row(src.row(sy), buf, w, kernel_size, taps, r, ops);
-      slot_row[slot] = sy;
-    }
-    return buf;
-  };
-  if (kernel_size == 3) {
-    for (int y = row0; y < row1; ++y)
-      ops->blur_v3_row(hrow(clampi(y - 1, 0, hmax)), hrow(y),
-                       hrow(clampi(y + 1, 0, hmax)), dst.row(y), w);
-    return;
-  }
-  for (int y = row0; y < row1; ++y)
-    ops->blur_v5_row(hrow(clampi(y - 2, 0, hmax)),
-                     hrow(clampi(y - 1, 0, hmax)), hrow(y),
-                     hrow(clampi(y + 1, 0, hmax)),
-                     hrow(clampi(y + 2, 0, hmax)), dst.row(y), w);
-}
-
-uint64_t blur_hv_cycles(int width, int rows, int kernel_size) {
-  // Both passes' arithmetic; the elided intermediate store/load is the
-  // cache model's to account for (same convention as
-  // downscale_blend_cycles).
-  return 2 * blur_cycles(width, rows, kernel_size);
 }
 
 }  // namespace media

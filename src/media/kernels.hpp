@@ -102,18 +102,4 @@ void blur_v(ConstPlaneView src, PlaneView dst, int kernel_size, int row0,
             int row1);
 uint64_t blur_cycles(int width, int rows, int kernel_size);
 
-// ---- fused separable blur (both passes, one traversal) ----------------------
-
-// blur_h followed by blur_v with no intermediate plane: the horizontal
-// pass's rows live in a kernel_size-row ring (an L1-sized strip) and are
-// consumed by the vertical taps as they rotate out. Bit-identical to
-// blur_h into a scratch plane then blur_v, for any row range — border
-// rows reach into the clamped neighbours exactly as the 2-pass
-// composition does (the ring recomputes up to kernel_size/2 halo rows
-// at a slice boundary; the *_cycles helper charges the same 2-pass
-// arithmetic either way).
-void blur_hv(ConstPlaneView src, PlaneView dst, int kernel_size, int row0,
-             int row1);
-uint64_t blur_hv_cycles(int width, int rows, int kernel_size);
-
 }  // namespace media

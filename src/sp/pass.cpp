@@ -198,13 +198,6 @@ support::Result<Pass> pass_by_name(const std::string& name,
                             known + ")");
 }
 
-support::Result<Pass> pass_by_name(const std::string& name,
-                                   const FusionAdvisor& advisor) {
-  PassOptions options;
-  options.advisor = advisor;
-  return pass_by_name(name, options);
-}
-
 PassManager make_pipeline(const PassOptions& options) {
   PassManager pm;
   pm.set_verify(options.verify);

@@ -141,11 +141,6 @@ const std::vector<PassInfo>& registered_passes();
 support::Result<Pass> pass_by_name(const std::string& name,
                                    const PassOptions& options);
 
-// Back-compat convenience: `advisor` configures "auto-group";
-// "fuse-kernels" resolves with no patterns (a no-op pass).
-support::Result<Pass> pass_by_name(const std::string& name,
-                                   const FusionAdvisor& advisor);
-
 // The canonical pipeline for `options` (passes in registered order,
 // skipping the ones switched off), with verification per
 // options.verify.

@@ -244,119 +244,35 @@ TEST(Jpeg, MissingRestartMarkerRejected) {
   media::SynthSpec spec{.seed = 25, .width = 64, .height = 48};
   auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 0), 75, 2);
   ASSERT_TRUE(bytes.is_ok());
-  // Find the first RST marker (0xFF 0xD0..0xD7 after the scan start) and
-  // corrupt it; the decoder must fail cleanly, not crash.
-  std::vector<uint8_t> corrupt = bytes.value();
-  for (size_t i = 2; i + 1 < corrupt.size(); ++i) {
-    if (corrupt[i] == 0xff && corrupt[i + 1] >= 0xd0 &&
-        corrupt[i + 1] <= 0xd7) {
-      corrupt[i + 1] = 0x3f;  // no longer a marker
-      break;
+  // Rewrite the n-th RST marker (0xFF 0xD0..0xD7 after the scan start);
+  // both Huffman engines must fail cleanly at it, not crash.
+  auto corrupt_nth_rst = [&](int n, uint8_t value) {
+    std::vector<uint8_t> corrupt = bytes.value();
+    int seen = 0;
+    for (size_t i = 2; i + 1 < corrupt.size(); ++i) {
+      if (corrupt[i] == 0xff && corrupt[i + 1] >= 0xd0 &&
+          corrupt[i + 1] <= 0xd7 && ++seen == n) {
+        corrupt[i + 1] = value;
+        break;
+      }
+    }
+    EXPECT_EQ(seen, n);
+    return corrupt;
+  };
+  // The first marker is no longer a marker; the second carries an
+  // out-of-sequence restart index (RST6 where RST1 is due).
+  for (const auto& corrupt : {corrupt_nth_rst(1, 0x3f),
+                              corrupt_nth_rst(2, 0xd6)}) {
+    EXPECT_FALSE(media::jpeg::decode(corrupt.data(), corrupt.size()).is_ok());
+    for (auto impl : {media::jpeg::HuffmanImpl::kLookupTable,
+                      media::jpeg::HuffmanImpl::kBitSerial}) {
+      auto r = media::jpeg::decode_to_coefficients(corrupt.data(),
+                                                   corrupt.size(), impl);
+      ASSERT_FALSE(r.is_ok());
+      EXPECT_NE(r.status().to_string().find("RSTn"), std::string::npos)
+          << r.status().to_string();
     }
   }
-  EXPECT_FALSE(media::jpeg::decode(corrupt.data(), corrupt.size()).is_ok());
-}
-
-void expect_coeffs_identical(const media::jpeg::CoeffImage& a,
-                             const media::jpeg::CoeffImage& b) {
-  ASSERT_EQ(a.comps.size(), b.comps.size());
-  EXPECT_EQ(a.width, b.width);
-  EXPECT_EQ(a.height, b.height);
-  EXPECT_EQ(a.nonzero_coeffs, b.nonzero_coeffs);
-  EXPECT_EQ(a.compressed_bytes, b.compressed_bytes);
-  for (size_t c = 0; c < a.comps.size(); ++c) {
-    ASSERT_EQ(a.comps[c].blocks.size(), b.comps[c].blocks.size());
-    for (size_t blk = 0; blk < a.comps[c].blocks.size(); ++blk)
-      ASSERT_EQ(a.comps[c].blocks[blk], b.comps[c].blocks[blk])
-          << "comp " << c << " block " << blk;
-  }
-}
-
-class ParallelRestartTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelRestartTest, MatchesSerialBitExactly) {
-  media::SynthSpec spec{.seed = 31, .width = 128, .height = 96};
-  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 2), 60,
-                                   GetParam());
-  ASSERT_TRUE(bytes.is_ok());
-  auto serial = media::jpeg::decode_to_coefficients(
-      bytes.value().data(), bytes.value().size(),
-      media::jpeg::HuffmanImpl::kLookupTable, 1);
-  ASSERT_TRUE(serial.is_ok());
-  for (int workers : {2, 3, 4, 16}) {
-    auto parallel = media::jpeg::decode_to_coefficients(
-        bytes.value().data(), bytes.value().size(),
-        media::jpeg::HuffmanImpl::kLookupTable, workers);
-    ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
-    expect_coeffs_identical(serial.value(), parallel.value());
-  }
-}
-
-// Interval 1 maxes the segment count; larger intervals leave a ragged
-// final segment; 96 = exactly two segments of a 48-MCU scan... pattern
-// varies per interval.
-INSTANTIATE_TEST_SUITE_P(Intervals, ParallelRestartTest,
-                         ::testing::Values(1, 2, 5, 7, 48, 96));
-
-TEST(Jpeg, ParallelDecodeWithoutRestartsFallsBackToSerial) {
-  media::SynthSpec spec{.seed = 32, .width = 96, .height = 64};
-  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 1), 75, 0);
-  ASSERT_TRUE(bytes.is_ok());
-  auto serial = media::jpeg::decode_to_coefficients(
-      bytes.value().data(), bytes.value().size(),
-      media::jpeg::HuffmanImpl::kLookupTable, 1);
-  auto parallel = media::jpeg::decode_to_coefficients(
-      bytes.value().data(), bytes.value().size(),
-      media::jpeg::HuffmanImpl::kLookupTable, 8);
-  ASSERT_TRUE(serial.is_ok());
-  ASSERT_TRUE(parallel.is_ok());
-  expect_coeffs_identical(serial.value(), parallel.value());
-}
-
-TEST(Jpeg, ParallelDecodeTruncationErrorsMatchSerial) {
-  // Truncating the stream at every byte prefix must yield the same
-  // ok/error outcome — and the same error text — from the parallel
-  // decoder as from the serial one, because malformed restart layouts
-  // fall back to the serial path.
-  media::SynthSpec spec{.seed = 33, .width = 64, .height = 48};
-  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 0), 60, 3);
-  ASSERT_TRUE(bytes.is_ok());
-  const std::vector<uint8_t>& full = bytes.value();
-  for (size_t len = 0; len <= full.size(); ++len) {
-    media::jpeg::CoeffImage a, b;
-    support::Status sa = media::jpeg::decode_to_coefficients_into(
-        full.data(), len, &a, media::jpeg::HuffmanImpl::kLookupTable, 1);
-    support::Status sb = media::jpeg::decode_to_coefficients_into(
-        full.data(), len, &b, media::jpeg::HuffmanImpl::kLookupTable, 4);
-    EXPECT_EQ(sa.is_ok(), sb.is_ok()) << "len=" << len;
-    EXPECT_EQ(sa.to_string(), sb.to_string()) << "len=" << len;
-    if (sa.is_ok()) expect_coeffs_identical(a, b);
-  }
-}
-
-TEST(Jpeg, ParallelDecodeCorruptedRestartMarkerMatchesSerial) {
-  media::SynthSpec spec{.seed = 34, .width = 96, .height = 80};
-  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 1), 70, 2);
-  ASSERT_TRUE(bytes.is_ok());
-  std::vector<uint8_t> corrupt = bytes.value();
-  int seen = 0;
-  for (size_t i = 2; i + 1 < corrupt.size(); ++i) {
-    if (corrupt[i] == 0xff && corrupt[i + 1] >= 0xd0 &&
-        corrupt[i + 1] <= 0xd7 && ++seen == 2) {
-      corrupt[i + 1] = 0xd6;  // out-of-sequence restart index
-      break;
-    }
-  }
-  ASSERT_EQ(seen, 2);
-  media::jpeg::CoeffImage a, b;
-  support::Status sa = media::jpeg::decode_to_coefficients_into(
-      corrupt.data(), corrupt.size(), &a,
-      media::jpeg::HuffmanImpl::kLookupTable, 1);
-  support::Status sb = media::jpeg::decode_to_coefficients_into(
-      corrupt.data(), corrupt.size(), &b,
-      media::jpeg::HuffmanImpl::kLookupTable, 4);
-  EXPECT_FALSE(sa.is_ok());
-  EXPECT_EQ(sa.to_string(), sb.to_string());
 }
 
 TEST(Jpeg, EncodeRejectsBadRestartInterval) {

@@ -291,42 +291,6 @@ TEST(SliceInvariance, AllKernelsReproduceFullRangeRun) {
 // so each must be bit-identical to the composition it replaces — over
 // ragged sizes, any slice partition, and (for the IDCT) both impls.
 
-TEST(FusedBlurHv, MatchesTwoPassComposition) {
-  for (auto [w, h] :
-       {std::make_tuple(1, 1), std::make_tuple(3, 5), std::make_tuple(5, 4),
-        std::make_tuple(17, 9), std::make_tuple(31, 7),
-        std::make_tuple(64, 48), std::make_tuple(65, 47),
-        std::make_tuple(127, 33)}) {
-    FramePtr src = synth_gray(900 + static_cast<uint64_t>(w), w, h);
-    for (int k : {3, 5}) {
-      Frame mid(PixelFormat::kGray, w, h), ref(PixelFormat::kGray, w, h),
-          opt(PixelFormat::kGray, w, h);
-      media::blur_h(src->plane(0), mid.plane(0), k, 0, h);
-      media::blur_v(mid.plane(0), ref.plane(0), k, 0, h);
-      media::blur_hv(src->plane(0), opt.plane(0), k, 0, h);
-      EXPECT_TRUE(ref.equals(opt)) << "k=" << k << " " << w << "x" << h;
-    }
-  }
-}
-
-TEST(FusedBlurHv, SliceInvariant) {
-  // Any row partition must reproduce the full run: the ring's halo
-  // recomputation at slice boundaries has to match the 2-pass borders.
-  const int w = 53, h = 37;
-  FramePtr src = synth_gray(910, w, h);
-  for (int slices : {1, 2, 3, 7, h}) {
-    for (int k : {3, 5}) {
-      Frame full(PixelFormat::kGray, w, h), sliced(PixelFormat::kGray, w, h);
-      expect_slice_invariant(
-          h, slices,
-          [&](Frame& d, int r0, int r1) {
-            media::blur_hv(src->plane(0), d.plane(0), k, r0, r1);
-          },
-          full, sliced);
-    }
-  }
-}
-
 TEST(FusedIdctDownscale, MatchesCompositionBothImpls) {
   media::SynthSpec spec{.seed = 920, .width = 88, .height = 56,
                         .format = PixelFormat::kGray};

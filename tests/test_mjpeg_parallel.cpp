@@ -1,7 +1,7 @@
 // Frame-parallel MJPEG decode: the thread-backend decode graph must be
-// bit-identical across worker counts, window sizes and entropy-worker
-// counts, and must publish the live decode gauges. Runs the thread
-// executor with concurrent frames in flight, so it joins the
+// bit-identical across worker counts and window sizes, and must publish
+// the live decode gauges. Runs the thread executor with concurrent
+// frames in flight on restart-coded clips, so it joins the
 // ThreadSanitizer suite.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,7 @@ using apps::MjpegDecodeConfig;
 using apps::MjpegDecodeResult;
 
 // Scaled-down 4K stand-in: big enough for several MCU rows and restart
-// segments, small enough to keep the suite fast.
+// intervals, small enough to keep the suite fast.
 MjpegDecodeConfig small_config() {
   MjpegDecodeConfig c;
   c.width = 192;
@@ -61,34 +61,11 @@ TEST(MjpegParallel, ChecksumStableAcrossWorkerCounts) {
   }
 }
 
-TEST(MjpegParallel, EntropyWorkersDoNotChangeOutput) {
-  MjpegDecodeConfig base = small_config();
-  MjpegDecodeResult one = apps::run_mjpeg_decode(base);
-
-  MjpegDecodeConfig par = base;
-  par.entropy_workers = 4;
-  MjpegDecodeResult r = apps::run_mjpeg_decode(par);
-  EXPECT_EQ(r.checksum, one.checksum);
-
-  // Without restart markers the parallel request silently decodes
-  // serially — still identical.
-  MjpegDecodeConfig norst = base;
-  norst.restart = 0;
-  norst.entropy_workers = 4;
-  MjpegDecodeConfig norst_serial = norst;
-  norst_serial.entropy_workers = 1;
-  EXPECT_EQ(apps::run_mjpeg_decode(norst).checksum,
-            apps::run_mjpeg_decode(norst_serial).checksum);
-}
-
 TEST(MjpegParallel, PublishesLiveDecodeGauges) {
   MjpegDecodeConfig c = small_config();
   MjpegDecodeResult r = apps::run_mjpeg_decode(c);
+  EXPECT_EQ(r.frames, c.frames);
   EXPECT_EQ(r.frames_done_metric, c.frames);
-  EXPECT_GT(r.compressed_bytes, 0u);
-  EXPECT_GT(r.wall_seconds, 0.0);
-  EXPECT_GT(r.frames_per_sec, 0.0);
-  EXPECT_GT(r.mb_per_sec, 0.0);
 }
 
 }  // namespace
