@@ -11,9 +11,9 @@
 //                  L2 capacity held fixed (16 MiB split per tile,
 //                  crossbar, 64 cyc/chunk/hop) — what the interconnect
 //                  costs once the die is partitioned.
-//   dispatch       a 2-tile heterogeneous platform (4 baseline cores +
-//                  4 half-frequency cores) under the three dispatch
-//                  policies — the hetero-placement ablation.
+//   hetero         a 2-tile heterogeneous platform (4 baseline cores +
+//                  4 half-frequency cores) — how far half the cores
+//                  running at half speed falls short of 8 full cores.
 //
 // The expensive part — executing the media kernels — happens once, in
 // one 1-core recording run; every sweep point re-simulates from the
@@ -38,7 +38,7 @@ struct Meas {
   sim::MemStats mem;
   double utilization = 0;
   uint64_t jobs = 0;
-  std::vector<uint64_t> tile_jobs;  // empty on the legacy (no-platform) path
+  std::vector<uint64_t> tile_jobs;
 };
 
 // One replayed sweep point. The Program is rebuilt per point: components
@@ -71,15 +71,13 @@ sim::PlatformConfig split_die(int tiles, int cores_per_tile) {
   return p;
 }
 
-sim::PlatformConfig hetero_2tile(sim::DispatchPolicy dispatch) {
+sim::PlatformConfig hetero_2tile() {
   sim::PlatformConfig p;
   p.name = "hetero2";
   p.classes = {{"fast", 1.0}, {"slow", 2.0}};
-  // The slow tile gets the low core indices on purpose: legacy
-  // lowest-core dispatch then lands work on the half-frequency cores
-  // first, which is exactly the placement mistake fastest-first fixes.
+  // The slow tile gets the low core indices on purpose: lowest-idle-core
+  // dispatch then lands work on the half-frequency cores first.
   p.tiles = {{4, 1, 8ull << 20}, {4, 0, 8ull << 20}};
-  p.dispatch = dispatch;
   return p;
 }
 
@@ -147,17 +145,6 @@ int main(int argc, char** argv) {
   gate(curve.back().cycles <= curve[0].cycles,
        "256 cores slower than 1 core");
 
-  // Single tile of 64 cores expressed as a platform must be cycle-exact
-  // with the legacy 64-core model — the "platform as data" default.
-  {
-    Meas legacy = replay_point(spec, cfg.frames, trace, 64, {},
-                               sim::LruImpl::kFlat);
-    Meas platform = replay_point(spec, cfg.frames, trace, 0, split_die(1, 64),
-                                 sim::LruImpl::kFlat);
-    gate(legacy.cycles == platform.cycles && legacy.mem == platform.mem,
-         "one-tile platform diverges from the legacy model");
-  }
-
   // --- tile-count scaling at 64 cores ---------------------------------------
   const std::vector<int> tile_counts = {1, 2, 4, 8, 16};
   std::vector<Meas> tiled;
@@ -173,47 +160,29 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.mem.l2_invalidations));
   }
   gate(tiled[0].mem.remote_hits == 0, "remote hits on a one-tile platform");
+  // An explicit one-tile platform with the full 16 MiB L2 is the same
+  // machine as SimParams.cores = 64 (curve_cores[6]).
+  gate(tiled[0].cycles == curve[6].cycles && tiled[0].mem == curve[6].mem,
+       "one-tile platform diverges from SimParams.cores");
   gate(tiled[1].mem.remote_hits > 0,
        "no remote traffic on a two-tile platform");
   gate(tiled.back().cycles >= tiled[0].cycles,
        "16-way split beat the unified tile (interconnect charged < 0?)");
 
-  // --- heterogeneous dispatch ablation --------------------------------------
-  struct DispatchLeg {
-    const char* name;
-    sim::DispatchPolicy policy;
-  };
-  const std::vector<DispatchLeg> legs = {
-      {"lowest", sim::DispatchPolicy::kLowestCore},
-      {"fastest", sim::DispatchPolicy::kFastestFirst},
-      {"affinity", sim::DispatchPolicy::kTileAffinity},
-  };
-  std::vector<Meas> dispatch;
-  std::printf("\n%10s %12s %12s %12s\n", "dispatch", "Mcycles", "util",
+  // --- heterogeneous platform ----------------------------------------------
+  const Meas hetero = replay_point(spec, cfg.frames, trace, 0, hetero_2tile(),
+                                   sim::LruImpl::kFlat);
+  std::printf("\n%10s %12s %12s %12s\n", "platform", "Mcycles", "util",
               "fast_share");
-  for (const DispatchLeg& leg : legs) {
-    Meas m = replay_point(spec, cfg.frames, trace, 0, hetero_2tile(leg.policy),
-                          sim::LruImpl::kFlat);
-    dispatch.push_back(m);
-    std::printf("%10s %12.1f %11.1f%% %11.1f%%\n", leg.name,
-                bench::mcycles(m.cycles), 100.0 * m.utilization,
-                100.0 * static_cast<double>(m.tile_jobs[1]) /
-                    static_cast<double>(m.jobs));
-  }
-  // A saturated queue spills onto the slow tile under every policy
-  // (a finishing core pulls the next job itself; the policy only
-  // chooses when several cores sit idle), so neither total cycles nor
-  // relative placement ranks the policies deterministically at this
-  // scale — the policy mechanics are pinned by the
-  // FastestFirstPrefersFastCores unit test instead. What the bench
-  // gates: every leg executes the same jobs, and the fast tile ends up
-  // with the majority of them (it drains twice as fast).
-  gate(dispatch[0].jobs == dispatch[1].jobs &&
-           dispatch[1].jobs == dispatch[2].jobs,
-       "dispatch policies executed different job counts");
-  for (const Meas& m : dispatch)
-    gate(m.tile_jobs[1] > m.tile_jobs[0],
-         "the fast tile did not take the majority of the jobs");
+  std::printf("%10s %12.1f %11.1f%% %11.1f%%\n", "hetero2",
+              bench::mcycles(hetero.cycles), 100.0 * hetero.utilization,
+              100.0 * static_cast<double>(hetero.tile_jobs[1]) /
+                  static_cast<double>(hetero.jobs));
+  // A finishing core pulls the next job itself, so the fast tile, which
+  // drains twice as fast, ends up with the majority of the jobs even
+  // though idle slow cores are offered work first.
+  gate(hetero.tile_jobs[1] > hetero.tile_jobs[0],
+       "the fast tile did not take the majority of the jobs");
 
   // --- machine-readable artifact --------------------------------------------
   {
@@ -252,19 +221,14 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(
                        tiled[i].mem.l2_invalidations),
                    i + 1 < tile_counts.size() ? "," : "");
-    std::fprintf(f, "  ],\n  \"dispatch\": [\n");
-    for (size_t i = 0; i < legs.size(); ++i)
-      std::fprintf(f,
-                   "    {\"policy\": \"%s\", \"cycles\": %llu, "
-                   "\"utilization\": %s, \"jobs\": %llu, "
-                   "\"fast_tile_jobs\": %llu}%s\n",
-                   legs[i].name,
-                   static_cast<unsigned long long>(dispatch[i].cycles),
-                   support::format_double(dispatch[i].utilization).c_str(),
-                   static_cast<unsigned long long>(dispatch[i].jobs),
-                   static_cast<unsigned long long>(dispatch[i].tile_jobs[1]),
-                   i + 1 < legs.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f,
+                 "  ],\n  \"hetero\": {\"cycles\": %llu, "
+                 "\"utilization\": %s, \"jobs\": %llu, "
+                 "\"fast_tile_jobs\": %llu}\n}\n",
+                 static_cast<unsigned long long>(hetero.cycles),
+                 support::format_double(hetero.utilization).c_str(),
+                 static_cast<unsigned long long>(hetero.jobs),
+                 static_cast<unsigned long long>(hetero.tile_jobs[1]));
     std::fclose(f);
     std::printf("\nwrote %s\n", out.c_str());
   }

@@ -43,10 +43,10 @@ struct PatternResult {
 };
 
 PatternResult run_cache_pattern(sim::LruImpl impl, int iters) {
+  constexpr int kCores = 4;
   sim::CacheConfig cfg;
-  cfg.cores = 4;
   cfg.lru_impl = impl;
-  sim::MemorySystem mem(cfg);
+  sim::MemorySystem mem(cfg, sim::PlatformConfig::homogeneous(1, kCores));
 
   const uint64_t frame_bytes = 4u << 20;  // streams through L2
   const uint64_t coeff_bytes = 8u << 20;  // mixed working set
@@ -65,7 +65,7 @@ PatternResult run_cache_pattern(sim::LruImpl impl, int iters) {
   for (int it = 0; it < iters; ++it) {
     // Streaming: each core walks its own quarter of the frame in 4 KiB
     // touches (sequential chunk keys, the best case for both engines).
-    for (int core = 0; core < cfg.cores; ++core) {
+    for (int core = 0; core < kCores; ++core) {
       uint64_t base = static_cast<uint64_t>(core) * (frame_bytes / 4);
       for (uint64_t off = 0; off + 4096 <= frame_bytes / 4; off += 4096)
         out.release_marker += mem.access(core, frame, base + off, 4096, false);
@@ -74,7 +74,7 @@ PatternResult run_cache_pattern(sim::LruImpl impl, int iters) {
     // region, one write in four — exercises the presence-mask
     // invalidation path and cross-core L1 churn.
     for (int i = 0; i < 4096; ++i) {
-      int core = static_cast<int>(next() % 4);
+      int core = static_cast<int>(next() % kCores);
       uint64_t off = (next() % (coeff_bytes - 2048)) & ~1023ull;
       bool write = (i & 3) == 0;
       out.release_marker += mem.access(core, coeff, off, 2048, write);
@@ -83,7 +83,7 @@ PatternResult run_cache_pattern(sim::LruImpl impl, int iters) {
     // the task-local buffer lifecycle, and the path where the reference
     // engine pays O(region chunks x caches).
     sim::RegionId scratch = mem.register_region(256u << 10, "scratch");
-    for (int core = 0; core < cfg.cores; ++core)
+    for (int core = 0; core < kCores; ++core)
       out.release_marker += mem.access(core, scratch, 0, 256u << 10, true);
     mem.release_region(scratch);
   }

@@ -1,6 +1,6 @@
 #include "apps/catalog.hpp"
 
-#include <cstdlib>
+#include <limits>
 
 #include "apps/apps.hpp"
 #include "support/strings.hpp"
@@ -8,15 +8,14 @@
 namespace apps {
 namespace {
 
-support::Result<int> parse_int(const std::string& key,
+support::Result<int> int_param(const std::string& key,
                                const std::string& value) {
-  char* end = nullptr;
-  long v = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0')
-    return support::invalid_argument(
-        support::format("catalog: %s expects an integer, got '%s'",
-                        key.c_str(), value.c_str()));
-  return static_cast<int>(v);
+  auto v = support::parse_int_in(value, std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::max());
+  if (!v.is_ok())
+    return support::invalid_argument(support::format(
+        "catalog: %s: %s", key.c_str(), v.status().message().c_str()));
+  return static_cast<int>(v.value());
 }
 
 // Apply one override; true if `key` is known to this app.
@@ -24,13 +23,13 @@ template <typename Config>
 support::Result<bool> apply_common(Config* c, const std::string& key,
                                    const std::string& value) {
   if (key == "width") {
-    SUP_ASSIGN_OR_RETURN(c->width, parse_int(key, value));
+    SUP_ASSIGN_OR_RETURN(c->width, int_param(key, value));
   } else if (key == "height") {
-    SUP_ASSIGN_OR_RETURN(c->height, parse_int(key, value));
+    SUP_ASSIGN_OR_RETURN(c->height, int_param(key, value));
   } else if (key == "frames") {
-    SUP_ASSIGN_OR_RETURN(c->frames, parse_int(key, value));
+    SUP_ASSIGN_OR_RETURN(c->frames, int_param(key, value));
   } else if (key == "slices") {
-    SUP_ASSIGN_OR_RETURN(c->slices, parse_int(key, value));
+    SUP_ASSIGN_OR_RETURN(c->slices, int_param(key, value));
   } else {
     return false;
   }
@@ -59,11 +58,11 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "pips") {
-        SUP_ASSIGN_OR_RETURN(c.pips, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value));
       } else if (key == "factor") {
-        SUP_ASSIGN_OR_RETURN(c.factor, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value));
       } else if (key == "reconfigurable") {
-        SUP_ASSIGN_OR_RETURN(int v, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.reconfigurable = v != 0;
         if (c.reconfigurable && c.pips < 2) c.pips = 2;
       } else {
@@ -78,16 +77,16 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "pips") {
-        SUP_ASSIGN_OR_RETURN(c.pips, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value));
       } else if (key == "factor") {
-        SUP_ASSIGN_OR_RETURN(c.factor, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value));
       } else if (key == "quality") {
-        SUP_ASSIGN_OR_RETURN(c.quality, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value));
       } else if (key == "grouped") {
-        SUP_ASSIGN_OR_RETURN(int v, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.grouped = v != 0;
       } else if (key == "reconfigurable") {
-        SUP_ASSIGN_OR_RETURN(int v, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.reconfigurable = v != 0;
       } else {
         return unknown_key("jpip", key);
@@ -101,9 +100,9 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "kernel") {
-        SUP_ASSIGN_OR_RETURN(c.kernel, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.kernel, int_param(key, value));
       } else if (key == "reconfigurable") {
-        SUP_ASSIGN_OR_RETURN(int v, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.reconfigurable = v != 0;
       } else {
         return unknown_key("blur", key);
@@ -117,9 +116,9 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "quality") {
-        SUP_ASSIGN_OR_RETURN(c.quality, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value));
       } else if (key == "restart") {
-        SUP_ASSIGN_OR_RETURN(c.restart, parse_int(key, value));
+        SUP_ASSIGN_OR_RETURN(c.restart, int_param(key, value));
       } else {
         return unknown_key("mjpeg", key);
       }

@@ -107,16 +107,14 @@ MjpegDecodeResult run_mjpeg_decode(const MjpegDecodeConfig& config) {
   SUP_CHECK_MSG(prog.is_ok(), prog.status().to_string().c_str());
 
   obs::MetricsRegistry metrics;
-  hinch::RunOptions options;
-  options.run.iterations = config.frames;
-  options.run.window = config.window;
-  options.backend = hinch::Backend::kThreads;
-  options.workers = config.workers;
-  options.metrics = &metrics;
-  hinch::run(*prog.value(), options);
+  hinch::RunConfig run;
+  run.iterations = config.frames;
+  run.window = config.window;
+  hinch::run_on_threads(*prog.value(), run, config.workers, nullptr,
+                        &metrics);
 
   MjpegDecodeResult result;
-  result.frames_done_metric = metrics.get_int("live.frames_done");
+  result.frames_done_metric = metrics.get_int("live.iterations_done");
   for (int i = 0; i < prog.value()->component_count(); ++i) {
     auto* sink = dynamic_cast<const components::SinkAccess*>(
         &prog.value()->component(i));

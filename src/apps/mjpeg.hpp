@@ -36,7 +36,7 @@ struct MjpegDecodeConfig {
 struct MjpegDecodeResult {
   int frames = 0;
   uint64_t checksum = 0;
-  int64_t frames_done_metric = 0;  // final "live.frames_done" gauge
+  int64_t frames_done_metric = 0;  // final "live.iterations_done" gauge
 };
 
 // XSPCL program text for the decode graph.

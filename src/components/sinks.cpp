@@ -7,7 +7,6 @@
 #include "hinch/component.hpp"
 #include "media/kernels.hpp"
 #include "media/metrics.hpp"
-#include "obs/metrics.hpp"
 
 namespace components {
 
@@ -55,10 +54,6 @@ class FrameSink : public hinch::Component, public SinkAccess {
     ctx.touch_read(in_, 0, f->bytes());
     // DMA the composed frame out (display / file).
     ctx.charge_compute(media::io_cycles(f->bytes()));
-    if (auto* m = ctx.metrics()) {
-      m->add("live.frames_done", 1);
-      m->add("live.frame_bytes_done", static_cast<int64_t>(f->bytes()));
-    }
   }
 
   void reset() override { state_.clear(); }
@@ -103,10 +98,6 @@ class YuvSink : public hinch::Component, public SinkAccess {
     }
     state_.record(*frame, store_);
     ctx.charge_compute(media::io_cycles(frame->bytes()));
-    if (auto* m = ctx.metrics()) {
-      m->add("live.frames_done", 1);
-      m->add("live.frame_bytes_done", static_cast<int64_t>(frame->bytes()));
-    }
   }
 
   void reset() override { state_.clear(); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace hinch {
 namespace {
@@ -34,31 +33,6 @@ std::string task_label(const Program& prog, size_t id) {
 }
 
 }  // namespace
-
-RunResult run(Program& prog, const RunOptions& options) {
-  RunResult result;
-  result.backend = options.backend;
-  switch (options.backend) {
-    case Backend::kSim: {
-      SimParams sim_params = options.sim;
-      if (options.trace != nullptr) sim_params.trace = options.trace;
-      if (options.metrics != nullptr) sim_params.metrics = options.metrics;
-      SimResult r = run_on_sim(prog, options.run, sim_params);
-      result.cycles = r.total_cycles;
-      result.sched = r.sched;
-      result.mem = r.mem;
-      break;
-    }
-    case Backend::kThreads: {
-      ThreadResult r = run_on_threads(prog, options.run, options.workers,
-                                      options.trace, options.metrics);
-      result.wall_seconds = r.wall_seconds;
-      result.sched = r.sched;
-      break;
-    }
-  }
-  return result;
-}
 
 void collect_metrics(const Program& prog, const SimResult& result,
                      obs::MetricsRegistry* out) {

@@ -1,5 +1,5 @@
-// Umbrella header and convenience entry points for the Hinch run-time
-// system. Typical embedding:
+// Umbrella header for the Hinch run-time system, plus the unified
+// metrics collection over executor results. Typical embedding:
 //
 //   sp::NodePtr graph = ...;                     // or xspcl::load_file()
 //   auto prog = hinch::Program::build(*graph, hinch::ComponentRegistry::global());
@@ -18,40 +18,9 @@
 
 namespace obs {
 class MetricsRegistry;
-class TraceSession;
 }
 
 namespace hinch {
-
-// Which executor carries out the run.
-enum class Backend { kSim, kThreads };
-
-struct RunOptions {
-  RunConfig run;
-  Backend backend = Backend::kSim;
-  SimParams sim;    // used when backend == kSim
-  int workers = 1;  // used when backend == kThreads
-  // Optional tracing session, honoured by both backends (overrides
-  // sim.trace for the sim backend). See docs/OBSERVABILITY.md.
-  obs::TraceSession* trace = nullptr;
-  // Optional live metrics registry, honoured by both backends (overrides
-  // sim.metrics for the sim backend): the executor refreshes "live.*"
-  // gauges as jobs retire, and components may poll them mid-run via
-  // ExecContext::metrics(). See docs/OBSERVABILITY.md.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
-// Unified result: virtual cycles for the sim backend, wall seconds for
-// the thread backend.
-struct RunResult {
-  Backend backend = Backend::kSim;
-  sim::Cycles cycles = 0;
-  double wall_seconds = 0;
-  SchedulerStats sched;
-  sim::MemStats mem;
-};
-
-RunResult run(Program& prog, const RunOptions& options);
 
 // Unified metrics collection: flatten an executor result into `out`
 // under dotted names — "sched.*" (scheduler counters), "sim.*" /

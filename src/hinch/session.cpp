@@ -401,6 +401,10 @@ void SessionExecutor::finalize(const SessionPtr& s) {
   result.sched = s->scheduler_->stats();
   result.jobs = s->jobs_executed_.load(std::memory_order_relaxed);
   result.iterations_done = s->scheduler_->iterations_done();
+  // Retiring chains publish this gauge concurrently, so the last write
+  // may carry a stale count; every chain has retired by now.
+  if (s->metrics_ != nullptr && !cancelled)
+    s->metrics_->set("live.iterations_done", result.iterations_done);
   {
     std::lock_guard<std::mutex> lock(s->frame_mu_);
     result.frame_done_ns = s->frame_done_ns_;

@@ -25,7 +25,6 @@ class SimRun {
       : prog_(prog),
         scheduler_(prog, config),
         params_(params),
-        cache_config_(params.cache),
         regions_(nullptr, prog.stream_depth()) {
     SUP_CHECK(params.cores >= 1);
     SUP_CHECK_MSG(params.record_trace == nullptr ||
@@ -36,50 +35,24 @@ class SimRun {
                       prog.managers().empty(),
                   "charge tracing requires a program without "
                   "reconfiguration managers");
-    // Resolve the core count: the platform defines it when set; the
-    // plain `cores` knob otherwise.
-    int cores = params.cores;
-    if (!params_.platform.empty()) {
-      params_.platform.check();
-      int platform_cores = params_.platform.total_cores();
-      SUP_CHECK_MSG(params.cores == 1 || params.cores == platform_cores,
+    // One machine description from here on: an unset platform is a
+    // single tile of `cores` baseline cores.
+    sim::PlatformConfig& platform = params_.platform;
+    if (platform.empty()) {
+      platform = sim::PlatformConfig::homogeneous(1, params.cores);
+    } else {
+      SUP_CHECK_MSG(params.cores == 1 ||
+                        params.cores == platform.total_cores(),
                     "SimParams.cores conflicts with the platform's total "
                     "core count (leave cores at 1 when a platform is set)");
-      cores = platform_cores;
-      num_tiles_ = params_.platform.tile_count();
-      tile_of_core_ = params_.platform.tile_map();
-      multipliers_ = params_.platform.core_multipliers();
-      for (double m : multipliers_)
-        if (m != 1.0) hetero_ = true;
-      dispatch_ = params_.platform.dispatch;
-      tile_cores_.resize(static_cast<size_t>(num_tiles_));
-      for (int c = 0; c < cores; ++c)
-        tile_cores_[static_cast<size_t>(tile_of_core_[static_cast<size_t>(c)])]
-            .push_back(c);
-      task_last_tile_.assign(prog.tasks().size(), -1);
-      if (dispatch_ == sim::DispatchPolicy::kFastestFirst) {
-        dispatch_order_.resize(static_cast<size_t>(cores));
-        for (int c = 0; c < cores; ++c)
-          dispatch_order_[static_cast<size_t>(c)] = c;
-        std::stable_sort(dispatch_order_.begin(), dispatch_order_.end(),
-                         [&](int a, int b) {
-                           return multipliers_[static_cast<size_t>(a)] <
-                                  multipliers_[static_cast<size_t>(b)];
-                         });
-      }
     }
-    cores_ = cores;
-    // cache.cores used to be overwritten silently from `cores`; a caller
-    // that sets both to different values now fails loudly instead of
-    // getting a simulation of the wrong machine.
-    SUP_CHECK_MSG(params.cache.cores == 0 || params.cache.cores == cores,
-                  "SimParams.cache.cores conflicts with the core count "
-                  "derived from SimParams.cores/platform (leave "
-                  "cache.cores at 0 to derive it)");
-    cache_config_.cores = cores;
-    if (!params_.platform.empty())
-      sim::apply_platform(params_.platform, &cache_config_);
-    mem_ = std::make_unique<sim::MemorySystem>(cache_config_);
+    mem_ = std::make_unique<sim::MemorySystem>(params_.cache, platform);
+    const int cores = platform.total_cores();
+    num_tiles_ = platform.tile_count();
+    tile_of_core_ = platform.tile_map();
+    multipliers_ = platform.core_multipliers();
+    for (double m : multipliers_)
+      if (m != 1.0) hetero_ = true;
     regions_ = RegionTable(mem_.get(), prog.stream_depth());
     core_busy_.assign(static_cast<size_t>(cores), 0);
     core_jobs_.assign(static_cast<size_t>(cores), 0);
@@ -144,59 +117,29 @@ class SimRun {
     result.task_runs = task_runs_;
     result.regions = mem_->region_stats();
     result.tiles = num_tiles_;
-    if (!params_.platform.empty()) {
-      result.core_tile = tile_of_core_;
-      result.core_multiplier = multipliers_;
-      result.tile_busy.assign(static_cast<size_t>(num_tiles_), 0);
-      result.tile_jobs.assign(static_cast<size_t>(num_tiles_), 0);
-      for (size_t i = 0; i < core_busy_.size(); ++i) {
-        size_t t = static_cast<size_t>(tile_of_core_[i]);
-        result.tile_busy[t] += core_busy_[i];
-        result.tile_jobs[t] += core_jobs_[i];
-      }
+    result.core_tile = tile_of_core_;
+    result.core_multiplier = multipliers_;
+    result.tile_busy.assign(static_cast<size_t>(num_tiles_), 0);
+    result.tile_jobs.assign(static_cast<size_t>(num_tiles_), 0);
+    for (size_t i = 0; i < core_busy_.size(); ++i) {
+      size_t t = static_cast<size_t>(tile_of_core_[i]);
+      result.tile_busy[t] += core_busy_[i];
+      result.tile_jobs[t] += core_jobs_[i];
     }
     return result;
   }
 
  private:
-  // Pick an idle core for `job` under the configured dispatch policy
-  // (-1 = none idle). The default scans lowest core id first — the
-  // legacy behaviour and the fallback of the other policies.
-  int pick_core(const JobRef& job) const {
-    switch (dispatch_) {
-      case sim::DispatchPolicy::kLowestCore:
-        break;
-      case sim::DispatchPolicy::kFastestFirst:
-        for (int c : dispatch_order_)
-          if (core_idle_[static_cast<size_t>(c)]) return c;
-        return -1;
-      case sim::DispatchPolicy::kTileAffinity: {
-        int last = task_last_tile_.empty()
-                       ? -1
-                       : task_last_tile_[static_cast<size_t>(job.task)];
-        if (last >= 0) {
-          for (int c : tile_cores_[static_cast<size_t>(last)])
-            if (core_idle_[static_cast<size_t>(c)]) return c;
-        }
-        break;
-      }
-    }
-    for (size_t i = 0; i < core_idle_.size(); ++i)
-      if (core_idle_[i]) return static_cast<int>(i);
-    return -1;
-  }
-
-  // Assign queued jobs to idle cores (policy-picked core, FIFO jobs).
+  // Assign queued jobs to idle cores: FIFO jobs, each to the lowest
+  // idle core id (any idle core takes the next job, §1).
   void dispatch() {
     while (!queue_.empty()) {
-      int core = pick_core(queue_.front());
-      if (core < 0) return;
+      auto idle = std::find(core_idle_.begin(), core_idle_.end(), true);
+      if (idle == core_idle_.end()) return;
+      *idle = false;
+      const int core = static_cast<int>(idle - core_idle_.begin());
       JobRef job = queue_.front();
       queue_.pop_front();
-      core_idle_[static_cast<size_t>(core)] = false;
-      if (!task_last_tile_.empty())
-        task_last_tile_[static_cast<size_t>(job.task)] =
-            tile_of_core_[static_cast<size_t>(core)];
 
       // Take the central queue's lock (a serial resource).
       sim::Cycles acquire = std::max(engine_.now(), queue_free_at_);
@@ -341,22 +284,16 @@ class SimRun {
 
   Program& prog_;
   Scheduler scheduler_;
-  SimParams params_;
-  sim::CacheConfig cache_config_;
+  SimParams params_;  // platform resolved: never empty
   sim::Engine engine_;
   std::unique_ptr<sim::MemorySystem> mem_;
   RegionTable regions_;
 
-  // Platform shape (legacy single-tile defaults when no platform set).
-  int cores_ = 1;
+  // Platform shape, flattened per core.
   int num_tiles_ = 1;
   bool hetero_ = false;  // any cycle multiplier != 1.0
   std::vector<int> tile_of_core_;
   std::vector<double> multipliers_;
-  sim::DispatchPolicy dispatch_ = sim::DispatchPolicy::kLowestCore;
-  std::vector<int> dispatch_order_;           // kFastestFirst scan order
-  std::vector<std::vector<int>> tile_cores_;  // tile -> core ids
-  std::vector<int> task_last_tile_;           // kTileAffinity state
 
   std::deque<JobRef> queue_;
   std::vector<bool> core_idle_;

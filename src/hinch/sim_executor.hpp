@@ -2,7 +2,11 @@
 // jobs from a central job queue (Hinch's automatic load balancing, §1)
 // in virtual time; job costs are the kernels' charged compute cycles plus
 // memory-hierarchy stalls from the cache model; the queue's lock is a
-// serial resource, so queue contention grows with core count.
+// serial resource, so queue contention grows with core count. The next
+// job always goes to the lowest-numbered idle core. The machine itself
+// is one sim::PlatformConfig (cores, core classes, tiles, interconnect);
+// SimParams.cores is shorthand for a single tile of that many baseline
+// cores.
 //
 // Everything is deterministic: same program + config => identical cycle
 // counts, which the paper-figure benches and the tests rely on.
@@ -41,14 +45,12 @@ struct ChargeTrace {
 struct SimParams {
   int cores = 1;
   // Platform description (tiles, core classes, interconnect). Empty
-  // (the default) means a single tile of `cores` baseline cores — the
-  // exact legacy model, byte-identical results. When set, it defines
-  // the core count: `cores` must then be left at its default (1) or
-  // match platform.total_cores().
+  // (the default) means PlatformConfig::homogeneous(1, cores): a single
+  // tile of `cores` baseline cores, the paper's machine. When set, it
+  // defines the core count: `cores` must then be left at its default
+  // (1) or match platform.total_cores().
   sim::PlatformConfig platform;
-  // Cache geometry. Leave cache.cores at 0 (unset): the executor
-  // derives it from `cores` / `platform` and aborts on a conflicting
-  // nonzero value (it used to be overwritten silently).
+  // Cache sizes and latencies (the shape comes from `platform`).
   sim::CacheConfig cache;
   // Central job queue costs (§4.2: parallel runs at 1 node disable all
   // synchronization operations — set sync_costs=false to model that).
@@ -88,8 +90,8 @@ struct SimResult {
   // Per-region memory statistics (streams and scratch), for the unified
   // metrics dump (obs::MetricsRegistry via collect_metrics).
   std::vector<sim::RegionStats> regions;
-  // Platform shape of the run. Legacy single-tile runs report tiles=1
-  // with core_tile/core_multiplier/tile_* left empty.
+  // Platform shape of the run (filled for every run; a single-tile run
+  // has one tile_busy/tile_jobs entry).
   int tiles = 1;
   std::vector<int> core_tile;            // core -> tile index
   std::vector<double> core_multiplier;   // core -> cycle multiplier

@@ -70,7 +70,7 @@ double effective_processors(const sim::PlatformConfig& platform);
 // platform's effective processor count, while span-limited terms
 // (critical path, heaviest task) are scaled by the *fastest* class's
 // multiplier — the best-case assumption that critical-path work lands
-// on the fastest cores (matches kFastestFirst dispatch).
+// on the fastest cores.
 Prediction predict_from_profile(const hinch::Program& prog,
                                 const std::vector<double>& task_cost,
                                 const sim::PlatformConfig& platform);

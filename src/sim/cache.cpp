@@ -7,19 +7,6 @@
 
 namespace sim {
 
-void apply_platform(const PlatformConfig& platform, CacheConfig* cache) {
-  platform.check();
-  cache->cores = platform.total_cores();
-  cache->tile_of_core = platform.tile_map();
-  cache->tile_l2_bytes.clear();
-  cache->tile_l2_bytes.reserve(platform.tiles.size());
-  for (const TileSpec& t : platform.tiles)
-    cache->tile_l2_bytes.push_back(t.l2_bytes);
-  cache->hop_cycles_per_chunk = platform.hop_cycles_per_chunk;
-  cache->topology = platform.topology;
-  cache->mesh_width = platform.mesh_width;
-}
-
 // ---- list-reference engine --------------------------------------------------
 
 void MemorySystem::Lru::touch(ChunkKey k) {
@@ -86,7 +73,7 @@ Cycles MemorySystem::access_list(int core, Region& region_info,
                      hops_[static_cast<size_t>(my_tile) *
                                static_cast<size_t>(num_tiles_) +
                            static_cast<size_t>(src)]) *
-                     config_.hop_cycles_per_chunk;
+                     hop_cycles_per_chunk_;
       } else {
         ++stats_.mem_fetches;
         ++rs.mem_fetches;
@@ -262,7 +249,7 @@ Cycles MemorySystem::access_flat(int core, Region& region_info,
                                  RegionId region, uint64_t first,
                                  uint64_t last, bool write) {
   RegionStats& rs = region_info.stats;
-  const size_t ncores = static_cast<size_t>(config_.cores);
+  const size_t ncores = static_cast<size_t>(num_cores_);
   const size_t my = static_cast<size_t>(core);
   const int my_tile = tile_of_core_[my];
   const size_t home = ncores + static_cast<size_t>(my_tile);
@@ -310,7 +297,7 @@ Cycles MemorySystem::access_flat(int core, Region& region_info,
                        hops_[static_cast<size_t>(my_tile) *
                                  static_cast<size_t>(num_tiles_) +
                              static_cast<size_t>(src)]) *
-                       config_.hop_cycles_per_chunk;
+                       hop_cycles_per_chunk_;
         } else {
           ++stats_.mem_fetches;
           ++rs.mem_fetches;
@@ -408,35 +395,25 @@ void MemorySystem::release_region_flat(RegionId /*id*/, Region& region_info) {
 
 // ---- shared surface ---------------------------------------------------------
 
-MemorySystem::MemorySystem(const CacheConfig& config) : config_(config) {
-  SUP_CHECK(config.cores >= 0);
-  if (config_.cores == 0) config_.cores = 1;  // 0 = unset
+MemorySystem::MemorySystem(const CacheConfig& config,
+                           const PlatformConfig& platform)
+    : config_(config) {
+  platform.check();
+  num_cores_ = platform.total_cores();
+  num_tiles_ = platform.tile_count();
+  tile_of_core_ = platform.tile_map();
+  hop_cycles_per_chunk_ = platform.hop_cycles_per_chunk;
   SUP_CHECK(config.chunk_bytes > 0);
-  const size_t ncores = static_cast<size_t>(config_.cores);
+  const size_t ncores = static_cast<size_t>(num_cores_);
   const uint64_t l1_cap = config_.l1_bytes / config_.chunk_bytes;
   SUP_CHECK(l1_cap >= 1);
 
-  // Resolve the platform shape: core -> tile map (default: one tile)
-  // and per-tile L2 capacities (default / 0-entry: l2_bytes).
-  if (config_.tile_of_core.empty()) {
-    tile_of_core_.assign(ncores, 0);
-  } else {
-    SUP_CHECK_MSG(config_.tile_of_core.size() == ncores,
-                  "tile_of_core size does not match cores");
-    tile_of_core_ = config_.tile_of_core;
-  }
-  num_tiles_ = 1;
-  for (int t : tile_of_core_) {
-    SUP_CHECK_MSG(t >= 0, "negative tile index");
-    num_tiles_ = std::max(num_tiles_, t + 1);
-  }
+  // Per-tile L2 capacities (a 0 entry falls back to l2_bytes).
   std::vector<uint64_t> tile_l2_cap(static_cast<size_t>(num_tiles_));
   uint64_t total_l2_cap = 0;
   for (int t = 0; t < num_tiles_; ++t) {
-    uint64_t bytes = config_.l2_bytes;
-    if (static_cast<size_t>(t) < config_.tile_l2_bytes.size() &&
-        config_.tile_l2_bytes[static_cast<size_t>(t)] != 0)
-      bytes = config_.tile_l2_bytes[static_cast<size_t>(t)];
+    uint64_t bytes = platform.tiles[static_cast<size_t>(t)].l2_bytes;
+    if (bytes == 0) bytes = config_.l2_bytes;
     tile_l2_cap[static_cast<size_t>(t)] = bytes / config_.chunk_bytes;
     SUP_CHECK_MSG(tile_l2_cap[static_cast<size_t>(t)] >= 1,
                   "tile L2 smaller than one chunk");
@@ -450,8 +427,7 @@ MemorySystem::MemorySystem(const CacheConfig& config) : config_(config) {
   for (int a = 0; a < num_tiles_; ++a)
     for (int b = 0; b < num_tiles_; ++b)
       hops_[static_cast<size_t>(a) * static_cast<size_t>(num_tiles_) +
-            static_cast<size_t>(b)] =
-          topology_hops(config_.topology, config_.mesh_width, num_tiles_, a, b);
+            static_cast<size_t>(b)] = platform.hops(a, b);
   remote_order_.resize(static_cast<size_t>(num_tiles_));
   for (int a = 0; a < num_tiles_; ++a) {
     std::vector<int>& order = remote_order_[static_cast<size_t>(a)];
@@ -527,7 +503,7 @@ void MemorySystem::release_region(RegionId id) {
 
 Cycles MemorySystem::access(int core, RegionId region, uint64_t offset,
                             uint64_t len, bool write) {
-  SUP_DCHECK(core >= 0 && core < config_.cores);
+  SUP_DCHECK(core >= 0 && core < num_cores_);
   if (len == 0) return 0;
   SUP_CHECK_MSG(region < regions_.size() && regions_[region].active,
                 "access to unregistered region");

@@ -19,9 +19,9 @@
 //                           tile first, lowest index breaking ties
 //   in no cache          -> mem_cycles_per_chunk
 // Writes invalidate other cores' L1 copies and other tiles' L2 copies
-// (MSI-style coherence). The classic single-tile configuration never
-// takes the remote path, so its statistics and cycle charges are
-// identical to the pre-multi-tile model.
+// (MSI-style coherence). A single-tile platform never takes the remote
+// path, so its statistics and cycle charges are identical to the
+// pre-multi-tile model.
 //
 // Two interchangeable cache-structure engines implement the identical
 // LRU/coherence semantics (every access classifies and evicts the same
@@ -65,39 +65,23 @@ enum class LruImpl {
   kListReference,  // std::list + unordered_map (equivalence baseline)
 };
 
+// Cache geometry and latencies. The machine's shape — cores, which
+// tile each core sits on, per-tile L2 capacities and the interconnect —
+// comes from the sim::PlatformConfig handed to MemorySystem alongside.
 struct CacheConfig {
-  // 0 = unset: MemorySystem resolves it to 1 (a single core). The sim
-  // executor derives it from SimParams.cores / the platform spec and
-  // fails loudly on a conflicting nonzero value (it used to overwrite
-  // silently).
-  int cores = 0;
   uint64_t l1_bytes = 16 * 1024;  // per core (TriMedia-like)
   // SpaceCAKE tiles carry a large shared embedded-DRAM L2. 16 MiB holds
   // every sequential application's working set and the pipelined PiP
   // ones, but not the 5-deep pipelined JPiP working set (5 slots of
   // 2.7 MiB coefficient images plus the decoded planes) — the regime
-  // behind the paper's Fig. 8, where JPiP alone pays heavily.
+  // behind the paper's Fig. 8, where JPiP alone pays heavily. A tile
+  // whose TileSpec::l2_bytes is 0 gets this capacity.
   uint64_t l2_bytes = 16 * 1024 * 1024;
   uint32_t chunk_bytes = 1024;
   Cycles l2_cycles_per_chunk = 192;   // ~12 cycles per 64 B line
   Cycles mem_cycles_per_chunk = 640;  // ~40 cycles per 64 B line
   LruImpl lru_impl = LruImpl::kFlat;
-
-  // --- multi-tile extension (defaults reproduce the single-tile model;
-  // apply_platform() fills these from a sim::PlatformConfig) ---
-  // Core -> tile index; empty = every core on tile 0 (one shared L2).
-  std::vector<int> tile_of_core;
-  // Per-tile L2 capacity; empty (or a 0 entry) falls back to l2_bytes.
-  std::vector<uint64_t> tile_l2_bytes;
-  Cycles hop_cycles_per_chunk = 0;  // interconnect cost per chunk per hop
-  Topology topology = Topology::kCrossbar;
-  int mesh_width = 0;  // columns for Topology::kMesh
 };
-
-// Resolve a platform description into the cache model's low-level form:
-// cores, the core->tile map, per-tile L2 capacities and the
-// interconnect parameters. Leaves l1/l2 sizing defaults untouched.
-void apply_platform(const PlatformConfig& platform, CacheConfig* cache);
 
 struct MemStats {
   uint64_t accesses = 0;   // chunk touches
@@ -137,7 +121,9 @@ struct RegionStats {
 
 class MemorySystem {
  public:
-  explicit MemorySystem(const CacheConfig& config);
+  // `platform` must be non-empty (PlatformConfig::homogeneous(1, n) is
+  // the single-tile machine of n cores); it is check()ed here.
+  MemorySystem(const CacheConfig& config, const PlatformConfig& platform);
 
   // Register a buffer the simulated application will touch. `label` is
   // kept for the per-region statistics dump.
@@ -288,12 +274,14 @@ class MemorySystem {
   RegionId next_region_ = 1;
   std::vector<Region> regions_;  // index 0 unused
 
-  // Platform shape (resolved in the constructor; single tile default).
+  // Platform shape (resolved in the constructor).
+  int num_cores_ = 1;
   int num_tiles_ = 1;
   std::vector<int> tile_of_core_;  // size cores
   // Remote-L2 search order per tile: other tiles sorted by (hops, index).
   std::vector<std::vector<int>> remote_order_;
   std::vector<int> hops_;  // tile x tile hop counts (row-major)
+  Cycles hop_cycles_per_chunk_ = 0;  // interconnect cost per chunk per hop
 
   // list-reference engine state
   std::vector<Lru> l1_;  // one per core

@@ -22,10 +22,13 @@ void PlatformConfig::check() const {
                       std::isfinite(c.cycle_multiplier),
                   "core-class cycle multiplier must be positive and finite");
   }
+  int64_t cores = 0;
   for (const TileSpec& t : tiles) {
     SUP_CHECK_MSG(t.cores >= 1, "tile must have at least one core");
     SUP_CHECK_MSG(t.core_class >= 0 && t.core_class < nclasses,
                   "tile references an unknown core class");
+    cores += t.cores;
+    SUP_CHECK_MSG(cores <= kMaxCores, "platform exceeds kMaxCores cores");
   }
   if (topology == Topology::kMesh)
     SUP_CHECK_MSG(mesh_width >= 1, "mesh topology needs mesh_width >= 1");
@@ -53,28 +56,23 @@ std::vector<double> PlatformConfig::core_multipliers() const {
   return mult;
 }
 
-int topology_hops(Topology topology, int mesh_width, int tiles, int a,
-                  int b) {
-  if (a == b) return 0;
+int PlatformConfig::hops(int tile_a, int tile_b) const {
+  if (tile_a == tile_b) return 0;
   switch (topology) {
     case Topology::kCrossbar:
       return 1;
     case Topology::kRing: {
-      int d = std::abs(a - b);
-      return d < tiles - d ? d : tiles - d;
+      int d = std::abs(tile_a - tile_b);
+      return d < tile_count() - d ? d : tile_count() - d;
     }
     case Topology::kMesh: {
       SUP_DCHECK(mesh_width >= 1);
-      int ax = a % mesh_width, ay = a / mesh_width;
-      int bx = b % mesh_width, by = b / mesh_width;
+      int ax = tile_a % mesh_width, ay = tile_a / mesh_width;
+      int bx = tile_b % mesh_width, by = tile_b / mesh_width;
       return std::abs(ax - bx) + std::abs(ay - by);
     }
   }
   return 1;
-}
-
-int PlatformConfig::hops(int tile_a, int tile_b) const {
-  return topology_hops(topology, mesh_width, tile_count(), tile_a, tile_b);
 }
 
 PlatformConfig PlatformConfig::homogeneous(int tiles, int cores_per_tile) {

@@ -13,10 +13,15 @@
 //                  per-chunk-per-hop transfer cost charged when a fetch
 //                  is served from another tile's L2.
 //
-// An empty PlatformConfig ("tiles" unset) is the exact legacy model:
-// the executor builds a single tile of SimParams.cores baseline cores,
-// so every existing figure stays byte-identical. Specs are usually
-// loaded from XML (xspcl/platform_xml.hpp, `xspclc run --platform=`).
+// A PlatformConfig is the only description of the simulated machine:
+// sim::MemorySystem takes its cores, core->tile map, per-tile L2s and
+// hops from it, and the executor its core classes. An empty one
+// ("tiles" unset) stands for a single tile of SimParams.cores baseline
+// cores — the paper's machine — which the executor substitutes before
+// building anything, so every figure stays byte-identical. The central
+// job queue always hands the next job to the lowest-numbered idle core.
+// Specs are usually loaded from XML (xspcl/platform_xml.hpp,
+// `xspclc run --platform=`).
 #pragma once
 
 #include <cstdint>
@@ -34,19 +39,14 @@ enum class Topology {
   kMesh,      // Manhattan distance on a grid of `mesh_width` columns
 };
 
-// Hop count between tiles `a` and `b` of a `tiles`-tile platform (the
-// cache model uses this directly; PlatformConfig::hops delegates).
-int topology_hops(Topology topology, int mesh_width, int tiles, int a, int b);
-
-// How the simulated central job queue picks an idle core (tile-aware
-// dispatch lives here because the hetero-placement ablation sweeps it
-// together with the platform shape; the default reproduces the legacy
-// lowest-index-first executor exactly).
-enum class DispatchPolicy {
-  kLowestCore,   // lowest idle core id first (legacy behaviour)
-  kFastestFirst, // lowest cycle multiplier first, index breaks ties
-  kTileAffinity, // prefer an idle core on the tile this task last ran on
-};
+// Upper bound on a platform's total core count, and so on any one
+// tile's `cores` and repeat `count`. check() enforces it for every
+// simulated machine (SimParams.cores included) and the XML loader
+// reports it with a position. The flat cache engine keeps per-cache
+// LRU links for every resident chunk, so its state grows with cores x
+// capacity; 1024 is four times the largest committed platform
+// (specs/platform_256.xml).
+inline constexpr int kMaxCores = 1024;
 
 struct CoreClass {
   std::string name = "core";
@@ -68,21 +68,21 @@ struct PlatformConfig {
   // Empty `classes` means one implicit baseline class (multiplier 1.0).
   std::vector<CoreClass> classes;
   // Empty `tiles` means "unset": the executor substitutes a single tile
-  // of SimParams.cores baseline cores (the legacy model).
+  // of SimParams.cores baseline cores (the paper's machine).
   std::vector<TileSpec> tiles;
   Topology topology = Topology::kCrossbar;
   int mesh_width = 0;  // columns for kMesh; ignored otherwise
   // Interconnect transfer cost per chunk per hop, charged on top of
   // l2_cycles_per_chunk when a fetch is served by a remote tile's L2.
   Cycles hop_cycles_per_chunk = 64;
-  DispatchPolicy dispatch = DispatchPolicy::kLowestCore;
 
   bool empty() const { return tiles.empty(); }
   int tile_count() const { return static_cast<int>(tiles.size()); }
   int total_cores() const;
 
-  // Structural validation (aborts via SUP_CHECK on an invalid config;
-  // the XML loader reports the same conditions as positioned errors).
+  // Structural validation, kMaxCores included (aborts via SUP_CHECK on
+  // an invalid config; the XML loader reports the same conditions as
+  // positioned errors).
   void check() const;
 
   // Flattened per-core views, in tile order (tile 0's cores first).

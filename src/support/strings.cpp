@@ -52,6 +52,16 @@ Result<int64_t> parse_int(std::string_view s) {
   return static_cast<int64_t>(v);
 }
 
+Result<int64_t> parse_int_in(std::string_view s, int64_t lo, int64_t hi) {
+  SUP_ASSIGN_OR_RETURN(int64_t v, parse_int(s));
+  if (v < lo || v > hi)
+    return out_of_range(format("%lld is outside [%lld, %lld]",
+                               static_cast<long long>(v),
+                               static_cast<long long>(lo),
+                               static_cast<long long>(hi)));
+  return v;
+}
+
 Result<double> parse_double(std::string_view s) {
   std::string t(trim(s));
   if (t.empty()) return invalid_argument("empty number");

@@ -26,6 +26,11 @@ bool ends_with(std::string_view s, std::string_view suffix);
 Result<int64_t> parse_int(std::string_view s);
 Result<double> parse_double(std::string_view s);
 
+// parse_int plus a range check: an error unless lo <= value <= hi.
+// Every integer a tool reads from its command line or protocol goes
+// through here, so a bad number is a message, never an abort.
+Result<int64_t> parse_int_in(std::string_view s, int64_t lo, int64_t hi);
+
 // Locale-independent shortest-faithful double formatting with %.6g
 // semantics (precision significant digits, fixed/scientific picked
 // automatically). snprintf("%g") writes the LC_NUMERIC decimal

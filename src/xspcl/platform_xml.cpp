@@ -1,6 +1,8 @@
 #include "xspcl/platform_xml.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 
 #include "support/strings.hpp"
@@ -12,6 +14,18 @@ namespace {
 support::Status err_at(xml::Position pos, const std::string& what) {
   return support::invalid_argument(support::format(
       "platform spec at %d:%d: %s", pos.line, pos.column, what.c_str()));
+}
+
+// Rejects any attribute of `el` outside `known`: a typo such as
+// hop_cycle_per_chunk= must not silently fall back to a default.
+support::Status known_attrs(const xml::Element& el,
+                            std::initializer_list<std::string_view> known) {
+  for (const xml::Attribute& a : el.attributes()) {
+    if (std::find(known.begin(), known.end(), a.name) == known.end())
+      return err_at(el.position(), "unknown attribute '" + a.name +
+                                       "' of <" + el.name() + ">");
+  }
+  return support::Status::ok();
 }
 
 support::Result<int64_t> int_attr(const xml::Element& el,
@@ -45,6 +59,8 @@ support::Result<sim::PlatformConfig> parse_platform(const xml::Element& root) {
     return err_at(root.position(),
                   "expected <platform> root, got <" + root.name() + ">");
 
+  SUP_RETURN_IF_ERROR(known_attrs(
+      root, {"name", "topology", "mesh_width", "hop_cycles_per_chunk"}));
   sim::PlatformConfig platform;
   platform.name = root.attr_or("name", "spacecake");
 
@@ -61,6 +77,10 @@ support::Result<sim::PlatformConfig> parse_platform(const xml::Element& root) {
   }
   SUP_ASSIGN_OR_RETURN(int64_t mesh_width,
                        int_attr(root, "mesh_width", 0));
+  if (mesh_width < 0 || mesh_width > sim::kMaxCores)
+    return err_at(root.position(),
+                  support::format("mesh_width must be in [0, %d]",
+                                  sim::kMaxCores));
   platform.mesh_width = static_cast<int>(mesh_width);
 
   SUP_ASSIGN_OR_RETURN(
@@ -71,22 +91,11 @@ support::Result<sim::PlatformConfig> parse_platform(const xml::Element& root) {
     return err_at(root.position(), "hop_cycles_per_chunk must be >= 0");
   platform.hop_cycles_per_chunk = static_cast<sim::Cycles>(hop);
 
-  const std::string dispatch = root.attr_or("dispatch", "lowest");
-  if (dispatch == "lowest") {
-    platform.dispatch = sim::DispatchPolicy::kLowestCore;
-  } else if (dispatch == "fastest") {
-    platform.dispatch = sim::DispatchPolicy::kFastestFirst;
-  } else if (dispatch == "affinity") {
-    platform.dispatch = sim::DispatchPolicy::kTileAffinity;
-  } else {
-    return err_at(root.position(), "unknown dispatch policy '" + dispatch +
-                                       "' (lowest | fastest | affinity)");
-  }
-
   std::map<std::string, int> class_index;
   for (const xml::ElementPtr& child : root.children()) {
     const xml::Element& el = *child;
     if (el.name() == "coreclass") {
+      SUP_RETURN_IF_ERROR(known_attrs(el, {"name", "cycle_multiplier"}));
       sim::CoreClass cls;
       cls.name = el.attr_or("name",
                             "class" + std::to_string(platform.classes.size()));
@@ -102,10 +111,16 @@ support::Result<sim::PlatformConfig> parse_platform(const xml::Element& root) {
       class_index[cls.name] = static_cast<int>(platform.classes.size());
       platform.classes.push_back(std::move(cls));
     } else if (el.name() == "tile") {
+      SUP_RETURN_IF_ERROR(
+          known_attrs(el, {"cores", "class", "l2_bytes", "count"}));
       sim::TileSpec tile;
       SUP_ASSIGN_OR_RETURN(int64_t cores, int_attr(el, "cores", 0));
       if (cores < 1)
         return err_at(el.position(), "<tile> needs cores >= 1");
+      if (cores > sim::kMaxCores)
+        return err_at(el.position(),
+                      support::format("<tile> cores exceeds kMaxCores (%d)",
+                                      sim::kMaxCores));
       tile.cores = static_cast<int>(cores);
       if (const std::string* cls = el.find_attr("class")) {
         auto it = class_index.find(*cls);
@@ -121,7 +136,18 @@ support::Result<sim::PlatformConfig> parse_platform(const xml::Element& root) {
       tile.l2_bytes = static_cast<uint64_t>(l2);
       SUP_ASSIGN_OR_RETURN(int64_t count, int_attr(el, "count", 1));
       if (count < 1) return err_at(el.position(), "count must be >= 1");
-      for (int64_t i = 0; i < count; ++i) platform.tiles.push_back(tile);
+      if (count > sim::kMaxCores)
+        return err_at(el.position(),
+                      support::format("count exceeds kMaxCores (%d)",
+                                      sim::kMaxCores));
+      // cores and count are each <= kMaxCores, so the product cannot
+      // overflow; the running total keeps the whole platform in bounds.
+      if (platform.total_cores() + cores * count > sim::kMaxCores)
+        return err_at(el.position(),
+                      support::format("platform exceeds kMaxCores (%d) cores",
+                                      sim::kMaxCores));
+      platform.tiles.insert(platform.tiles.end(), static_cast<size_t>(count),
+                            tile);
     } else {
       return err_at(el.position(),
                     "unknown element <" + el.name() +

@@ -1,7 +1,6 @@
 // XML platform specs: the simulated machine as data, not code.
 //
-//   <platform name="spacecake4" topology="ring" hop_cycles_per_chunk="64"
-//             dispatch="fastest">
+//   <platform name="spacecake4" topology="ring" hop_cycles_per_chunk="64">
 //     <coreclass name="trimedia" cycle_multiplier="1.0"/>
 //     <coreclass name="lite"     cycle_multiplier="2.0"/>
 //     <tile cores="4" class="trimedia" l2_bytes="4194304"/>
@@ -9,12 +8,13 @@
 //   </platform>
 //
 // topology: crossbar (default) | ring | mesh (needs mesh_width="N");
-// dispatch: lowest (default) | fastest | affinity;
 // <coreclass> is optional (omitted = one baseline class, multiplier 1);
 // <tile count="K"> repeats the tile K times; l2_bytes="0"/omitted uses
-// the CacheConfig default (16 MiB).
+// the CacheConfig default (16 MiB). A tile's cores, its count and the
+// platform's total cores are each bounded by sim::kMaxCores.
 //
-// All structural errors are reported as positioned diagnostics
+// All structural errors — an attribute an element does not know
+// included — are reported as positioned diagnostics
 // ("platform spec at LINE:COL: ..."), same idiom as the XSPCL
 // elaborator. Loaded specs are fed to hinch::SimParams::platform
 // (`xspclc run --platform=FILE`).

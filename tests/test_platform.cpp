@@ -1,8 +1,8 @@
 // Multi-tile platform model: XML spec loading (positioned diagnostics),
 // heterogeneous-platform determinism (run-twice, engine equivalence,
 // charge-trace replay, a golden cycle snapshot), the 256-core wide-mask
-// regime, the capacity-normalized utilization fix, and the loud failure
-// on conflicting cache.cores.
+// regime, the capacity-normalized utilization fix, and the executor's
+// guards on the core count.
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.hpp"
@@ -72,7 +72,6 @@ TEST(PlatformXml, ParsesFullSpec) {
   EXPECT_EQ(p.name, "spacecake-2tile");
   EXPECT_EQ(p.topology, sim::Topology::kCrossbar);
   EXPECT_EQ(p.hop_cycles_per_chunk, 64u);
-  EXPECT_EQ(p.dispatch, sim::DispatchPolicy::kLowestCore);
   ASSERT_EQ(p.classes.size(), 2u);
   EXPECT_EQ(p.classes[0].name, "trimedia");
   EXPECT_DOUBLE_EQ(p.classes[1].cycle_multiplier, 2.0);
@@ -93,20 +92,20 @@ TEST(PlatformXml, ParsesFullSpec) {
   EXPECT_EQ(mesh.hops(5, 5), 0);
 }
 
-TEST(PlatformXml, RingAndDispatchAttributes) {
+TEST(PlatformXml, RingTopology) {
   sim::PlatformConfig p = load_platform(
-      R"(<platform topology="ring" dispatch="fastest">
+      R"(<platform topology="ring">
   <tile cores="1" count="6"/>
 </platform>)");
   EXPECT_EQ(p.topology, sim::Topology::kRing);
-  EXPECT_EQ(p.dispatch, sim::DispatchPolicy::kFastestFirst);
   EXPECT_TRUE(p.classes.empty());  // implicit baseline class
   EXPECT_EQ(p.hops(0, 5), 1);      // ring wraps
   EXPECT_EQ(p.hops(0, 3), 3);
 }
 
 // Every structural error must carry the source position of the element
-// it concerns ("platform spec at LINE:COL: ...").
+// it concerns ("platform spec at LINE:COL: ..."). An attribute an
+// element does not know is an error, not a silently applied default.
 TEST(PlatformXml, PositionedParseErrors) {
   struct Case {
     const char* xml;
@@ -116,8 +115,27 @@ TEST(PlatformXml, PositionedParseErrors) {
       {"<machine/>", "at 1:1: expected <platform> root"},
       {"<platform topology=\"torus\"><tile cores=\"1\"/></platform>",
        "unknown topology 'torus'"},
-      {"<platform dispatch=\"random\"><tile cores=\"1\"/></platform>",
-       "unknown dispatch policy 'random'"},
+      {"<platform dispatch=\"lowest\"><tile cores=\"1\"/></platform>",
+       "at 1:1: unknown attribute 'dispatch' of <platform>"},
+      {"<platform hop_cycle_per_chunk=\"5000\">\n  <tile cores=\"1\"/>\n"
+       "</platform>",
+       "at 1:1: unknown attribute 'hop_cycle_per_chunk' of <platform>"},
+      {"<platform>\n  <tile cores=\"1\" l2_byte=\"4096\"/>\n</platform>",
+       "at 2:3: unknown attribute 'l2_byte' of <tile>"},
+      {"<platform>\n  <coreclass name=\"a\" speed=\"2\"/>\n"
+       "  <tile cores=\"1\"/>\n</platform>",
+       "at 2:3: unknown attribute 'speed' of <coreclass>"},
+      {"<platform>\n  <tile cores=\"4294967297\"/>\n</platform>",
+       "at 2:3: <tile> cores exceeds kMaxCores (1024)"},
+      {"<platform>\n  <tile cores=\"1\" count=\"4294967297\"/>\n"
+       "</platform>",
+       "at 2:3: count exceeds kMaxCores (1024)"},
+      {"<platform>\n  <tile cores=\"1000\"/>\n"
+       "  <tile cores=\"16\" count=\"2\"/>\n</platform>",
+       "at 3:3: platform exceeds kMaxCores (1024) cores"},
+      {"<platform topology=\"mesh\" mesh_width=\"-1\"><tile cores=\"1\"/>"
+       "</platform>",
+       "at 1:1: mesh_width must be in [0, 1024]"},
       {"<platform>\n  <tile/>\n</platform>", "at 2:3: <tile> needs cores"},
       {"<platform>\n  <tile cores=\"zero\"/>\n</platform>",
        "at 2:3: attribute 'cores' of <tile>"},
@@ -217,17 +235,15 @@ TEST(PlatformSim, MeshOf256CoresBothEngines) {
 // sharing pattern on one tile vs two tiles differs exactly by hop
 // cycles, and the remote_hits counter picks it up.
 TEST(PlatformSim, RemoteFetchChargesHops) {
-  sim::CacheConfig one_tile;
-  one_tile.cores = 2;
-  sim::CacheConfig two_tiles = one_tile;
-  two_tiles.tile_of_core = {0, 1};
+  const sim::PlatformConfig one_tile = sim::PlatformConfig::homogeneous(1, 2);
+  sim::PlatformConfig two_tiles = sim::PlatformConfig::homogeneous(2, 1);
   two_tiles.hop_cycles_per_chunk = 64;
   for (sim::LruImpl impl :
        {sim::LruImpl::kFlat, sim::LruImpl::kListReference}) {
-    one_tile.lru_impl = impl;
-    two_tiles.lru_impl = impl;
-    sim::MemorySystem local(one_tile);
-    sim::MemorySystem remote(two_tiles);
+    sim::CacheConfig cache;
+    cache.lru_impl = impl;
+    sim::MemorySystem local(cache, one_tile);
+    sim::MemorySystem remote(cache, two_tiles);
     sim::RegionId region = 0;
     for (sim::MemorySystem* m : {&local, &remote}) {
       region = m->register_region(4096, "buf");  // same id in both
@@ -272,22 +288,23 @@ TEST(SimResultUtilization, CapacityNormalized) {
   EXPECT_DOUBLE_EQ(r.utilization(), 1.0);
 }
 
-// cache.cores used to be clobbered silently; now a conflicting nonzero
-// value aborts.
-TEST(SimGuards, ConflictingCacheCoresAborts) {
+// SimParams.cores is shorthand for a one-tile platform: the run is the
+// same machine as the explicit PlatformConfig and reports its one tile.
+TEST(PlatformSim, CoresOnlyRunIsOneTilePlatform) {
   const std::string spec = apps::pip_xspcl(small_pip());
+  hinch::SimResult explicit_platform =
+      run_platform(spec, 6, sim::PlatformConfig::homogeneous(1, 2),
+                   sim::LruImpl::kFlat);
   auto prog = bench::build_program(spec);
   hinch::RunConfig run;
-  run.iterations = 2;
+  run.iterations = 6;
   hinch::SimParams params;
   params.cores = 2;
-  params.cache.cores = 3;
-  EXPECT_DEATH(hinch::run_on_sim(*prog, run, params),
-               "cache.cores conflicts");
-
-  // Matching values and the 0 default are both fine.
-  params.cache.cores = 2;
-  EXPECT_GT(hinch::run_on_sim(*prog, run, params).total_cycles, 0u);
+  hinch::SimResult cores_only = hinch::run_on_sim(*prog, run, params);
+  expect_same(explicit_platform, cores_only);
+  EXPECT_EQ(cores_only.tiles, 1);
+  ASSERT_EQ(cores_only.tile_jobs.size(), 1u);
+  EXPECT_EQ(cores_only.tile_jobs[0], cores_only.jobs);
 }
 
 TEST(SimGuards, CoresConflictingWithPlatformAborts) {
@@ -300,21 +317,11 @@ TEST(SimGuards, CoresConflictingWithPlatformAborts) {
   params.cores = 3;
   EXPECT_DEATH(hinch::run_on_sim(*prog, run, params),
                "conflicts with the platform");
-}
 
-// Dispatch policies are platform behaviour, not cosmetics: fastest-first
-// on a hetero platform keeps work off the slow tile when the fast tile
-// is free.
-TEST(PlatformSim, FastestFirstPrefersFastCores) {
-  const std::string spec = apps::pip_xspcl(small_pip());
-  sim::PlatformConfig platform = load_platform(kTwoTileSpec);
-  platform.dispatch = sim::DispatchPolicy::kFastestFirst;
-  hinch::SimResult r = run_platform(spec, 6, platform, sim::LruImpl::kFlat);
-  ASSERT_EQ(r.tile_jobs.size(), 2u);
-  // Tile 0 holds the fast cores; it must absorb the bulk of the jobs.
-  EXPECT_GT(r.tile_jobs[0], r.tile_jobs[1]);
-  // And stay deterministic.
-  expect_same(r, run_platform(spec, 6, platform, sim::LruImpl::kFlat));
+  // The XML loader's kMaxCores bound holds for SimParams.cores too.
+  hinch::SimParams too_many;
+  too_many.cores = sim::kMaxCores + 1;
+  EXPECT_DEATH(hinch::run_on_sim(*prog, run, too_many), "kMaxCores");
 }
 
 }  // namespace

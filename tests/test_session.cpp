@@ -302,8 +302,8 @@ TEST(SessionCancel, ShutdownCancelsEverything) {
 // --- RegionTable session namespace ------------------------------------------
 
 TEST(SessionRegions, LabelsCarryTheSessionPrefix) {
-  sim::CacheConfig mem_config;
-  sim::MemorySystem mem(mem_config);
+  sim::MemorySystem mem(sim::CacheConfig{},
+                        sim::PlatformConfig::homogeneous(1, 1));
   hinch::RegionTable solo(&mem, 4);
   EXPECT_EQ(solo.session_id(), -1);
   hinch::RegionTable tenant(&mem, 4, /*session_id=*/7);
@@ -316,8 +316,8 @@ TEST(SessionRegions, LabelsCarryTheSessionPrefix) {
 }
 
 TEST(SessionRegionsDeathTest, StreamIndexBeyond32BitsIsRejected) {
-  sim::CacheConfig mem_config;
-  sim::MemorySystem mem(mem_config);
+  sim::MemorySystem mem(sim::CacheConfig{},
+                        sim::PlatformConfig::homogeneous(1, 1));
   hinch::RegionTable table(&mem, 4);
   // 2^32 - 1 packs; 2^32 would shift into the slot half and alias
   // stream index mod 2^32 — the guard must trip, not wrap.

@@ -159,9 +159,8 @@ TEST(SimDeterminism, SeqTraceReplayMatches) {
 }
 
 TEST(RegionStats, BreakdownMatchesTotals) {
-  sim::CacheConfig cfg;
-  cfg.cores = 2;
-  sim::MemorySystem mem(cfg);
+  sim::MemorySystem mem(sim::CacheConfig{},
+                        sim::PlatformConfig::homogeneous(1, 2));
   sim::RegionId a = mem.register_region(64 * 1024, "stream:0:slot0");
   sim::RegionId b = mem.register_region(32 * 1024, "scratch:task3");
   mem.access(0, a, 0, 64 * 1024, false);
@@ -198,8 +197,8 @@ TEST(RegionStats, BreakdownMatchesTotals) {
 TEST(RegionStats, SimRunUsesDescriptiveLabels) {
   // The RegionTable registers streams/scratch with stream:<i>:slot<s>
   // and scratch:task<t> labels; spot-check via a tiny direct table.
-  sim::CacheConfig cfg;
-  sim::MemorySystem mem(cfg);
+  sim::MemorySystem mem(sim::CacheConfig{},
+                        sim::PlatformConfig::homogeneous(1, 1));
   hinch::RegionTable table(&mem, 4);
   table.stream_region(2, 5, 1024);
   table.scratch_region(7, 2048);

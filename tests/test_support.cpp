@@ -101,6 +101,15 @@ TEST(Strings, ParseInt) {
   EXPECT_FALSE(support::parse_int("12x").is_ok());
   EXPECT_FALSE(support::parse_int("4.5").is_ok());
   EXPECT_FALSE(support::parse_int("999999999999999999999999").is_ok());
+
+  // parse_int_in: inclusive bounds, and a parse error stays one.
+  EXPECT_EQ(support::parse_int_in("1", 1, 64).value(), 1);
+  EXPECT_EQ(support::parse_int_in("64", 1, 64).value(), 64);
+  auto low = support::parse_int_in("0", 1, 64);
+  ASSERT_FALSE(low.is_ok());
+  EXPECT_EQ(low.status().message(), "0 is outside [1, 64]");
+  EXPECT_FALSE(support::parse_int_in("65", 1, 64).is_ok());
+  EXPECT_FALSE(support::parse_int_in("abc", 1, 64).is_ok());
 }
 
 TEST(Strings, ParseDouble) {

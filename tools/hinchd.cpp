@@ -12,9 +12,10 @@
 //
 //   open <app> [key=value ...]  admit a tenant (apps: pip|jpip|blur|mjpeg)
 //                               extra keys: trace=1 attaches a per-session
-//                               trace (timestamps relative to each batch)
+//                               trace (timestamps relative to each batch),
+//                               depth=<1..64> sets the stream depth (5)
 //                               -> ok open <tid> <app>
-//   feed <tid> <iterations>     run one batch of iterations
+//   feed <tid> <iterations>     run one batch of 1..2^31-1 iterations
 //                               -> ok feed <tid> <iterations>
 //   wait <tid>                  block until the tenant's batches finish
 //                               -> done <tid> batch=<n> status=<s>
@@ -28,8 +29,10 @@
 //   quit                        close every tenant, shut the pool down
 //                               -> bye
 //
-// Responses go to stdout (one "ok"/"done"/"err" line per command, `stats`
-// multi-line); diagnostics to stderr. `hinchd --loadgen ... | hinchd`
+// Responses go to stdout (one "ok"/"done"/"error" line per command,
+// `stats` multi-line); diagnostics to stderr. A malformed command —
+// a bad number included — gets an "error" line and the server keeps
+// serving every other tenant. `hinchd --loadgen ... | hinchd`
 // pipes a generated client script into a server — the CI end-to-end
 // smoke runs exactly that.
 //
@@ -41,8 +44,8 @@
 // aggregate backlog in the shared registry adjusts the active cap with
 // hysteresis (overload queues new tenants instead of thrashing the pool).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -59,6 +62,9 @@
 #include "xspcl/spec_cache.hpp"
 
 namespace {
+
+constexpr int64_t kMaxDepth = 64;
+constexpr int64_t kMaxIterations = std::numeric_limits<int32_t>::max();
 
 struct Batch {
   hinch::SessionPtr session;
@@ -116,7 +122,29 @@ int serve(const ServeOptions& opts) {
   bool running = true;
 
   auto err = [](const std::string& msg) {
-    std::printf("err %s\n", msg.c_str());
+    std::printf("error %s\n", msg.c_str());
+  };
+  // Parses `text` as an integer in [lo, hi]; on failure replies
+  // "error <what>: <why>" and returns false.
+  auto int_arg = [&err](const std::string& text, const char* what,
+                        int64_t lo, int64_t hi, int64_t* out) {
+    auto v = support::parse_int_in(text, lo, hi);
+    if (!v.is_ok()) {
+      err(std::string(what) + ": " + v.status().message());
+      return false;
+    }
+    *out = v.value();
+    return true;
+  };
+  // Resolves a tenant-id token; on failure replies "error" and returns
+  // tenants.end().
+  auto find_tenant = [&](const std::string& text) {
+    int64_t tid = 0;
+    if (!int_arg(text, "tenant id", 0, std::numeric_limits<int>::max(), &tid))
+      return tenants.end();
+    auto it = tenants.find(static_cast<int>(tid));
+    if (it == tenants.end()) err("no such tenant");
+    return it;
   };
 
   auto wait_tenant = [&](Tenant& t) {
@@ -158,17 +186,19 @@ int serve(const ServeOptions& opts) {
         continue;
       }
       bool with_trace = false;
-      int depth = 5;
+      bool args_ok = true;
+      int64_t depth = 5;
       std::vector<std::string> param_tokens;
-      for (size_t i = 2; i < tokens.size(); ++i) {
+      for (size_t i = 2; i < tokens.size() && args_ok; ++i) {
         if (tokens[i] == "trace=1") {
           with_trace = true;
         } else if (tokens[i].rfind("depth=", 0) == 0) {
-          depth = std::atoi(tokens[i].c_str() + 6);
+          args_ok = int_arg(tokens[i].substr(6), "depth", 1, kMaxDepth, &depth);
         } else {
           param_tokens.push_back(tokens[i]);
         }
       }
+      if (!args_ok) continue;
       auto params = apps::parse_catalog_params(param_tokens);
       if (!params.is_ok()) {
         err(params.status().message());
@@ -183,7 +213,7 @@ int serve(const ServeOptions& opts) {
       t.id = next_tenant++;
       t.app = tokens[1];
       t.spec = std::move(spec).take();
-      t.stream_depth = depth < 1 ? 1 : depth;
+      t.stream_depth = static_cast<int>(depth);
       if (with_trace && obs::kTraceCompiledIn)
         t.trace = std::make_unique<obs::TraceSession>();
       int id = t.id;
@@ -194,16 +224,11 @@ int serve(const ServeOptions& opts) {
         err("usage: feed <tid> <iterations>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
+      int64_t iters = 0;
+      if (!int_arg(tokens[2], "iterations", 1, kMaxIterations, &iters))
         continue;
-      }
-      long long iters = std::atoll(tokens[2].c_str());
-      if (iters < 1) {
-        err("iterations must be >= 1");
-        continue;
-      }
       Tenant& t = it->second;
       hinch::Program::BuildConfig build;
       build.stream_depth = t.stream_depth;
@@ -224,28 +249,22 @@ int serve(const ServeOptions& opts) {
       b.session = exec.submit(std::move(prog).take(), cfg);
       t.batches.push_back(std::move(b));
       t.iterations_fed += iters;
-      std::printf("ok feed %d %lld\n", t.id, iters);
+      std::printf("ok feed %d %lld\n", t.id, static_cast<long long>(iters));
     } else if (cmd == "wait") {
       if (tokens.size() != 2) {
         err("usage: wait <tid>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
       wait_tenant(it->second);
     } else if (cmd == "close") {
       if (tokens.size() != 2) {
         err("usage: close <tid>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
       close_tenant(it->second);
       tenants.erase(it);
       std::printf("ok close %s\n", tokens[1].c_str());
@@ -254,7 +273,10 @@ int serve(const ServeOptions& opts) {
         err("usage: cap <n>");
         continue;
       }
-      exec.set_active_cap(std::atoi(tokens[1].c_str()));
+      int64_t cap = 0;
+      if (!int_arg(tokens[1], "cap", 0, std::numeric_limits<int>::max(), &cap))
+        continue;
+      exec.set_active_cap(static_cast<int>(cap));
       std::printf("ok cap %d\n", exec.active_cap());
     } else if (cmd == "stats") {
       hinch::SessionExecutor::PoolStats pool_stats = exec.pool_stats();
@@ -279,11 +301,8 @@ int serve(const ServeOptions& opts) {
         err("usage: trace <tid> <path>");
         continue;
       }
-      auto it = tenants.find(std::atoi(tokens[1].c_str()));
-      if (it == tenants.end()) {
-        err("no such tenant");
-        continue;
-      }
+      auto it = find_tenant(tokens[1]);
+      if (it == tenants.end()) continue;
       if (it->second.trace == nullptr) {
         err("tenant was not opened with trace=1 (or tracing is "
             "compiled out)");
@@ -379,10 +398,16 @@ int main(int argc, char** argv) {
   LoadgenOptions load_opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    bool bad_number = false;
     auto int_flag = [&](const char* name, int* out) {
       std::string prefix = std::string(name) + "=";
       if (arg.rfind(prefix, 0) != 0) return false;
-      *out = std::atoi(arg.c_str() + prefix.size());
+      auto v = support::parse_int_in(arg.substr(prefix.size()), 0,
+                                     std::numeric_limits<int>::max());
+      if (v.is_ok())
+        *out = static_cast<int>(v.value());
+      else
+        bad_number = true;
       return true;
     };
     if (arg == "--loadgen") {
@@ -402,7 +427,7 @@ int main(int argc, char** argv) {
                int_flag("--sessions", &load_opts.sessions) ||
                int_flag("--iters", &load_opts.iters) ||
                int_flag("--feeds", &load_opts.feeds)) {
-      // parsed
+      if (bad_number) return usage();
     } else {
       return usage();
     }

@@ -17,12 +17,13 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -52,7 +53,15 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--session=", 0) == 0) {
-      session_filter = std::atoll(arg.c_str() + 10);
+      auto pid = support::parse_int_in(arg.substr(10), 0,
+                                       std::numeric_limits<int64_t>::max());
+      if (!pid.is_ok()) {
+        std::fprintf(stderr, "hinchtrace: --session: %s\n",
+                     pid.status().message().c_str());
+        path = nullptr;
+        break;
+      }
+      session_filter = pid.value();
     } else if (path == nullptr) {
       path = argv[i];
     } else {

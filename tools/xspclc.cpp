@@ -12,7 +12,8 @@
 //                   [--iterations=N]      load and execute directly
 //                   [--platform=p.xml]    simulate on an XML platform spec
 //                                         (tiles, core classes, interconnect;
-//                                         see specs/platform_2tile.xml)
+//                                         see specs/platform_2tile.xml;
+//                                         sim backend only)
 //                   [--trace=out.json]    write a Chrome trace-event file
 //                                         (load in Perfetto / about:tracing)
 //                   [--metrics]           dump the unified metrics registry
@@ -29,9 +30,14 @@
 // cost model at --cores=N; fuse-kernels rewrites chains registered in
 // components::standard_fusions(). Listing fuse-kernels before
 // auto-group is legal but diagnosed (groups feed the kernel matcher).
+//
+// --cores takes 1..sim::kMaxCores and --iterations a positive count; a
+// bad number, an unknown --backend or --platform with the threads
+// backend is a usage error (exit 2).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -46,6 +52,7 @@
 #include "sp/dot.hpp"
 #include "sp/pass.hpp"
 #include "sp/validate.hpp"
+#include "support/strings.hpp"
 #include "xspcl/codegen.hpp"
 #include "xspcl/loader.hpp"
 #include "xspcl/platform_xml.hpp"
@@ -77,6 +84,18 @@ struct Args {
   bool metrics = false;
 };
 
+// Strict --flag=N parsing; prints why and returns false on a bad value.
+bool int_value(const char* flag, const char* text, int64_t lo, int64_t hi,
+               int64_t* out) {
+  auto v = support::parse_int_in(text, lo, hi);
+  if (!v.is_ok()) {
+    std::fprintf(stderr, "%s: %s\n", flag, v.status().message().c_str());
+    return false;
+  }
+  *out = v.value();
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Args* args) {
   if (argc < 3) return false;
   args->command = argv[1];
@@ -94,9 +113,15 @@ bool parse_args(int argc, char** argv, Args* args) {
     } else if (const char* v = value("--backend=")) {
       args->backend = v;
     } else if (const char* v = value("--cores=")) {
-      args->cores = std::atoi(v);
+      int64_t cores = 0;
+      if (!int_value("--cores", v, 1, sim::kMaxCores, &cores)) return false;
+      args->cores = static_cast<int>(cores);
     } else if (const char* v = value("--iterations=")) {
-      args->iterations = std::atoll(v);
+      int64_t iterations = 0;
+      if (!int_value("--iterations", v, 1,
+                     std::numeric_limits<int64_t>::max(), &iterations))
+        return false;
+      args->iterations = iterations;
     } else if (const char* v = value("--passes=")) {
       args->passes_given = true;
       args->passes = v;
@@ -116,6 +141,17 @@ bool parse_args(int argc, char** argv, Args* args) {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
       return false;
     }
+  }
+  if (args->backend != "sim" && args->backend != "threads") {
+    std::fprintf(stderr, "unknown --backend=%s (sim | threads)\n",
+                 args->backend.c_str());
+    return false;
+  }
+  if (args->backend == "threads" && !args->platform.empty()) {
+    std::fprintf(stderr,
+                 "--platform describes a simulated machine; it needs "
+                 "--backend=sim\n");
+    return false;
   }
   return true;
 }
@@ -239,7 +275,7 @@ int main(int argc, char** argv) {
           *owned, hinch::ComponentRegistry::global());
       if (!bytes.is_ok()) return fail(bytes.status());
       perf::FusionModel model;
-      model.cores = std::max(1, args.cores);
+      model.cores = args.cores;
       options.advisor = perf::make_fusion_advisor(bytes.value(), model);
       options.kernel_patterns = &components::standard_fusions();
       options.kernel_advisor =
@@ -389,7 +425,7 @@ int main(int argc, char** argv) {
     std::printf("processors predicted_cycles predicted_speedup\n");
     perf::Prediction base =
         perf::predict_from_profile(*prog.value(), cost, 1);
-    for (int p = 1; p <= std::max(1, args.cores); ++p) {
+    for (int p = 1; p <= args.cores; ++p) {
       perf::Prediction pred =
           perf::predict_from_profile(*prog.value(), cost, p);
       std::printf("%10d %16.0f %17.2f\n", p, pred.total(args.iterations),
