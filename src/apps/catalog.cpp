@@ -8,10 +8,12 @@
 namespace apps {
 namespace {
 
+// `value` as an int in [lo, hi]; errors name the key.
 support::Result<int> int_param(const std::string& key,
-                               const std::string& value) {
-  auto v = support::parse_int_in(value, std::numeric_limits<int>::min(),
-                                 std::numeric_limits<int>::max());
+                               const std::string& value,
+                               int lo = std::numeric_limits<int>::min(),
+                               int hi = std::numeric_limits<int>::max()) {
+  auto v = support::parse_int_in(value, lo, hi);
   if (!v.is_ok())
     return support::invalid_argument(support::format(
         "catalog: %s: %s", key.c_str(), v.status().message().c_str()));
@@ -23,9 +25,9 @@ template <typename Config>
 support::Result<bool> apply_common(Config* c, const std::string& key,
                                    const std::string& value) {
   if (key == "width") {
-    SUP_ASSIGN_OR_RETURN(c->width, int_param(key, value));
+    SUP_ASSIGN_OR_RETURN(c->width, int_param(key, value, 1, kMaxFrameSide));
   } else if (key == "height") {
-    SUP_ASSIGN_OR_RETURN(c->height, int_param(key, value));
+    SUP_ASSIGN_OR_RETURN(c->height, int_param(key, value, 1, kMaxFrameSide));
   } else if (key == "frames") {
     SUP_ASSIGN_OR_RETURN(c->frames, int_param(key, value));
   } else if (key == "slices") {
@@ -58,17 +60,17 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "pips") {
-        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value));
+        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1));
       } else if (key == "factor") {
         SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value));
       } else if (key == "reconfigurable") {
         SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.reconfigurable = v != 0;
-        if (c.reconfigurable && c.pips < 2) c.pips = 2;
       } else {
         return unknown_key("pip", key);
       }
     }
+    if (c.reconfigurable && c.pips < 2) c.pips = 2;  // PiP-12 toggles pip #2
     return pip_xspcl(c);
   }
   if (name == "jpip") {
@@ -77,11 +79,11 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "pips") {
-        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value));
+        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1));
       } else if (key == "factor") {
         SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value));
       } else if (key == "quality") {
-        SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value));
+        SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value, 1, 100));
       } else if (key == "grouped") {
         SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.grouped = v != 0;
@@ -92,6 +94,7 @@ support::Result<std::string> builtin_xspcl(
         return unknown_key("jpip", key);
       }
     }
+    if (c.reconfigurable && c.pips < 2) c.pips = 2;  // JPiP-12 toggles pip #2
     return jpip_xspcl(c);
   }
   if (name == "blur") {
@@ -101,6 +104,9 @@ support::Result<std::string> builtin_xspcl(
       if (common) continue;
       if (key == "kernel") {
         SUP_ASSIGN_OR_RETURN(c.kernel, int_param(key, value));
+        if (c.kernel != 3 && c.kernel != 5)
+          return support::invalid_argument(support::format(
+              "catalog: kernel: %d is not 3 or 5", c.kernel));
       } else if (key == "reconfigurable") {
         SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.reconfigurable = v != 0;
@@ -116,7 +122,7 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "quality") {
-        SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value));
+        SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value, 1, 100));
       } else if (key == "restart") {
         SUP_ASSIGN_OR_RETURN(c.restart, int_param(key, value));
       } else {

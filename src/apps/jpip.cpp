@@ -201,6 +201,8 @@ std::string scale_blend_calls_xml(const std::string& name,
 
 }  // namespace
 
+const char* jpeg_chain_procedure() { return kDecodeProcedure; }
+
 void jpip_position(const JpipConfig& config, int index, int* x, int* y) {
   int sw = config.width / config.factor;
   int sh = config.height / config.factor;

@@ -1,5 +1,6 @@
 #include "apps/mjpeg.hpp"
 
+#include "apps/jpip.hpp"
 #include "components/components.hpp"
 #include "components/sinks.hpp"
 #include "hinch/runtime.hpp"
@@ -11,53 +12,6 @@ namespace apps {
 namespace {
 
 using support::format;
-
-// Decode chain: entropy decode followed by three concurrent sliced
-// IDCTs, reassembled by the sink.
-const char* kDecodeProcedure = R"(
-  <procedure name="mjpeg_chain">
-    <formal name="jpeg" kind="stream"/>
-    <formal name="py" kind="stream"/>
-    <formal name="pu" kind="stream"/>
-    <formal name="pv" kind="stream"/>
-    <formal name="slices" kind="value"/>
-    <body>
-      <component name="dec" class="jpeg_decode">
-        <inport name="jpeg" stream="jpeg"/>
-        <outport name="coeffs" stream="coeffs"/>
-      </component>
-      <parallel shape="task">
-        <parblock>
-          <parallel shape="slice" n="$slices"><parblock>
-            <component name="idct_y" class="idct">
-              <param name="plane" value="0"/>
-              <inport name="coeffs" stream="coeffs"/>
-              <outport name="out" stream="py"/>
-            </component>
-          </parblock></parallel>
-        </parblock>
-        <parblock>
-          <parallel shape="slice" n="$slices"><parblock>
-            <component name="idct_u" class="idct">
-              <param name="plane" value="1"/>
-              <inport name="coeffs" stream="coeffs"/>
-              <outport name="out" stream="pu"/>
-            </component>
-          </parblock></parallel>
-        </parblock>
-        <parblock>
-          <parallel shape="slice" n="$slices"><parblock>
-            <component name="idct_v" class="idct">
-              <param name="plane" value="2"/>
-              <inport name="coeffs" stream="coeffs"/>
-              <outport name="out" stream="pv"/>
-            </component>
-          </parblock></parallel>
-        </parblock>
-      </parallel>
-    </body>
-  </procedure>
-)";
 
 }  // namespace
 
@@ -75,7 +29,7 @@ std::string mjpeg_xspcl(const MjpegDecodeConfig& c) {
       static_cast<unsigned long long>(c.seed), c.width, c.height,
       c.clip_frames, c.quality, c.restart);
   body += format(
-      "      <call procedure=\"mjpeg_chain\" name=\"dec\">\n"
+      "      <call procedure=\"jpeg_chain\" name=\"dec\">\n"
       "        <arg name=\"jpeg\" stream=\"jpeg\"/>\n"
       "        <arg name=\"py\" stream=\"py\"/>\n"
       "        <arg name=\"pu\" stream=\"pu\"/>\n"
@@ -95,7 +49,7 @@ std::string mjpeg_xspcl(const MjpegDecodeConfig& c) {
   std::string out = "<xspcl>\n  <procedure name=\"main\">\n    <body>\n";
   out += body;
   out += "    </body>\n  </procedure>\n";
-  out += kDecodeProcedure;
+  out += jpeg_chain_procedure();
   out += "</xspcl>\n";
   return out;
 }

@@ -78,50 +78,9 @@
 #pragma once
 
 #include "hinch/registry.hpp"
-#include "obs/metrics.hpp"
 #include "sp/fuse_kernels.hpp"
 
 namespace components {
-
-// Admission controller for the multi-tenant server (tools/hinchd.cpp):
-// the server-side sibling of the in-graph `policy` component. It watches
-// the *aggregate* backlog — the sum of every session's
-// "session.<id>.live.pending_jobs" gauge in the SessionExecutor's shared
-// registry — normalized per worker, through the same two-threshold
-// hysteresis discipline: sustained overload shrinks the recommended
-// active-session cap (queued tenants wait rather than thrash the pool),
-// sustained headroom grows it. Pure and single-threaded: feed it
-// snapshots, apply its recommendation via set_active_cap().
-struct ServerRebalanceConfig {
-  // Hysteresis band on backlog-per-worker. Above `high`: overloaded;
-  // below `low`: headroom. Must satisfy high >= low.
-  double high_backlog_per_worker = 8.0;
-  double low_backlog_per_worker = 2.0;
-  int min_active = 1;   // never recommend below this
-  int max_active = 0;   // 0 = unbounded growth
-  // Consecutive polls beyond a band edge before acting (debounce).
-  int hold_polls = 2;
-};
-
-class ServerRebalance {
- public:
-  explicit ServerRebalance(const ServerRebalanceConfig& config);
-
-  // Observe one poll of the server registry; returns the recommended
-  // cap (== current_cap when no change is warranted). `workers` is the
-  // pool size, `current_cap` the cap in force (0 = uncapped, treated as
-  // "active count is the effective cap" for step purposes).
-  int recommend(const obs::MetricsRegistry::Snapshot& server, int workers,
-                int current_cap);
-
-  // Sum of "session.<id>.live.pending_jobs" over all sessions in `snap`.
-  static double aggregate_backlog(const obs::MetricsRegistry::Snapshot& snap);
-
- private:
-  ServerRebalanceConfig config_;
-  int high_streak_ = 0;
-  int low_streak_ = 0;
-};
 
 // Register every standard class into `registry`.
 void register_standard(hinch::ComponentRegistry& registry);

@@ -5,8 +5,6 @@
 // event names are parameters, not code. A var_load component provides
 // the controllable load step the adaptation bench (bench_adapt) and the
 // policy tests exercise the loop with.
-#include <algorithm>
-
 #include "components/components.hpp"
 #include "components/detail.hpp"
 #include "hinch/component.hpp"
@@ -172,69 +170,6 @@ class VarLoad : public hinch::Component {
 void register_adaptive(hinch::ComponentRegistry& registry) {
   registry.register_class("policy", &PolicyComponent::create);
   registry.register_class("var_load", &VarLoad::create);
-}
-
-ServerRebalance::ServerRebalance(const ServerRebalanceConfig& config)
-    : config_(config) {
-  SUP_CHECK_MSG(config.high_backlog_per_worker >=
-                    config.low_backlog_per_worker,
-                "server_rebalance: high < low");
-  SUP_CHECK_MSG(config.min_active >= 1, "server_rebalance: min_active < 1");
-  SUP_CHECK_MSG(config.hold_polls >= 1, "server_rebalance: hold_polls < 1");
-}
-
-double ServerRebalance::aggregate_backlog(
-    const obs::MetricsRegistry::Snapshot& snap) {
-  // Session gauges are "session.<id>.live.pending_jobs" in the shared
-  // registry; the map is sorted, so walk the "session." range once.
-  static const std::string kPrefix = "session.";
-  static const std::string kSuffix = ".live.pending_jobs";
-  double total = 0;
-  auto it = snap.values().lower_bound(kPrefix);
-  for (; it != snap.values().end(); ++it) {
-    const std::string& name = it->first;
-    if (name.compare(0, kPrefix.size(), kPrefix) != 0) break;
-    if (name.size() > kSuffix.size() &&
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                     kSuffix) == 0)
-      total += it->second.as_double();
-  }
-  return total;
-}
-
-int ServerRebalance::recommend(const obs::MetricsRegistry::Snapshot& server,
-                               int workers, int current_cap) {
-  SUP_CHECK(workers >= 1);
-  double per_worker = aggregate_backlog(server) / workers;
-  // The step base: with no cap in force, step relative to what is
-  // actually running — capping below the live count is what sheds load.
-  int base = current_cap > 0
-                 ? current_cap
-                 : static_cast<int>(server.get_int("server.active_sessions"));
-  if (per_worker >= config_.high_backlog_per_worker) {
-    low_streak_ = 0;
-    if (++high_streak_ >= config_.hold_polls) {
-      high_streak_ = 0;
-      return std::max(config_.min_active, base - 1);
-    }
-  } else if (per_worker <= config_.low_backlog_per_worker) {
-    high_streak_ = 0;
-    bool demand = server.get_int("server.queued_sessions") > 0;
-    if (++low_streak_ >= config_.hold_polls) {
-      low_streak_ = 0;
-      if (demand && current_cap > 0) {
-        int grown = current_cap + 1;
-        if (config_.max_active > 0 && grown > config_.max_active)
-          grown = config_.max_active;
-        return grown;
-      }
-    }
-  } else {
-    // Inside the band: noise, reset both streaks.
-    high_streak_ = 0;
-    low_streak_ = 0;
-  }
-  return current_cap;
 }
 
 }  // namespace components

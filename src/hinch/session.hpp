@@ -72,7 +72,8 @@ struct SessionConfig {
   // path run_on_threads uses.
   obs::MetricsRegistry* metrics = nullptr;
   // Record a wall-clock timestamp (ns since session start) as each
-  // iteration completes — the frame-latency probe bench_server reads.
+  // iteration completes — the frame-latency probe perfbench and
+  // SessionServer.CloseNeverStallsANeighbour read.
   bool record_frame_times = false;
 };
 
@@ -161,7 +162,7 @@ class SessionExecutor {
   struct Config {
     int workers = 1;
     // Admission cap: sessions beyond this many queue FIFO (0 = no cap).
-    // Adjustable at runtime via set_active_cap (server rebalancing).
+    // Adjustable at runtime via set_active_cap (hinchd's `cap` command).
     int max_active_sessions = 0;
   };
 
@@ -193,8 +194,8 @@ class SessionExecutor {
   // blocking; use wait() to observe the drain completing.
   void cancel(const SessionPtr& session);
 
-  // Dynamic admission control (components::server_rebalance drives
-  // this): raising the cap starts queued sessions immediately.
+  // Dynamic admission control (hinchd's `cap` command drives this):
+  // raising the cap starts queued sessions immediately.
   void set_active_cap(int cap);
   int active_cap() const;
 

@@ -43,9 +43,7 @@ void normalize_rec(Node* n) {
 // its initial state forever. Disabled dead options are removed with
 // their subtree; enabled ones lose the guard (the body is spliced in
 // place). Options any enable/disable/toggle rule references are left
-// alone — this is what lets the pass run on reconfigurable graphs,
-// unlike the old sp::strip_disabled_options which removed every
-// disabled option unconditionally.
+// alone — this is what lets the pass run on reconfigurable graphs.
 std::set<std::string> referenced_options(const Node& root) {
   std::set<std::string> out;
   visit(root, [&](const Node& n) {

@@ -59,9 +59,8 @@ struct PassOptions {
   // canonical step list to walk).
   bool normalize = true;
   // Remove options no manager rule references: disabled ones vanish,
-  // enabled ones lose their guard (generalizes the old
-  // sp::strip_disabled_options, which removed every disabled option and
-  // so could not run on reconfigurable graphs).
+  // enabled ones lose their guard. Referenced options stay, so the pass
+  // runs on reconfigurable graphs.
   bool strip_dead_options = true;
   // Rewrite crossdep regions into SP form (§3.3). Off for building —
   // the executors schedule crossdep natively; perf::predict turns it on.

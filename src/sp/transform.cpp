@@ -22,31 +22,8 @@ NodePtr sp_rec(const Node& n) {
   return copy;
 }
 
-// Returns nullptr when the subtree disappears entirely.
-NodePtr strip_rec(const Node& n) {
-  if (n.kind() == NodeKind::kOption) {
-    if (!n.initially_enabled) return nullptr;
-    return strip_rec(*n.children[0]);
-  }
-  NodePtr copy = n.clone();
-  copy->children.clear();
-  for (const NodePtr& c : n.children) {
-    NodePtr child = strip_rec(*c);
-    if (child) copy->children.push_back(std::move(child));
-  }
-  if (copy->kind() != NodeKind::kLeaf && copy->children.empty())
-    return nullptr;
-  return copy;
-}
-
 }  // namespace
 
 NodePtr to_sp_form(const Node& root) { return sp_rec(root); }
-
-NodePtr strip_disabled_options(const Node& root) {
-  NodePtr out = strip_rec(root);
-  // An entirely empty application degenerates to an empty seq.
-  return out ? std::move(out) : make_seq({});
-}
 
 }  // namespace sp

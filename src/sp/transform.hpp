@@ -1,11 +1,8 @@
-// Graph transformations:
-//  - to_sp_form: rewrite crossdep regions into SP form by inserting a
-//    synchronization point between consecutive parblocks (§3.3: "If
-//    performance prediction is required on this structure, it has to be
-//    transformed into SP form by adding a synchronization point between
-//    the parblocks").
-//  - strip_disabled_options: remove option subgraphs that are initially
-//    disabled (the static graph a non-reconfigurable run would use).
+// Graph transformation to_sp_form: rewrite crossdep regions into SP form
+// by inserting a synchronization point between consecutive parblocks
+// (§3.3: "If performance prediction is required on this structure, it
+// has to be transformed into SP form by adding a synchronization point
+// between the parblocks").
 #pragma once
 
 #include "sp/graph.hpp"
@@ -15,9 +12,5 @@ namespace sp {
 // Returns a deep copy where every crossdep par node is replaced by a seq
 // of slice-shaped par nodes (one per parblock, same replica count).
 NodePtr to_sp_form(const Node& root);
-
-// Returns a deep copy with initially-disabled option subtrees removed.
-// An enabled option is replaced by its body.
-NodePtr strip_disabled_options(const Node& root);
 
 }  // namespace sp

@@ -146,6 +146,20 @@ TEST(StripDeadOptionsPass, KeepsRuleReferencedDropsDeadSplicesEnabled) {
   EXPECT_TRUE(saw_g);   // enabled + unreferenced: body kept, guard gone
   EXPECT_TRUE(sp::validate(*root).is_ok())
       << sp::validate(*root).to_string();
+
+  // A manager with no rules leaves every option dead: the enabled one is
+  // spliced in, the disabled one vanishes.
+  std::vector<NodePtr> unruled;
+  unruled.push_back(
+      sp::make_option("on", true, sp::make_leaf(leaf("a", "", "s"))));
+  unruled.push_back(
+      sp::make_option("off", false, sp::make_leaf(leaf("b", "", "t"))));
+  NodePtr bare = run_pipeline(
+      sp::make_manager("m", "q", {}, sp::make_seq(std::move(unruled))),
+      only_strip);
+  ASSERT_TRUE(bare);
+  EXPECT_EQ(sp::stats(*bare).leaves, 1);
+  EXPECT_EQ(sp::stats(*bare).options, 0);
 }
 
 TEST(StripDeadOptionsPass, CascadeDeletesEmptiedParents) {

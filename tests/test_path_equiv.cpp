@@ -6,7 +6,7 @@
 //
 // The generated translation units (<name>_patheq.cpp) are produced by
 // the build; see tests/CMakeLists.txt. Covered: both checked-in specs
-// plus the three built-in applications via `xspclc emit-app`.
+// plus the four built-in applications via `xspclc emit-app`.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,6 +29,9 @@ namespace xspcl_gen_jpip {
 sp::NodePtr build_graph();
 }
 namespace xspcl_gen_blur {
+sp::NodePtr build_graph();
+}
+namespace xspcl_gen_mjpeg {
 sp::NodePtr build_graph();
 }
 
@@ -87,6 +90,14 @@ TEST(PathEquivalence, BlurApp) {
   std::string gen = taskdot_from_generated(xspcl_gen_blur::build_graph());
   std::string loaded =
       taskdot_from_file(std::string(PATHEQ_GEN_DIR) + "/blur_app.xml");
+  ASSERT_FALSE(gen.empty());
+  EXPECT_EQ(gen, loaded);
+}
+
+TEST(PathEquivalence, MjpegApp) {
+  std::string gen = taskdot_from_generated(xspcl_gen_mjpeg::build_graph());
+  std::string loaded =
+      taskdot_from_file(std::string(PATHEQ_GEN_DIR) + "/mjpeg_app.xml");
   ASSERT_FALSE(gen.empty());
   EXPECT_EQ(gen, loaded);
 }

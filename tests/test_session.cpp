@@ -1,13 +1,18 @@
 // Session-scoped runtime tests: tenancy isolation on the shared
 // work-stealing pool (bit-identical outputs, metrics/trace/region
 // namespaces), admission control, cancellation/teardown ordering, the
-// compiled-spec cache, and the server rebalance policy. The churn test
-// (concurrent Program build + submit + cancel on a live executor) is a
-// designated ThreadSanitizer workload — label "tsan", same build recipe
-// as test_thread_stress.
+// compiled-spec cache, and the two multi-tenant server gates (concurrent
+// tenants beat sequential runs; closing a session never stalls a
+// neighbour). The churn test (concurrent Program build + submit + cancel
+// on a live executor) is a designated ThreadSanitizer workload — label
+// "tsan", same build recipe as test_thread_stress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +24,7 @@
 #include "hinch/region_table.hpp"
 #include "hinch/runtime.hpp"
 #include "hinch/session.hpp"
+#include "hinch/thread_executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cache.hpp"
@@ -71,11 +77,13 @@ uint64_t output_checksum(Program& prog) {
 }
 
 SessionPtr open(SessionExecutor& exec, std::unique_ptr<Program> prog,
-                int64_t iters, obs::TraceSession* trace = nullptr) {
+                int64_t iters, obs::TraceSession* trace = nullptr,
+                bool record_frames = false) {
   SessionConfig cfg;
   cfg.run.iterations = iters;
   cfg.run.window = 2;
   cfg.trace = trace;
+  cfg.record_frame_times = record_frames;
   return exec.submit(std::move(prog), cfg);
 }
 
@@ -419,59 +427,164 @@ TEST(PassFingerprint, DistinguishesPipelinesAndIgnoresVerify) {
             sp::pass_fingerprint(verifying));
 }
 
-// --- server rebalance policy ------------------------------------------------
+// --- multi-tenant server gates ---------------------------------------------
 
-obs::MetricsRegistry::Snapshot backlog_snapshot(double pending_a,
-                                                double pending_b,
-                                                int queued) {
-  obs::MetricsRegistry reg;
-  reg.set("session.0.live.pending_jobs", static_cast<int64_t>(pending_a));
-  reg.set("session.1.live.pending_jobs", static_cast<int64_t>(pending_b));
-  reg.set("server.active_sessions", 2);
-  reg.set("server.queued_sessions", queued);
-  return reg.snapshot();
+constexpr int kServerWorkers = 4;
+
+// The server gates' tenant: a 96x64 blur (kernel 5) over 8 slices.
+std::string server_spec(int64_t iters) {
+  apps::BlurConfig c;
+  c.width = 96;
+  c.height = 64;
+  c.frames = static_cast<int>(iters);
+  c.kernel = 5;
+  c.slices = 8;
+  c.clip_frames = 4;
+  return apps::blur_xspcl(c);
 }
 
-TEST(ServerRebalanceTest, HysteresisShrinksOnSustainedOverloadOnly) {
-  components::ServerRebalanceConfig cfg;
-  cfg.high_backlog_per_worker = 8.0;
-  cfg.low_backlog_per_worker = 2.0;
-  cfg.hold_polls = 2;
-  cfg.min_active = 1;
-  cfg.max_active = 4;
-  components::ServerRebalance rb(cfg);
-
-  obs::MetricsRegistry::Snapshot hot = backlog_snapshot(40, 40, 1);
-  EXPECT_EQ(components::ServerRebalance::aggregate_backlog(hot), 80.0);
-  // One hot poll: debounced, no change (cap 2 on 4 workers = 20/worker).
-  EXPECT_EQ(rb.recommend(hot, /*workers=*/4, /*current_cap=*/2), 2);
-  // Second consecutive hot poll: shrink by one.
-  EXPECT_EQ(rb.recommend(hot, 4, 2), 1);
-  // Never below min_active.
-  EXPECT_EQ(rb.recommend(hot, 4, 1), 1);
-  EXPECT_EQ(rb.recommend(hot, 4, 1), 1);
+std::unique_ptr<Program> build_cached(xspcl::SpecCache& cache,
+                                      const std::string& spec) {
+  auto prog = cache.build_program(spec, hinch::ComponentRegistry::global());
+  SUP_CHECK_MSG(prog.is_ok(), prog.status().message().c_str());
+  return std::move(prog).take();
 }
 
-TEST(ServerRebalanceTest, GrowsOnlyWithQueuedDemand) {
-  components::ServerRebalanceConfig cfg;
-  cfg.hold_polls = 2;
-  cfg.max_active = 4;
-  components::ServerRebalance rb(cfg);
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-  obs::MetricsRegistry::Snapshot idle_no_queue = backlog_snapshot(0, 0, 0);
-  EXPECT_EQ(rb.recommend(idle_no_queue, 4, 2), 2);
-  EXPECT_EQ(rb.recommend(idle_no_queue, 4, 2), 2);  // no demand, no grow
+// Inter-frame gaps (ms) from a session's completion stamps. Iterations
+// retired in one scheduler batch share a stamp, so zero gaps are normal.
+std::vector<double> frame_gaps_ms(const SessionResult& r) {
+  std::vector<double> gaps;
+  gaps.reserve(r.frame_done_ns.size());
+  uint64_t prev = 0;
+  for (uint64_t t : r.frame_done_ns) {
+    gaps.push_back(static_cast<double>(t - prev) / 1e6);
+    prev = t;
+  }
+  return gaps;
+}
 
-  components::ServerRebalance rb2(cfg);
-  obs::MetricsRegistry::Snapshot idle_queued = backlog_snapshot(0, 0, 3);
-  EXPECT_EQ(rb2.recommend(idle_queued, 4, 2), 2);  // debounce
-  EXPECT_EQ(rb2.recommend(idle_queued, 4, 2), 3);  // grow by one
-  // In-band polls reset the streaks.
-  components::ServerRebalance rb3(cfg);
-  obs::MetricsRegistry::Snapshot mid = backlog_snapshot(8, 8, 3);
-  EXPECT_EQ(rb3.recommend(idle_queued, 4, 2), 2);
-  EXPECT_EQ(rb3.recommend(mid, 4, 2), 2);
-  EXPECT_EQ(rb3.recommend(idle_queued, 4, 2), 2);  // streak restarted
+double percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  return v[static_cast<size_t>(p * static_cast<double>(v.size() - 1))];
+}
+
+// N tenants on one server (one SessionExecutor and one SpecCache, both
+// built inside the timed region) finish before N one-at-a-time runs that
+// each compile the spec and start and join their own pool through
+// run_on_threads: the server amortises the compile and the pool start,
+// with parallel overlap on top where cores exist. Best of two interleaved
+// reps after an untimed sequential warmup.
+TEST(SessionServer, ConcurrentBeatsSequential) {
+  constexpr int kTenants = 6;
+  constexpr int64_t kIters = 12;
+  const std::string spec = server_spec(kIters);
+  components::register_standard_globally();
+
+  auto sequential = [&] {
+    auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kTenants; ++i) {
+      std::unique_ptr<Program> prog = build(spec);
+      hinch::RunConfig run;
+      run.iterations = kIters;
+      run.window = 2;
+      hinch::run_on_threads(*prog, run, kServerWorkers);
+    }
+    return ms_since(t0);
+  };
+  auto concurrent = [&] {
+    auto t0 = std::chrono::steady_clock::now();
+    SessionExecutor::Config pool;
+    pool.workers = kServerWorkers;
+    SessionExecutor exec(pool);
+    xspcl::SpecCache cache;
+    std::vector<SessionPtr> sessions;
+    for (int i = 0; i < kTenants; ++i)
+      sessions.push_back(open(exec, build_cached(cache, spec), kIters));
+    for (const SessionPtr& s : sessions)
+      EXPECT_EQ(s->wait().status, SessionStatus::kDone);
+    exec.shutdown();
+    return ms_since(t0);
+  };
+
+  sequential();  // warmup: page cache, lazy initialisation
+  double seq_ms = 1e300;
+  double conc_ms = 1e300;
+  for (int rep = 0; rep < 2; ++rep) {
+    seq_ms = std::min(seq_ms, sequential());
+    conc_ms = std::min(conc_ms, concurrent());
+  }
+  std::printf("%d tenants x %lld iters: sequential %.2f ms, concurrent "
+              "%.2f ms, concurrent/sequential %.3f\n",
+              kTenants, static_cast<long long>(kIters), seq_ms, conc_ms,
+              conc_ms / seq_ms);
+  EXPECT_LT(conc_ms, seq_ms);
+}
+
+// A long-lived victim streams while short tenants are opened two at a
+// time, every second one cancelled mid-run and all of them drained, so
+// both teardown flavours overlap the victim. The victim must retire every
+// iteration, and its worst inter-frame gap must stay under
+// max(250 ms, 50 x its solo p99 gap). The bound is generous: contention
+// on a loaded host is fine, while a teardown that blocks the pool shows
+// up as a multi-second gap or a victim that never finishes.
+TEST(SessionServer, CloseNeverStallsANeighbour) {
+  constexpr int64_t kVictimIters = 200;
+  constexpr int64_t kChurnIters = 12;
+  constexpr size_t kChurnInflight = 2;
+  const std::string victim_spec = server_spec(kVictimIters);
+  const std::string churn_spec = server_spec(kChurnIters);
+  components::register_standard_globally();
+  SessionExecutor::Config pool;
+  pool.workers = kServerWorkers;
+
+  std::vector<double> solo_gaps;
+  {
+    SessionExecutor exec(pool);
+    xspcl::SpecCache cache;
+    SessionResult solo = open(exec, build_cached(cache, victim_spec),
+                              kVictimIters, nullptr, true)
+                             ->wait();
+    ASSERT_EQ(solo.status, SessionStatus::kDone);
+    solo_gaps = frame_gaps_ms(solo);
+    exec.shutdown();
+  }
+
+  SessionExecutor exec(pool);
+  xspcl::SpecCache cache;
+  SessionPtr victim = open(exec, build_cached(cache, victim_spec),
+                           kVictimIters, nullptr, true);
+  std::deque<SessionPtr> inflight;
+  int opened = 0;
+  while (!victim->finished() || !inflight.empty()) {
+    while (!victim->finished() && inflight.size() < kChurnInflight) {
+      SessionPtr c = open(exec, build_cached(cache, churn_spec), kChurnIters);
+      if (++opened % 2 == 0) exec.cancel(c);
+      inflight.push_back(std::move(c));
+    }
+    if (inflight.empty()) break;  // the victim finished meanwhile
+    SessionStatus status = inflight.front()->wait().status;
+    inflight.pop_front();
+    EXPECT_TRUE(status == SessionStatus::kDone ||
+                status == SessionStatus::kCancelled);
+  }
+  SessionResult v = victim->wait();
+  exec.shutdown();
+
+  EXPECT_EQ(v.status, SessionStatus::kDone);
+  EXPECT_EQ(v.iterations_done, kVictimIters);
+  const double bound_ms = std::max(250.0, 50.0 * percentile(solo_gaps, 0.99));
+  const double max_gap_ms = percentile(frame_gaps_ms(v), 1.0);
+  std::printf("victim max frame gap %.3f ms under churn (%d tenants "
+              "opened), bound %.3f ms\n",
+              max_gap_ms, opened, bound_ms);
+  EXPECT_LT(max_gap_ms, bound_ms);
 }
 
 // --- churn stress (the tsan workload) ---------------------------------------

@@ -187,21 +187,6 @@ TEST(SpForm, ToSpFormIsIdentityOnSpGraphs) {
   EXPECT_TRUE(sp::is_sp_form(*converted));
 }
 
-TEST(Transform, StripDisabledOptions) {
-  NodePtr on = sp::make_option("on", true, sp::make_leaf(leaf("a", "", "s")));
-  NodePtr off = sp::make_option("off", false,
-                                sp::make_leaf(leaf("b", "", "t")));
-  std::vector<NodePtr> steps;
-  steps.push_back(std::move(on));
-  steps.push_back(std::move(off));
-  NodePtr mgr =
-      sp::make_manager("m", "q", {}, sp::make_seq(std::move(steps)));
-  NodePtr stripped = sp::strip_disabled_options(*mgr);
-  sp::GraphStats s = sp::stats(*stripped);
-  EXPECT_EQ(s.leaves, 1);
-  EXPECT_EQ(s.options, 0);
-}
-
 TEST(Dot, MentionsEveryInstance) {
   NodePtr root = simple_chain();
   std::string dot = sp::to_dot(*root, "test");

@@ -36,13 +36,9 @@
 // pipes a generated client script into a server — the CI end-to-end
 // smoke runs exactly that.
 //
-//   hinchd [--workers=N] [--max-sessions=N] [--rebalance] [--period=MS]
+//   hinchd [--workers=N] [--max-sessions=N]
 //   hinchd --loadgen [--sessions=N] [--apps=pip,blur] [--iters=N]
 //                    [--feeds=M] [--churn]
-//
-// --rebalance wires components::ServerRebalance between commands: the
-// aggregate backlog in the shared registry adjusts the active cap with
-// hysteresis (overload queues new tenants instead of thrashing the pool).
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -56,7 +52,6 @@
 #include "components/sinks.hpp"
 #include "hinch/session.hpp"
 #include "obs/chrome_export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/strings.hpp"
 #include "xspcl/spec_cache.hpp"
@@ -103,7 +98,6 @@ uint64_t output_checksum(hinch::Program& prog) {
 struct ServeOptions {
   int workers = 4;
   int max_sessions = 0;
-  bool rebalance = false;
 };
 
 int serve(const ServeOptions& opts) {
@@ -113,9 +107,6 @@ int serve(const ServeOptions& opts) {
   pool.max_active_sessions = opts.max_sessions;
   hinch::SessionExecutor exec(pool);
   xspcl::SpecCache cache;
-  components::ServerRebalanceConfig rb_config;
-  rb_config.max_active = opts.max_sessions;
-  components::ServerRebalance rebalance(rb_config);
 
   std::map<int, Tenant> tenants;
   int next_tenant = 0;
@@ -326,14 +317,6 @@ int serve(const ServeOptions& opts) {
     } else {
       err("unknown command '" + cmd + "'");
     }
-    if (opts.rebalance) {
-      int rec = rebalance.recommend(exec.metrics().snapshot(),
-                                    exec.workers(), exec.active_cap());
-      if (rec != exec.active_cap()) {
-        exec.set_active_cap(rec);
-        std::fprintf(stderr, "hinchd: rebalanced active cap -> %d\n", rec);
-      }
-    }
     std::fflush(stdout);
   }
 
@@ -382,8 +365,7 @@ int loadgen(const LoadgenOptions& opts) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: hinchd [--workers=N] [--max-sessions=N] "
-               "[--rebalance]\n"
+               "usage: hinchd [--workers=N] [--max-sessions=N]\n"
                "       hinchd --loadgen [--sessions=N] [--apps=a,b] "
                "[--iters=N] [--feeds=M] [--churn]\n"
                "(see the header of tools/hinchd.cpp)\n");
@@ -412,8 +394,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--loadgen") {
       is_loadgen = true;
-    } else if (arg == "--rebalance") {
-      serve_opts.rebalance = true;
     } else if (arg == "--churn") {
       load_opts.churn = true;
     } else if (arg.rfind("--apps=", 0) == 0) {

@@ -19,8 +19,10 @@
 //                   [--metrics]           dump the unified metrics registry
 //   xspclc predict  <spec.xml> [--cores=N] [--iterations=N]
 //                   [--platform=p.xml]    profile 1 core, predict speedup
-//   xspclc emit-app <pip|jpip|blur> [--reconfigurable] [-o f]
+//   xspclc emit-app <pip|jpip|blur|mjpeg> [--reconfigurable] [-o f]
 //                                         dump a built-in application spec
+//                                         (apps::builtin_xspcl; mjpeg has
+//                                         no reconfigurable variant)
 //   xspclc passes                         list the registered SP-IR passes
 //
 // Spec-taking subcommands accept --passes=a,b,c to replace the default
@@ -40,6 +42,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "components/components.hpp"
@@ -204,31 +207,14 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, &args)) return usage();
 
   if (args.command == "emit-app") {
-    std::string text;
-    if (args.input == "pip") {
-      apps::PipConfig c;
-      if (args.reconfigurable) {
-        c.reconfigurable = true;
-        c.pips = 2;
-      }
-      text = apps::pip_xspcl(c);
-    } else if (args.input == "jpip") {
-      apps::JpipConfig c;
-      if (args.reconfigurable) {
-        c.reconfigurable = true;
-        c.pips = 2;
-      }
-      text = apps::jpip_xspcl(c);
-    } else if (args.input == "blur") {
-      apps::BlurConfig c;
-      c.reconfigurable = args.reconfigurable;
-      text = apps::blur_xspcl(c);
-    } else {
-      std::fprintf(stderr, "unknown app '%s' (pip, jpip, blur)\n",
-                   args.input.c_str());
+    std::vector<apps::CatalogParam> params;
+    if (args.reconfigurable) params.emplace_back("reconfigurable", "1");
+    auto text = apps::builtin_xspcl(args.input, params);
+    if (!text.is_ok()) {
+      std::fprintf(stderr, "%s\n", text.status().message().c_str());
       return 2;
     }
-    return write_output(args, text);
+    return write_output(args, text.value());
   }
 
   auto graph = xspcl::load_file(args.input);
