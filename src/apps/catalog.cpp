@@ -38,6 +38,20 @@ support::Result<bool> apply_common(Config* c, const std::string& key,
   return true;
 }
 
+// The downscale component takes factors in [1, 256].
+constexpr int kMaxFactor = 256;
+
+// A PiP downscales the half-size chroma planes by `factor`, so each side
+// must be at least 2 x factor or a chroma pip would have no pixels.
+support::Status check_pip_size(const char* app, int width, int height,
+                               int factor) {
+  if (width < 2 * factor || height < 2 * factor)
+    return support::invalid_argument(support::format(
+        "catalog: %s: %dx%d is below 2 x factor (%d) on a side", app, width,
+        height, 2 * factor));
+  return support::Status::ok();
+}
+
 support::Status unknown_key(const char* app, const std::string& key) {
   return support::invalid_argument(
       support::format("catalog: app '%s' has no parameter '%s'", app,
@@ -62,7 +76,7 @@ support::Result<std::string> builtin_xspcl(
       if (key == "pips") {
         SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1));
       } else if (key == "factor") {
-        SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value));
+        SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value, 1, kMaxFactor));
       } else if (key == "reconfigurable") {
         SUP_ASSIGN_OR_RETURN(int v, int_param(key, value));
         c.reconfigurable = v != 0;
@@ -71,6 +85,7 @@ support::Result<std::string> builtin_xspcl(
       }
     }
     if (c.reconfigurable && c.pips < 2) c.pips = 2;  // PiP-12 toggles pip #2
+    SUP_RETURN_IF_ERROR(check_pip_size("pip", c.width, c.height, c.factor));
     return pip_xspcl(c);
   }
   if (name == "jpip") {
@@ -81,7 +96,7 @@ support::Result<std::string> builtin_xspcl(
       if (key == "pips") {
         SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1));
       } else if (key == "factor") {
-        SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value));
+        SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value, 1, kMaxFactor));
       } else if (key == "quality") {
         SUP_ASSIGN_OR_RETURN(c.quality, int_param(key, value, 1, 100));
       } else if (key == "grouped") {
@@ -95,6 +110,7 @@ support::Result<std::string> builtin_xspcl(
       }
     }
     if (c.reconfigurable && c.pips < 2) c.pips = 2;  // JPiP-12 toggles pip #2
+    SUP_RETURN_IF_ERROR(check_pip_size("jpip", c.width, c.height, c.factor));
     return jpip_xspcl(c);
   }
   if (name == "blur") {

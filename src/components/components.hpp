@@ -53,10 +53,6 @@
 //                                  factor, src_plane, x, y, alpha,
 //                                  plane. Honours "pos=X,Y". Sliced by
 //                                  downscaled rows.
-//   idct_downscale in:"coeffs" out:"out"
-//                                  IDCT + box downscale through an
-//                                  lcm(8, factor)-row strip. params:
-//                                  plane, factor. Sliced by output rows.
 //   frame_sink     in:"in"         Consumes frames; FNV checksum, frame
 //                                  count, optional retention (store=1).
 //   yuv_sink       in:"y","u","v"  Reassembles per-plane gray frames;
@@ -92,7 +88,6 @@ void register_standard_globally();
 // (static storage; safe to hand to sp::fuse_kernels_pass by pointer):
 //   jpeg_decode -> idct x3   =>  jpeg_decode_planes
 //   downscale -> blend       =>  downscale_blend   (slice-preserving)
-//   idct -> downscale        =>  idct_downscale    (slice-preserving)
 const sp::KernelFusionRegistry& standard_fusions();
 
 }  // namespace components

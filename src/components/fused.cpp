@@ -12,7 +12,6 @@
 // touch_scratch/touch_scratch_read so the cache model prices the strip
 // instead of the full frame round-trip.
 #include <algorithm>
-#include <numeric>
 
 #include "components/components.hpp"
 #include "components/detail.hpp"
@@ -38,14 +37,6 @@ uint64_t coeff_bytes(const CoeffImage& img) {
   for (const auto& c : img.comps)
     total += c.blocks.size() * sizeof(std::array<int16_t, 64>);
   return total;
-}
-
-uint64_t coeff_plane_offset(const CoeffImage& img, int plane) {
-  uint64_t off = 0;
-  for (int i = 0; i < plane; ++i)
-    off += img.comps[static_cast<size_t>(i)].blocks.size() *
-           sizeof(std::array<int16_t, 64>);
-  return off;
 }
 
 void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
@@ -217,76 +208,6 @@ class DownscaleBlendComponent : public hinch::Component {
   int plane_ = -1;
 };
 
-// --- idct_downscale ----------------------------------------------------------
-//
-// Per-plane IDCT + box downscale in one traversal
-// (media::jpeg::idct_downscale): blocks are transformed into an
-// lcm(8, factor)-row strip and averaged straight out of it — the
-// full-size plane never materializes. Sliced by downscaled output rows.
-class IdctDownscaleComponent : public hinch::Component {
- public:
-  static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    SUP_ASSIGN_OR_RETURN(int64_t factor,
-                         hinch::param_int(config.params, "factor"));
-    if (factor < 1 || factor > 256)
-      return support::invalid_argument(
-          "idct_downscale: factor must be in [1,256]");
-    int plane =
-        static_cast<int>(hinch::param_int_or(config.params, "plane", 0));
-    if (plane < 0 || plane > 2)
-      return support::invalid_argument(
-          "idct_downscale: plane must be 0, 1 or 2");
-    return std::unique_ptr<hinch::Component>(
-        new IdctDownscaleComponent(plane, static_cast<int>(factor)));
-  }
-
-  IdctDownscaleComponent(int plane, int factor)
-      : in_(declare_input("coeffs")),
-        out_(declare_output("out")),
-        plane_(plane),
-        factor_(factor) {}
-
-  void run(ExecContext& ctx) override {
-    auto img = ctx.read(in_).get<CoeffImage>();
-    SUP_CHECK_MSG(plane_ < static_cast<int>(img->comps.size()),
-                  "idct_downscale: no such component in the JPEG stream");
-    const CoeffPlane& comp = img->comps[static_cast<size_t>(plane_)];
-    const int ow = comp.width / factor_;
-    const int oh = comp.height / factor_;
-    FramePtr dst = output_stream(out_)->get_or_alloc_frame(
-        ctx.iteration(), media::PixelFormat::kGray, ow, oh);
-    int r0 = 0, r1 = 0;
-    hinch::slice_rows(oh, slice_index(), slice_count(), &r0, &r1);
-    media::jpeg::idct_downscale(comp, dst->plane(0), factor_, r0, r1);
-
-    const int b0 = (r0 * factor_) / 8;
-    const int b1 = std::min(comp.blocks_h, (r1 * factor_ + 7) / 8);
-    uint64_t row_bytes = static_cast<uint64_t>(comp.blocks_w) * 128;
-    ctx.touch_read(in_, coeff_plane_offset(*img, plane_) +
-                            static_cast<uint64_t>(b0) * row_bytes,
-                   static_cast<uint64_t>(b1 - b0) * row_bytes);
-    // One lcm(8, factor)-row pixel strip, written by the IDCT and read
-    // back by the box filter.
-    const int lcm = 8 * factor_ / std::gcd(8, factor_);
-    uint64_t strip = static_cast<uint64_t>(lcm) *
-                     static_cast<uint64_t>(comp.width);
-    ctx.touch_scratch(strip);
-    ctx.touch_scratch_read(strip);
-    uint64_t blocks =
-        static_cast<uint64_t>(b1 - b0) * static_cast<uint64_t>(comp.blocks_w);
-    ctx.charge_compute(
-        media::jpeg::idct_downscale_cycles(blocks, ow, r1 - r0, factor_));
-    charge_touch_rows(ctx, false, out_, *dst, 0, r0, r1);
-  }
-
- private:
-  int in_;
-  int out_;
-  int plane_;
-  int factor_;
-};
-
 // --- fusion pattern rewrites -------------------------------------------------
 
 const std::string* binding(const std::vector<sp::PortBinding>& bindings,
@@ -370,30 +291,6 @@ support::Result<sp::LeafSpec> rewrite_jpeg_decode_planes(
   return fused;
 }
 
-// idct -> downscale  =>  idct_downscale
-support::Result<sp::LeafSpec> rewrite_idct_downscale(
-    const std::vector<const sp::LeafSpec*>& specs) {
-  const sp::LeafSpec& idct = *specs[0];
-  const sp::LeafSpec& ds = *specs[1];
-  // The IDCT output is gray; a downscale asked to extract plane > 0
-  // from it means the wiring is not the plain chain.
-  const std::string ds_plane = param_or(ds, "plane", "-1");
-  if (ds_plane != "-1" && ds_plane != "0")
-    return unsupported("idct_downscale fusion: downscale wants plane > 0");
-  const std::string* in = binding(idct.inputs, "coeffs");
-  const std::string* out = binding(ds.outputs, "out");
-  if (!in || !out)
-    return unsupported("idct_downscale fusion: missing port binding");
-  sp::LeafSpec fused;
-  fused.instance = joined_instance(specs);
-  fused.klass = "idct_downscale";
-  fused.params = {{"plane", param_or(idct, "plane", "0")},
-                  {"factor", param_or(ds, "factor", "1")}};
-  fused.inputs = {{"coeffs", *in}};
-  fused.outputs = {{"out", *out}};
-  return fused;
-}
-
 }  // namespace
 
 void register_fused(hinch::ComponentRegistry& registry) {
@@ -401,8 +298,6 @@ void register_fused(hinch::ComponentRegistry& registry) {
                           &JpegDecodePlanesComponent::create);
   registry.register_class("downscale_blend",
                           &DownscaleBlendComponent::create);
-  registry.register_class("idct_downscale",
-                          &IdctDownscaleComponent::create);
 }
 
 const sp::KernelFusionRegistry& standard_fusions() {
@@ -415,10 +310,6 @@ const sp::KernelFusionRegistry& standard_fusions() {
     r->add({"downscale_blend",
             {"downscale", "blend"},
             &rewrite_downscale_blend,
-            /*slice_preserving=*/true});
-    r->add({"idct_downscale",
-            {"idct", "downscale"},
-            &rewrite_idct_downscale,
             /*slice_preserving=*/true});
     return r;
   }();

@@ -5,6 +5,19 @@
 #include "support/strings.hpp"
 
 namespace hinch {
+namespace {
+
+// Simulated costs of runtime-internal jobs (manager polls,
+// reconfiguration splices). Kernel costs live with the kernels.
+constexpr uint64_t kManagerPollCycles = 200;
+// Creating + initializing one component of an option being enabled
+// (charged at event detection, i.e. overlapped with execution — §3.4).
+constexpr uint64_t kComponentCreateCycles = 4000;
+// Splicing one component in/out of the quiesced subgraph.
+constexpr uint64_t kSplicePerComponentCycles = 600;
+constexpr uint64_t kSpliceBaseCycles = 400;
+
+}  // namespace
 
 Scheduler::Scheduler(Program& prog, const RunConfig& config)
     : prog_(prog), config_(config), ntasks_(prog.tasks().size()) {
@@ -243,8 +256,7 @@ void Scheduler::execute(const JobRef& job, ExecContext& ctx) {
         comps += prog_.options()[static_cast<size_t>(opt)].components.size();
       }
     }
-    ctx.charge_compute(config_.costs.splice_base_cycles +
-                       comps * config_.costs.splice_per_component_cycles);
+    ctx.charge_compute(kSpliceBaseCycles + comps * kSplicePerComponentCycles);
     return;
   }
   switch (t.kind) {
@@ -267,7 +279,7 @@ void Scheduler::poll_manager(int mgr_idx, ExecContext& ctx) {
   const ManagerInfo& info = prog_.managers()[static_cast<size_t>(mgr_idx)];
   ManagerRun& run = manager_run_[static_cast<size_t>(mgr_idx)];
   std::lock_guard<std::mutex> lock(run.mutex);
-  ctx.charge_compute(config_.costs.manager_poll_cycles);
+  ctx.charge_compute(kManagerPollCycles);
 
   EventQueue* queue = prog_.queues().find(info.queue);
   SUP_CHECK(queue != nullptr);
@@ -301,7 +313,7 @@ void Scheduler::poll_manager(int mgr_idx, ExecContext& ctx) {
               // execution, so the quiesced window stays short (§3.4).
               uint64_t n = oi.components.size();
               run.components_created += n;
-              ctx.charge_compute(n * config_.costs.component_create_cycles);
+              ctx.charge_compute(n * kComponentCreateCycles);
             }
           }
           break;

@@ -47,18 +47,6 @@
 
 namespace hinch {
 
-// Simulated-cost constants for runtime-internal jobs (manager polls,
-// reconfiguration splices). Kernel costs live with the kernels.
-struct RuntimeCosts {
-  uint64_t manager_poll_cycles = 200;
-  // Creating + initializing one component of an option being enabled
-  // (charged at event detection, i.e. overlapped with execution — §3.4).
-  uint64_t component_create_cycles = 4000;
-  // Splicing one component in/out of the quiesced subgraph.
-  uint64_t splice_per_component_cycles = 600;
-  uint64_t splice_base_cycles = 400;
-};
-
 struct JobRef {
   int task = -1;
   int64_t iter = -1;
@@ -73,7 +61,6 @@ struct RunConfig {
   // Max concurrently active iterations; clamped to the program's stream
   // depth (slot reuse would otherwise corrupt in-flight data).
   int window = 5;
-  RuntimeCosts costs;
 };
 
 struct SchedulerStats {

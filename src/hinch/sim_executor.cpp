@@ -10,6 +10,11 @@
 namespace hinch {
 namespace {
 
+// Central job queue operation costs (§4.2), zeroed together with
+// SimParams::queue_lock_cycles when sync_costs is false.
+constexpr sim::Cycles kDequeueCycles = 80;
+constexpr sim::Cycles kEnqueueCycles = 80;
+
 // Trace key for a (task, iteration) job. Manager-less programs only use
 // phase 0, so the phase needs no bits.
 uint64_t trace_key(const JobRef& job) {
@@ -61,8 +66,8 @@ class SimRun {
     task_runs_.assign(prog.tasks().size(), 0);
     if (!params_.sync_costs) {
       params_.queue_lock_cycles = 0;
-      params_.dequeue_cycles = 0;
-      params_.enqueue_cycles = 0;
+      dequeue_cycles_ = 0;
+      enqueue_cycles_ = 0;
     }
     if (obs::kTraceCompiledIn && params.trace != nullptr) {
       trace_ = params.trace;
@@ -145,7 +150,7 @@ class SimRun {
       sim::Cycles acquire = std::max(engine_.now(), queue_free_at_);
       queue_wait_ += acquire - engine_.now();
       queue_free_at_ =
-          acquire + params_.queue_lock_cycles + params_.dequeue_cycles;
+          acquire + params_.queue_lock_cycles + dequeue_cycles_;
       sim::Cycles start = queue_free_at_;
       engine_.schedule_at(start, [this, job, core] { start_job(job, core); });
     }
@@ -244,7 +249,7 @@ class SimRun {
     if (metrics_ != nullptr) publish_live();
     // The completing core enqueues its successors before going idle.
     sim::Cycles enqueue_cost =
-        params_.enqueue_cycles * static_cast<sim::Cycles>(newly.size());
+        enqueue_cycles_ * static_cast<sim::Cycles>(newly.size());
     core_busy_[static_cast<size_t>(core)] += enqueue_cost;
     engine_.schedule_after(enqueue_cost, [this, core] {
       core_idle_[static_cast<size_t>(core)] = true;
@@ -285,6 +290,8 @@ class SimRun {
   Program& prog_;
   Scheduler scheduler_;
   SimParams params_;  // platform resolved: never empty
+  sim::Cycles dequeue_cycles_ = kDequeueCycles;
+  sim::Cycles enqueue_cycles_ = kEnqueueCycles;
   sim::Engine engine_;
   std::unique_ptr<sim::MemorySystem> mem_;
   RegionTable regions_;

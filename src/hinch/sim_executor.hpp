@@ -52,11 +52,10 @@ struct SimParams {
   sim::PlatformConfig platform;
   // Cache sizes and latencies (the shape comes from `platform`).
   sim::CacheConfig cache;
-  // Central job queue costs (§4.2: parallel runs at 1 node disable all
-  // synchronization operations — set sync_costs=false to model that).
+  // Central job queue lock cost; the dequeue and enqueue costs are
+  // constants of the executor (§4.2: parallel runs at 1 node disable all
+  // synchronization operations — set sync_costs=false to zero all three).
   sim::Cycles queue_lock_cycles = 60;
-  sim::Cycles dequeue_cycles = 80;
-  sim::Cycles enqueue_cycles = 80;
   bool sync_costs = true;
   // Charge-trace capture/replay (see ChargeTrace). At most one may be
   // set; both must outlive the run.

@@ -89,17 +89,6 @@ support::Status decode_to_coefficients_into(
 void idct_component(const CoeffPlane& comp, PlaneView out, int block_row0,
                     int block_row1, IdctImpl impl = IdctImpl::kFixedPoint);
 
-// Fused phase 2 + box downscale: IDCT the blocks covering destination
-// rows [row0, row1) of the `factor`-downscaled component into an
-// L2-sized strip and box-average straight out of it — the full-size
-// plane never materializes. `dst` is the downscaled plane
-// (comp dims >= dst dims * factor). Bit-identical to idct_component
-// into a full plane followed by media::downscale_box over the same
-// rows, for either IdctImpl. Strips are aligned to the lcm(8, factor)
-// grid, so slice boundaries share no recomputation.
-void idct_downscale(const CoeffPlane& comp, PlaneView dst, int factor,
-                    int row0, int row1, IdctImpl impl = IdctImpl::kFixedPoint);
-
 // Single-block transforms, exposed for accuracy tests and microbenches.
 // Float reference: raw spatial values (caller level-shifts and clamps).
 void idct_block_float(const int16_t in[64], float out[64]);
@@ -115,11 +104,6 @@ support::Result<FramePtr> decode(const uint8_t* data, size_t size);
 uint64_t entropy_decode_cycles(size_t compressed_bytes, size_t total_blocks);
 // IDCT cost for `blocks` 8x8 blocks.
 uint64_t idct_cycles(uint64_t blocks);
-// Fused IDCT + downscale cost: both stages' arithmetic; the elided
-// intermediate store/load is the cache model's to account for (same
-// convention as media::downscale_blend_cycles).
-uint64_t idct_downscale_cycles(uint64_t blocks, int out_width, int out_rows,
-                               int factor);
 // FDCT + quantization + entropy coding cost.
 uint64_t encode_cycles(uint64_t blocks, size_t compressed_bytes);
 

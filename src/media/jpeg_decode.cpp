@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "media/jpeg.hpp"
 #include "media/jpeg_common.hpp"
@@ -918,16 +917,9 @@ support::Result<CoeffImage> decode_to_coefficients(const uint8_t* data,
   return img;
 }
 
-namespace {
-
-// Shared IDCT body of idct_component and idct_downscale: transform
-// block rows [block_row0, block_row1) into `out`, whose row 0 is
-// source pixel row `row_base` (always a multiple of 8). `out` must
-// cover the clipped pixel rows of those blocks. Identical arithmetic
-// regardless of row_base, so the strip-buffered fused path is
-// bit-identical to the full-plane path.
-void idct_block_rows(const CoeffPlane& comp, PlaneView out, int block_row0,
-                     int block_row1, int row_base, IdctImpl impl) {
+void idct_component(const CoeffPlane& comp, PlaneView out, int block_row0,
+                    int block_row1, IdctImpl impl) {
+  SUP_CHECK(out.width == comp.width && out.height == comp.height);
   if (block_row0 < 0) block_row0 = 0;
   if (block_row1 > comp.blocks_h) block_row1 = comp.blocks_h;
   if (impl == IdctImpl::kFloatReference) {
@@ -940,7 +932,7 @@ void idct_block_rows(const CoeffPlane& comp, PlaneView out, int block_row0,
         const int y_end = std::min(8, comp.height - by * 8);
         const int x_end = std::min(8, comp.width - bx * 8);
         for (int y = 0; y < y_end; ++y) {
-          uint8_t* row = out.row(by * 8 + y - row_base) + bx * 8;
+          uint8_t* row = out.row(by * 8 + y) + bx * 8;
           for (int x = 0; x < x_end; ++x) {
             int v = static_cast<int>(std::lround(pixels[y * 8 + x])) + 128;
             row[x] = static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
@@ -960,7 +952,7 @@ void idct_block_rows(const CoeffPlane& comp, PlaneView out, int block_row0,
   for (int by = block_row0; by < block_row1; ++by) {
     const int y_end = std::min(8, comp.height - by * 8);
     if (y_end <= 0) continue;
-    uint8_t* row0 = out.row(by * 8 - row_base);
+    uint8_t* row0 = out.row(by * 8);
     for (int bx = 0; bx < comp.blocks_w; ++bx) {
       const int x_end = std::min(8, comp.width - bx * 8);
       if (x_end <= 0) continue;  // padding block right of the plane
@@ -972,59 +964,9 @@ void idct_block_rows(const CoeffPlane& comp, PlaneView out, int block_row0,
       }
       ops->idct8x8(block, prescale, pixels, 8);
       for (int y = 0; y < y_end; ++y)
-        std::memcpy(out.row(by * 8 + y - row_base) + bx * 8, pixels + y * 8,
+        std::memcpy(out.row(by * 8 + y) + bx * 8, pixels + y * 8,
                     static_cast<size_t>(x_end));
     }
-  }
-}
-
-}  // namespace
-
-void idct_component(const CoeffPlane& comp, PlaneView out, int block_row0,
-                    int block_row1, IdctImpl impl) {
-  SUP_CHECK(out.width == comp.width && out.height == comp.height);
-  idct_block_rows(comp, out, block_row0, block_row1, /*row_base=*/0, impl);
-}
-
-void idct_downscale(const CoeffPlane& comp, PlaneView dst, int factor,
-                    int row0, int row1, IdctImpl impl) {
-  SUP_CHECK(factor >= 1);
-  SUP_CHECK(comp.width >= dst.width * factor);
-  SUP_CHECK(comp.height >= dst.height * factor);
-  row0 = std::max(row0, 0);
-  row1 = std::min(row1, dst.height);
-  if (row0 >= row1) return;
-  // Strip chunks aligned to the lcm(8, factor) source-row grid: chunk
-  // boundaries coincide with block-row boundaries, so consecutive
-  // chunks (and adjacent slices) never re-IDCT a block row.
-  const int lcm = 8 * factor / std::gcd(8, factor);
-  const int chunk_out_rows = lcm / factor;
-  std::vector<uint8_t> strip;
-  for (int oy = row0; oy < row1;) {
-    const int chunk_begin = (oy / chunk_out_rows) * chunk_out_rows;
-    const int a = std::max(oy, chunk_begin);
-    const int b = std::min(row1, chunk_begin + chunk_out_rows);
-    const int src_a = a * factor;          // first source row needed
-    const int src_b = b * factor;          // one past the last
-    const int block_row0 = src_a / 8;      // floor
-    const int block_row1 = (src_b + 7) / 8;
-    const int strip_base = block_row0 * 8;
-    const int strip_rows =
-        std::min(block_row1 * 8, comp.height) - strip_base;
-    strip.resize(static_cast<size_t>(strip_rows) *
-                 static_cast<size_t>(comp.width));
-    PlaneView sv{strip.data(), comp.width, strip_rows, comp.width};
-    idct_block_rows(comp, sv, block_row0, block_row1, strip_base, impl);
-    // Box-average rows [a, b) of dst straight out of the strip: shifted
-    // sub-views line the row indices up so the shared downscale kernel
-    // (and its dispatch tiers) runs unchanged.
-    ConstPlaneView strip_src{
-        strip.data() +
-            static_cast<ptrdiff_t>(src_a - strip_base) * comp.width,
-        comp.width, src_b - src_a, comp.width};
-    PlaneView dst_rows{dst.row(a), dst.width, b - a, dst.stride};
-    downscale_box(strip_src, dst_rows, factor, 0, b - a);
-    oy = b;
   }
 }
 
@@ -1051,15 +993,6 @@ uint64_t idct_cycles(uint64_t blocks) {
   // Separable 8-point IDCT: ~480 multiply-accumulates + clamp per block.
   // Simulated-core cost; frozen independently of the host implementation.
   return blocks * 520;
-}
-
-uint64_t idct_downscale_cycles(uint64_t blocks, int out_width, int out_rows,
-                               int factor) {
-  // Both stages' arithmetic; the elided full-size intermediate plane is
-  // the cache model's to account for (same convention as
-  // media::downscale_blend_cycles).
-  return idct_cycles(blocks) +
-         downscale_cycles(out_width, out_rows, factor);
 }
 
 }  // namespace media::jpeg

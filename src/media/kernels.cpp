@@ -10,7 +10,7 @@
 // Hot-path structure: every kernel splits border columns/rows from the
 // interior so the inner loops run clamp-free on hoisted row pointers;
 // the interiors themselves go through the KernelOps dispatch table
-// (scalar / SSE2 / AVX2 / NEON, kernels_simd.hpp). All tiers must stay
+// (scalar / AVX2 / NEON, kernels_simd.hpp). All tiers must stay
 // bit-identical to the straightforward scalar formulation
 // (tests/test_kernels_equiv.cpp pins them against unoptimized references
 // and against each other); the `*_cycles` companions model the simulated
@@ -163,8 +163,6 @@ const detail::KernelOps* resolve(KernelDispatch d) {
   switch (d) {
     case KernelDispatch::kScalar:
       return &kScalarOps;
-    case KernelDispatch::kSse2:
-      return f.sse2 ? detail::sse2_ops() : nullptr;
     case KernelDispatch::kAvx2:
       return f.avx2 ? detail::avx2_ops() : nullptr;
     case KernelDispatch::kNeon:
@@ -174,8 +172,6 @@ const detail::KernelOps* resolve(KernelDispatch d) {
         if (const detail::KernelOps* t = detail::avx2_ops()) return t;
       if (f.neon)
         if (const detail::KernelOps* t = detail::neon_ops()) return t;
-      if (f.sse2)
-        if (const detail::KernelOps* t = detail::sse2_ops()) return t;
       return &kScalarOps;
     }
   }
@@ -227,8 +223,6 @@ const char* kernel_dispatch_name(KernelDispatch dispatch) {
       return "auto";
     case KernelDispatch::kScalar:
       return "scalar";
-    case KernelDispatch::kSse2:
-      return "sse2";
     case KernelDispatch::kAvx2:
       return "avx2";
     case KernelDispatch::kNeon:

@@ -27,7 +27,6 @@ namespace media {
 enum class KernelDispatch {
   kAuto,    // probe support::cpu_features() and take the best tier
   kScalar,  // portable reference (also forced by HINCH_FORCE_SCALAR)
-  kSse2,    // 128-bit x86
   kAvx2,    // 256-bit x86
   kNeon,    // 128-bit AArch64
 };

@@ -1,9 +1,10 @@
 // AVX2 tier of the media kernel dispatch table (kernels_simd.hpp).
 //
-// Byte kernels: 256-bit versions of the SSE2 scheme — widen u8 -> u16
-// with per-lane unpacks, do the exact scalar arithmetic in 16-bit lanes
-// (accumulators proven <= 65408), pack back with the mirrored per-lane
-// pack so byte order is preserved without cross-lane shuffles.
+// Byte kernels: widen u8 -> u16 with per-lane unpacks, do the exact
+// fixed-point arithmetic of the scalar reference in 16-bit lanes (every
+// accumulator is proven <= 65408, so u16 never wraps), shift, and pack
+// back with the mirrored per-lane pack so byte order is preserved
+// without cross-lane shuffles.
 //
 // IDCT: the full fixed-point AAN flowgraph in int32 lanes, one lane per
 // column (pass 1) / per row (pass 2, after an 8x8 transpose). aan_mul is

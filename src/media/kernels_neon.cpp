@@ -1,10 +1,11 @@
 // NEON (AArch64) tier of the media kernel dispatch table.
 //
-// Byte kernels only, mirroring the SSE2 scheme: widen u8 -> u16, do the
-// exact scalar fixed-point arithmetic in 16-bit lanes (accumulators
-// proven <= 65408, so u16 never wraps), narrow back. The IDCT stays on
-// the scalar implementation; the AVX2 TU documents what an exact vector
-// AAN needs. Internal linkage throughout, same ODR rules as the x86 TUs.
+// Byte kernels only: widen u8 -> u16, do the exact fixed-point
+// arithmetic of the scalar reference in 16-bit lanes (every accumulator
+// is proven <= 65408, so u16 never wraps), shift and narrow back. The
+// IDCT stays on the scalar implementation; the AVX2 TU documents what an
+// exact vector AAN needs. Internal linkage throughout, same ODR rules as
+// the AVX2 TU.
 #include "media/kernels_simd.hpp"
 
 #if defined(__aarch64__) || defined(__ARM_NEON)

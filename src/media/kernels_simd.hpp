@@ -1,6 +1,6 @@
 // Internal dispatch table behind media's runtime-selected kernel tiers.
 //
-// Each tier (scalar / SSE2 / AVX2 / NEON) fills one KernelOps with row
+// Each tier (scalar / AVX2 / NEON) fills one KernelOps with row
 // kernels for the interiors the public entry points in kernels.cpp carve
 // out; borders and ragged vector tails always run the scalar
 // formulation, so every tier is bit-identical by construction at the
@@ -59,7 +59,6 @@ struct KernelOps {
 // Per-tier tables. scalar_ops() always exists; the others return nullptr
 // when the translation unit was built without that instruction set.
 const KernelOps* scalar_ops();
-const KernelOps* sse2_ops();
 const KernelOps* avx2_ops();
 const KernelOps* neon_ops();
 

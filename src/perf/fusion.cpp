@@ -7,6 +7,27 @@
 #include "hinch/runtime.hpp"
 
 namespace perf {
+namespace {
+
+// Share of the L2 the parked link packets may occupy before the model
+// calls the link thrashing. Half leaves room for the working set the
+// components themselves touch.
+constexpr double kLinkL2Share = 0.5;
+
+// Compute cycles per byte moved across a link, pricing the serialization
+// loss of a fused chain. This is the scalar tier's rate on the simulated
+// core: fusion decisions are part of the simulated program, so they never
+// depend on the kernel tier of the host that compiles it.
+constexpr double kChainCyclesPerByte = 4.0;
+
+// Issue-rate penalty of a fused loop, per cache chunk of link data: the
+// fused body keeps both stages' live values in registers at once, which
+// costs spills/restores the separate loops do not pay. Small next to
+// the L2-vs-memory delta (448 cycles/chunk on the default config), so
+// it only tips marginal candidates.
+constexpr double kFusedRegPressureCyclesPerChunk = 8.0;
+
+}  // namespace
 
 support::Result<StreamBytes> measure_stream_slot_bytes(
     const sp::Node& root, const hinch::ComponentRegistry& registry,
@@ -37,7 +58,7 @@ bool fusion_wins(const FusionModel& model, uint64_t link_bytes,
   // fusion has nothing to save.
   const double parked =
       static_cast<double>(model.window) * static_cast<double>(link_bytes);
-  if (parked <= model.l2_share * static_cast<double>(model.cache.l2_bytes))
+  if (parked <= kLinkL2Share * static_cast<double>(model.cache.l2_bytes))
     return false;
   // Overflowed: each consumer read of the link data is a memory fetch
   // instead of an L2 hit. Fusing keeps the data cache-warm, saving the
@@ -53,8 +74,7 @@ bool fusion_wins(const FusionModel& model, uint64_t link_bytes,
   // the forfeited parallelism would have absorbed.
   const int par =
       std::max(1, std::min(model.cores, lost_parallelism));
-  const double work =
-      model.cycles_per_byte * static_cast<double>(link_bytes);
+  const double work = kChainCyclesPerByte * static_cast<double>(link_bytes);
   const double loss = work * (1.0 - 1.0 / static_cast<double>(par));
   return saving > loss;
 }
@@ -71,33 +91,6 @@ sp::FusionAdvisor make_fusion_advisor(StreamBytes bytes, FusionModel model) {
   };
 }
 
-double dispatch_cycles_per_byte(media::KernelDispatch dispatch) {
-  if (dispatch == media::KernelDispatch::kAuto)
-    dispatch = media::active_kernel_dispatch();
-  switch (dispatch) {
-    case media::KernelDispatch::kAvx2:
-      return 1.0;  // 256-bit lanes: ~4x the scalar pixel throughput
-    case media::KernelDispatch::kSse2:
-    case media::KernelDispatch::kNeon:
-      return 2.0;  // 128-bit lanes
-    case media::KernelDispatch::kAuto:
-    case media::KernelDispatch::kScalar:
-      break;
-  }
-  return 4.0;  // the scalar reference — and the FusionModel default
-}
-
-namespace {
-
-// Issue-rate penalty of a fused loop, per cache chunk of link data: the
-// fused body keeps both stages' live values in registers at once, which
-// costs spills/restores the separate loops do not pay. Small next to
-// the L2-vs-memory delta (448 cycles/chunk on the default config), so
-// it only tips marginal candidates.
-constexpr double kFusedRegPressureCyclesPerChunk = 8.0;
-
-}  // namespace
-
 bool kernel_fusion_wins(const FusionModel& model, uint64_t link_bytes,
                         int lost_parallelism) {
   if (link_bytes == 0) return false;
@@ -109,7 +102,7 @@ bool kernel_fusion_wins(const FusionModel& model, uint64_t link_bytes,
   const double parked =
       static_cast<double>(model.window) * static_cast<double>(link_bytes);
   const bool thrashing =
-      parked > model.l2_share * static_cast<double>(model.cache.l2_bytes);
+      parked > kLinkL2Share * static_cast<double>(model.cache.l2_bytes);
   const double per_chunk = static_cast<double>(
       thrashing ? model.cache.mem_cycles_per_chunk
                 : model.cache.l2_cycles_per_chunk);
@@ -118,7 +111,7 @@ bool kernel_fusion_wins(const FusionModel& model, uint64_t link_bytes,
   const int par = std::max(1, std::min(model.cores, lost_parallelism));
   const double loss =
       kFusedRegPressureCyclesPerChunk * chunks +
-      model.cycles_per_byte * static_cast<double>(link_bytes) *
+      kChainCyclesPerByte * static_cast<double>(link_bytes) *
           (1.0 - 1.0 / static_cast<double>(par));
   return saving > loss;
 }

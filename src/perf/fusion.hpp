@@ -15,7 +15,6 @@
 #include <string>
 
 #include "hinch/registry.hpp"
-#include "media/kernels.hpp"
 #include "sim/cache.hpp"
 #include "sp/fuse.hpp"
 #include "support/status.hpp"
@@ -27,28 +26,7 @@ struct FusionModel {
   sim::CacheConfig cache;  // the simulated hierarchy (§4.1's L2 regime)
   int cores = 1;           // parallelism fusion would actually forfeit
   int window = 5;          // stream depth: packets in flight per link
-  // Share of the L2 the parked link packets may occupy before the model
-  // calls the link thrashing. Half leaves room for the working set the
-  // components themselves touch.
-  double l2_share = 0.5;
-  // Fallback estimate of compute cycles per byte moved across the link,
-  // used to price the serialization loss of the fused chain. The scalar
-  // tier's 4.0 is the default so simulated decisions stay
-  // host-independent; dispatch_cycles_per_byte() derives the value for
-  // a vector tier when the caller wants the host's actual throughput
-  // priced in (see that function's contract).
-  double cycles_per_byte = 4.0;
 };
-
-// Compute-cycles-per-byte estimate for a kernel dispatch tier: the
-// scalar reference moves ~4 cycles/byte through a pixel chain; the
-// vector tiers amortize the same work over wider lanes, so giving up
-// their parallelism costs proportionally less. kAuto resolves through
-// media::active_kernel_dispatch(). NOTE: feeding a host-derived tier
-// into FusionModel makes fusion *decisions* depend on the machine the
-// advisor ran on — fine for live tuning (the adaptation path), wrong
-// for the committed figure benches, which must keep the scalar default.
-double dispatch_cycles_per_byte(media::KernelDispatch dispatch);
 
 // Per-stream high-water packet bytes, keyed by elaborated stream name.
 using StreamBytes = std::map<std::string, uint64_t>;

@@ -395,10 +395,49 @@ void MemorySystem::release_region_flat(RegionId /*id*/, Region& region_info) {
 
 // ---- shared surface ---------------------------------------------------------
 
+namespace {
+
+uint64_t sat_add(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_add_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+uint64_t sat_mul(uint64_t a, uint64_t b) {
+  uint64_t r;
+  return __builtin_mul_overflow(a, b, &r) ? UINT64_MAX : r;
+}
+
+}  // namespace
+
+uint64_t MemorySystem::directory_bytes(const CacheConfig& config,
+                                       const PlatformConfig& platform) {
+  SUP_CHECK(config.chunk_bytes > 0);
+  // Same node capacity as the constructor: summed capacities + 2.
+  uint64_t nodes = 2;
+  for (const TileSpec& t : platform.tiles) {
+    const uint64_t l2 = t.l2_bytes != 0 ? t.l2_bytes : config.l2_bytes;
+    nodes = sat_add(nodes, l2 / config.chunk_bytes);
+    nodes = sat_add(nodes, sat_mul(static_cast<uint64_t>(t.cores),
+                                   config.l1_bytes / config.chunk_bytes));
+  }
+  const uint64_t caches = static_cast<uint64_t>(platform.total_cores()) +
+                          static_cast<uint64_t>(platform.tile_count());
+  const uint64_t mask_words = (caches + 63) / 64;
+  uint64_t per_node = caches * sizeof(Links) + sizeof(DirNode) +
+                      sizeof(int32_t);  // free-list entry
+  if (mask_words > 1) per_node += mask_words * sizeof(uint64_t);
+  // The hash table rounds 2 slots per node up to a power of two: at most
+  // 4 slots per node.
+  const uint64_t hash = sat_mul(sat_mul(nodes, 4), sizeof(HashSlot));
+  return sat_add(sat_mul(nodes, per_node), hash);
+}
+
 MemorySystem::MemorySystem(const CacheConfig& config,
                            const PlatformConfig& platform)
     : config_(config) {
   platform.check();
+  SUP_CHECK_MSG(directory_bytes(config, platform) <= kMaxDirectoryBytes,
+                "platform exceeds the cache model's kMaxDirectoryBytes");
   num_cores_ = platform.total_cores();
   num_tiles_ = platform.tile_count();
   tile_of_core_ = platform.tile_map();

@@ -119,11 +119,27 @@ struct RegionStats {
   uint64_t l2_invalidations = 0;
 };
 
+// Upper bound on the cache model's directory for one platform. The flat
+// engine allocates its directory up front, and its LRU links alone take
+// (cores + tiles) x (summed L2 chunks + L1 chunks) entries, so a platform
+// with many tiles or a huge L2 would exhaust memory before the first
+// access. 1 GiB admits every platform of at most kMaxCores cores on one
+// tile with the default L2; the largest committed ones
+// (specs/platform_256.xml, bench_platform's 256-core tile) need ~45 MB.
+inline constexpr uint64_t kMaxDirectoryBytes = uint64_t{1} << 30;
+
 class MemorySystem {
  public:
   // `platform` must be non-empty (PlatformConfig::homogeneous(1, n) is
-  // the single-tile machine of n cores); it is check()ed here.
+  // the single-tile machine of n cores); it is check()ed here, and its
+  // directory_bytes must not exceed kMaxDirectoryBytes.
   MemorySystem(const CacheConfig& config, const PlatformConfig& platform);
+
+  // Bytes the flat engine's directory takes for `platform` under
+  // `config`, saturating at UINT64_MAX. The XML platform loader reports
+  // the kMaxDirectoryBytes bound with a position.
+  static uint64_t directory_bytes(const CacheConfig& config,
+                                  const PlatformConfig& platform);
 
   // Register a buffer the simulated application will touch. `label` is
   // kept for the per-region statistics dump.

@@ -7,16 +7,9 @@ namespace support {
 
 CpuFeatures probe_cpu_features() {
   CpuFeatures f;
-#if defined(__x86_64__) || defined(_M_X64)
-  f.sse2 = true;  // architectural baseline on x86-64
+#if defined(__x86_64__) || defined(_M_X64) || defined(__i386__)
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_cpu_init();
-  f.avx2 = __builtin_cpu_supports("avx2") != 0;
-#endif
-#elif defined(__i386__)
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_cpu_init();
-  f.sse2 = __builtin_cpu_supports("sse2") != 0;
   f.avx2 = __builtin_cpu_supports("avx2") != 0;
 #endif
 #elif defined(__aarch64__)

@@ -14,7 +14,6 @@
 namespace support {
 
 struct CpuFeatures {
-  bool sse2 = false;  // x86-64 baseline
   bool avx2 = false;
   bool neon = false;  // aarch64 baseline
 };

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <map>
 
+#include "sim/cache.hpp"
 #include "support/strings.hpp"
 #include "xml/parser.hpp"
 
@@ -148,6 +149,18 @@ support::Result<sim::PlatformConfig> parse_platform(const xml::Element& root) {
                                       sim::kMaxCores));
       platform.tiles.insert(platform.tiles.end(), static_cast<size_t>(count),
                             tile);
+      // The running platform under the default cache geometry, which is
+      // the one xspclc simulates with.
+      const uint64_t dir =
+          sim::MemorySystem::directory_bytes(sim::CacheConfig{}, platform);
+      if (dir > sim::kMaxDirectoryBytes)
+        return err_at(el.position(),
+                      support::format(
+                          "platform needs %llu MiB of cache-model directory "
+                          "(tiles x per-tile L2), above the %llu MiB bound",
+                          static_cast<unsigned long long>(dir >> 20),
+                          static_cast<unsigned long long>(
+                              sim::kMaxDirectoryBytes >> 20)));
     } else {
       return err_at(el.position(),
                     "unknown element <" + el.name() +

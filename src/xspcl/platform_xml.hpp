@@ -11,7 +11,9 @@
 // <coreclass> is optional (omitted = one baseline class, multiplier 1);
 // <tile count="K"> repeats the tile K times; l2_bytes="0"/omitted uses
 // the CacheConfig default (16 MiB). A tile's cores, its count and the
-// platform's total cores are each bounded by sim::kMaxCores.
+// platform's total cores are each bounded by sim::kMaxCores, and the
+// cache model's directory for the platform (under the default
+// CacheConfig) by sim::kMaxDirectoryBytes.
 //
 // All structural errors — an attribute an element does not know
 // included — are reported as positioned diagnostics

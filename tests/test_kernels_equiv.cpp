@@ -285,63 +285,6 @@ TEST(SliceInvariance, AllKernelsReproduceFullRangeRun) {
   }
 }
 
-// --- fused-loop kernels vs their compositions --------------------------------
-//
-// The fuse-kernels pass swaps component chains for these fused loops,
-// so each must be bit-identical to the composition it replaces — over
-// ragged sizes, any slice partition, and (for the IDCT) both impls.
-
-TEST(FusedIdctDownscale, MatchesCompositionBothImpls) {
-  media::SynthSpec spec{.seed = 920, .width = 88, .height = 56,
-                        .format = PixelFormat::kGray};
-  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 0), 80);
-  ASSERT_TRUE(bytes.is_ok());
-  auto coeffs = media::jpeg::decode_to_coefficients(bytes.value().data(),
-                                                    bytes.value().size());
-  ASSERT_TRUE(coeffs.is_ok());
-  const media::jpeg::CoeffPlane& y = coeffs.value().comps[0];
-  for (auto impl : {media::jpeg::IdctImpl::kFixedPoint,
-                    media::jpeg::IdctImpl::kFloatReference}) {
-    Frame full(PixelFormat::kGray, y.width, y.height);
-    media::jpeg::idct_component(y, full.plane(0), 0, y.blocks_h, impl);
-    for (int factor : {1, 2, 3, 4}) {
-      const int ow = y.width / factor, oh = y.height / factor;
-      Frame ref(PixelFormat::kGray, ow, oh), opt(PixelFormat::kGray, ow, oh);
-      media::downscale_box(full.plane(0), ref.plane(0), factor, 0, oh);
-      media::jpeg::idct_downscale(y, opt.plane(0), factor, 0, oh, impl);
-      EXPECT_TRUE(ref.equals(opt)) << "factor=" << factor << " impl="
-                                   << static_cast<int>(impl);
-    }
-  }
-}
-
-TEST(FusedIdctDownscale, SliceInvariant) {
-  // Strips align to the lcm(8, factor) grid, so any destination-row
-  // partition — including single rows — must be bit-identical to the
-  // whole run.
-  media::SynthSpec spec{.seed = 921, .width = 96, .height = 72,
-                        .format = PixelFormat::kGray};
-  auto bytes = media::jpeg::encode(*media::make_synth_frame(spec, 1), 85);
-  ASSERT_TRUE(bytes.is_ok());
-  auto coeffs = media::jpeg::decode_to_coefficients(bytes.value().data(),
-                                                    bytes.value().size());
-  ASSERT_TRUE(coeffs.is_ok());
-  const media::jpeg::CoeffPlane& y = coeffs.value().comps[0];
-  for (int factor : {2, 3, 4}) {
-    const int oh = y.height / factor;
-    for (int slices : {2, 5, oh}) {
-      Frame full(PixelFormat::kGray, y.width / factor, oh),
-          sliced(PixelFormat::kGray, y.width / factor, oh);
-      expect_slice_invariant(
-          oh, slices,
-          [&](Frame& d, int r0, int r1) {
-            media::jpeg::idct_downscale(y, d.plane(0), factor, r0, r1);
-          },
-          full, sliced);
-    }
-  }
-}
-
 // --- Huffman engine equivalence ---------------------------------------------
 
 TEST(HuffmanEngines, TableDrivenMatchesBitSerial) {
@@ -556,8 +499,7 @@ class DispatchGuard {
 
 std::vector<media::KernelDispatch> available_vector_tiers() {
   std::vector<media::KernelDispatch> out;
-  for (auto d : {media::KernelDispatch::kSse2, media::KernelDispatch::kAvx2,
-                 media::KernelDispatch::kNeon})
+  for (auto d : {media::KernelDispatch::kAvx2, media::KernelDispatch::kNeon})
     if (media::kernel_dispatch_available(d)) out.push_back(d);
   return out;
 }
@@ -575,8 +517,7 @@ TEST(VectorTiers, DispatchStateIsSane) {
   }
   EXPECT_EQ(media::kernel_dispatch(), media::KernelDispatch::kAuto);
   // Requesting an unavailable tier must run scalar, not crash.
-  for (auto d : {media::KernelDispatch::kSse2, media::KernelDispatch::kAvx2,
-                 media::KernelDispatch::kNeon}) {
+  for (auto d : {media::KernelDispatch::kAvx2, media::KernelDispatch::kNeon}) {
     if (media::kernel_dispatch_available(d)) continue;
     DispatchGuard g(d);
     EXPECT_EQ(media::active_kernel_dispatch(),

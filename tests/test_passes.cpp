@@ -670,18 +670,6 @@ TEST(KernelFusionModel, SerializationLossDeclinesOnManyCores) {
   EXPECT_TRUE(perf::kernel_fusion_wins(model, 4 << 20, 1));
 }
 
-TEST(KernelFusionModel, VectorTiersShrinkTheSerializationLoss) {
-  // Same candidate, cheaper cycles/byte: the forfeited compute costs
-  // less, so a faster dispatch tier can flip a marginal decline to a
-  // win. At 1.0 cyc/byte (AVX2): loss = 8*4096 + 4 MiB * 0.75 =
-  // ~3.18 Mcyc vs saving 2*4096*640 = ~5.24 Mcyc (thrashing).
-  perf::FusionModel model;
-  model.cores = 4;
-  model.cycles_per_byte = perf::dispatch_cycles_per_byte(
-      media::KernelDispatch::kAvx2);
-  EXPECT_TRUE(perf::kernel_fusion_wins(model, 4 << 20, 4));
-}
-
 TEST(KernelFusionModel, AdvisorDeclinesUnmeasuredStreams) {
   perf::StreamBytes bytes;
   bytes["hot"] = 1 << 20;
@@ -695,25 +683,6 @@ TEST(KernelFusionModel, AdvisorDeclinesUnmeasuredStreams) {
   sp::FusionCandidate unknown;
   unknown.link_streams = {"never_measured"};
   EXPECT_FALSE(advisor(unknown));
-}
-
-TEST(DispatchCyclesPerByte, TierPins) {
-  // The scalar reference is the FusionModel default; vector tiers scale
-  // with lane width. These are contract pins — the committed figure
-  // benches depend on the scalar default staying put.
-  EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kScalar),
-            4.0);
-  EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kSse2),
-            2.0);
-  EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kNeon),
-            2.0);
-  EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kAvx2),
-            1.0);
-  EXPECT_EQ(perf::FusionModel{}.cycles_per_byte, 4.0);
-  // kAuto resolves through the active dispatch, never returns a value
-  // for "auto" itself.
-  EXPECT_EQ(perf::dispatch_cycles_per_byte(media::KernelDispatch::kAuto),
-            perf::dispatch_cycles_per_byte(media::active_kernel_dispatch()));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // heterogeneous-platform determinism (run-twice, engine equivalence,
 // charge-trace replay, a golden cycle snapshot), the 256-core wide-mask
 // regime, the capacity-normalized utilization fix, and the executor's
-// guards on the core count.
+// guards on the core count and the cache model's directory size.
 #include <gtest/gtest.h>
 
 #include "bench/bench_util.hpp"
@@ -133,6 +133,11 @@ TEST(PlatformXml, PositionedParseErrors) {
       {"<platform>\n  <tile cores=\"1000\"/>\n"
        "  <tile cores=\"16\" count=\"2\"/>\n</platform>",
        "at 3:3: platform exceeds kMaxCores (1024) cores"},
+      {"<platform>\n  <tile cores=\"1\" count=\"1024\"/>\n</platform>",
+       "at 2:3: platform needs 268101 MiB of cache-model directory"},
+      {"<platform>\n  <tile cores=\"1\" l2_bytes=\"1099511627776\"/>\n"
+       "</platform>",
+       "at 2:3: platform needs 118784 MiB of cache-model directory"},
       {"<platform topology=\"mesh\" mesh_width=\"-1\"><tile cores=\"1\"/>"
        "</platform>",
        "at 1:1: mesh_width must be in [0, 1024]"},
@@ -322,6 +327,22 @@ TEST(SimGuards, CoresConflictingWithPlatformAborts) {
   hinch::SimParams too_many;
   too_many.cores = sim::kMaxCores + 1;
   EXPECT_DEATH(hinch::run_on_sim(*prog, run, too_many), "kMaxCores");
+}
+
+// The XML loader's directory bound guards platforms built in code too,
+// before the cache model allocates anything. Every platform of at most
+// kMaxCores cores on one default tile fits, and the committed 256-core
+// platform needs a few dozen MB.
+TEST(SimGuards, DirectoryBoundAborts) {
+  const sim::CacheConfig cache;
+  EXPECT_LE(sim::MemorySystem::directory_bytes(
+                cache, sim::PlatformConfig::homogeneous(1, sim::kMaxCores)),
+            sim::kMaxDirectoryBytes);
+  EXPECT_LT(sim::MemorySystem::directory_bytes(cache, load_platform(k256Spec)),
+            uint64_t{64} << 20);
+  EXPECT_DEATH(
+      sim::MemorySystem(cache, sim::PlatformConfig::homogeneous(1024, 1)),
+      "kMaxDirectoryBytes");
 }
 
 }  // namespace

@@ -308,25 +308,20 @@ TEST(Json, AcceptsDeeplyNestedArrays) {
 TEST(Cpu, ProbeIsConsistent) {
   support::CpuFeatures f = support::probe_cpu_features();
 #if defined(__x86_64__) || defined(_M_X64)
-  EXPECT_TRUE(f.sse2);  // x86-64 architectural baseline
   EXPECT_FALSE(f.neon);
 #elif defined(__aarch64__)
   EXPECT_TRUE(f.neon);
-  EXPECT_FALSE(f.sse2);
   EXPECT_FALSE(f.avx2);
 #endif
-  if (f.avx2) EXPECT_TRUE(f.sse2);  // AVX2 implies the baseline
 }
 
 TEST(Cpu, ForceScalarZeroesCachedFeatures) {
   const support::CpuFeatures& f = support::cpu_features();
   if (support::force_scalar_env()) {
-    EXPECT_FALSE(f.sse2);
     EXPECT_FALSE(f.avx2);
     EXPECT_FALSE(f.neon);
   } else {
     support::CpuFeatures raw = support::probe_cpu_features();
-    EXPECT_EQ(f.sse2, raw.sse2);
     EXPECT_EQ(f.avx2, raw.avx2);
     EXPECT_EQ(f.neon, raw.neon);
   }
