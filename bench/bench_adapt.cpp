@@ -29,8 +29,8 @@
 //
 // Usage: bench_adapt [--smoke] [output.json]  (default ./BENCH_adapt.json)
 //   --smoke            shrink the run for CI (same checks)
-//   --trace[=f.json]   Chrome trace of the hysteresis leg
-//                      (default bench_adapt_trace.json; always written)
+// Always writes the hysteresis leg's Chrome trace to
+// ./bench_adapt_trace.json.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -38,7 +38,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "obs/chrome_export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -196,14 +198,10 @@ void write_json(const std::string& path, const AdaptScale& s,
 
 int main(int argc, char** argv) {
   std::string out = "BENCH_adapt.json";
-  std::string trace_path =
-      bench::parse_trace_flag(argc, argv, "bench_adapt_trace.json");
-  if (trace_path.empty()) trace_path = "bench_adapt_trace.json";
+  const std::string trace_path = "bench_adapt_trace.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       g_smoke = true;
-    else if (std::strncmp(argv[i], "--trace", 7) == 0)
-      ;  // handled by parse_trace_flag
     else
       out = argv[i];
   }

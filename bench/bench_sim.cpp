@@ -301,13 +301,9 @@ void bench_fig8_suite() {
 
 int main(int argc, char** argv) {
   std::string out = "BENCH_sim.json";
-  std::string trace_path =
-      bench::parse_trace_flag(argc, argv, "bench_sim_trace.json");
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0)
       g_smoke = true;
-    else if (std::strncmp(argv[i], "--trace", 7) == 0)
-      ;  // handled by parse_trace_flag
     else
       out = argv[i];
   }
@@ -317,13 +313,6 @@ int main(int argc, char** argv) {
   bench_engine();
   bench_fig8_suite();
   g_report.write_json(out);
-
-  if (!trace_path.empty()) {
-    apps::PipConfig c = bench::paper_pip(1);
-    if (g_smoke) c.frames = 8;
-    bench::write_sim_trace(apps::pip_xspcl(c), c.frames, /*cores=*/2,
-                           trace_path);
-  }
 
   if (!g_smoke) {
     // Acceptance bars: >=3x on the chunk-access microbench, >=2x on the

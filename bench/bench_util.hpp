@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -23,8 +24,6 @@
 #include "components/clip_cache.hpp"
 #include "components/components.hpp"
 #include "hinch/runtime.hpp"
-#include "obs/chrome_export.hpp"
-#include "obs/trace.hpp"
 #include "support/strings.hpp"
 #include "xspcl/loader.hpp"
 
@@ -72,6 +71,36 @@ inline apps::BlurConfig paper_blur(int kernel, bool reconfigurable = false) {
   c.reconfigurable = reconfigurable;
   c.toggle_period = 12;
   return c;
+}
+
+// The six rows of Figs. 8 and 9 in the paper's order (PiP-1, PiP-2,
+// JPiP-1, JPiP-2, Blur-3, Blur-5), each with its XSPCL spec, frame count
+// and hand-written sequential version, all at paper scale.
+struct PaperRow {
+  std::string name;
+  std::string spec;
+  int64_t frames;
+  std::function<apps::SeqResult()> seq;
+};
+
+inline std::vector<PaperRow> paper_rows() {
+  std::vector<PaperRow> rows;
+  for (int pips : {1, 2}) {
+    apps::PipConfig c = paper_pip(pips);
+    rows.push_back({"PiP-" + std::to_string(pips), apps::pip_xspcl(c),
+                    c.frames, [c] { return apps::run_pip_sequential(c); }});
+  }
+  for (int pips : {1, 2}) {
+    apps::JpipConfig c = paper_jpip(pips);
+    rows.push_back({"JPiP-" + std::to_string(pips), apps::jpip_xspcl(c),
+                    c.frames, [c] { return apps::run_jpip_sequential(c); }});
+  }
+  for (int kernel : {3, 5}) {
+    apps::BlurConfig c = paper_blur(kernel);
+    rows.push_back({"Blur-" + std::to_string(kernel), apps::blur_xspcl(c),
+                    c.frames, [c] { return apps::run_blur_sequential(c); }});
+  }
+  return rows;
 }
 
 inline std::unique_ptr<hinch::Program> build_program(
@@ -316,49 +345,6 @@ class BenchReport {
   std::vector<std::pair<std::string, std::string>> context_;
   std::vector<BenchRow> rows_;
 };
-
-// --- optional event tracing (the figure benches' --trace flag) --------------
-//
-// `--trace` (default path) or `--trace=out.json`. Returns the output
-// path, empty when the flag is absent. The traced run happens *after*
-// the regular series and prints extra lines only under the flag, so the
-// untraced figure output stays byte-identical.
-inline std::string parse_trace_flag(int argc, char** argv,
-                                    const std::string& default_path) {
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--trace") return default_path;
-    if (a.rfind("--trace=", 0) == 0) return a.substr(8);
-  }
-  return std::string();
-}
-
-// Run one traced sim point of `spec` and write the Chrome trace-event
-// file to `path` (aborts on write failure — same loud-failure policy as
-// the sweeps).
-inline void write_sim_trace(const std::string& spec, int64_t iterations,
-                            int cores, const std::string& path,
-                            int window = 5) {
-  if (!obs::kTraceCompiledIn)
-    std::fprintf(stderr,
-                 "bench: built with HINCH_TRACING=OFF; the trace will "
-                 "contain no events\n");
-  auto prog = build_program(spec);
-  obs::TraceSession session;
-  hinch::RunConfig run;
-  run.iterations = iterations;
-  run.window = window;
-  hinch::SimParams sim;
-  sim.cores = cores;
-  sim.trace = &session;
-  hinch::SimResult r = hinch::run_on_sim(*prog, run, sim);
-  if (!obs::write_chrome_trace(session, path)) std::abort();
-  std::printf("trace: wrote %s (cores=%d cycles=%.1fM events=%llu "
-              "dropped=%llu)\n",
-              path.c_str(), cores, mcycles(r.total_cycles),
-              static_cast<unsigned long long>(session.emitted()),
-              static_cast<unsigned long long>(session.dropped()));
-}
 
 // End-of-main teardown: drop the process-wide clip caches so harnesses
 // that chain several paper-scale configurations (and leak checkers) see

@@ -10,6 +10,8 @@
 // The (series x variant x cores) grid runs on the parallel sweep
 // driver; each point builds its own Program, results assemble by index.
 #include "bench_util.hpp"
+#include "obs/chrome_export.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -31,10 +33,18 @@ struct Series {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-  std::string trace_path =
-      bench::parse_trace_flag(argc, argv, "fig10_trace.json");
+  // `--trace` (writes fig10_trace.json) or `--trace=out.json`. The traced
+  // run happens after the table, so the untraced output is unchanged.
+  std::string trace_path;
+  for (int i = 1; i < argc; ++i) {
+    std::string a = argv[i];
+    if (a == "--smoke")
+      smoke = true;
+    else if (a == "--trace")
+      trace_path = "fig10_trace.json";
+    else if (a.rfind("--trace=", 0) == 0)
+      trace_path = a.substr(8);
+  }
 
   std::printf("Figure 10: reconfiguration overhead vs cores\n");
   std::printf("(reconfigurable runtime / mean of the two static variants)\n");
@@ -115,8 +125,26 @@ int main(int argc, char** argv) {
     // Trace the reconfigurable PiP variant on 4 cores: the exported JSON
     // shows the quiesce/splice stall (a gap in every core's span row
     // around each "reconfiguration" marker).
+    if (!obs::kTraceCompiledIn)
+      std::fprintf(stderr,
+                   "fig10: built with HINCH_TRACING=OFF; the trace will "
+                   "contain no events\n");
     const SeriesDef& d = defs[0];
-    bench::write_sim_trace(d.specs[2], d.frames, /*cores=*/4, trace_path);
+    const int cores = 4;
+    auto prog = bench::build_program(d.specs[2]);
+    obs::TraceSession session;
+    hinch::RunConfig run;
+    run.iterations = d.frames;
+    hinch::SimParams sim;
+    sim.cores = cores;
+    sim.trace = &session;
+    hinch::SimResult r = hinch::run_on_sim(*prog, run, sim);
+    if (!obs::write_chrome_trace(session, trace_path)) std::abort();
+    std::printf("trace: wrote %s (cores=%d cycles=%.1fM events=%llu "
+                "dropped=%llu)\n",
+                trace_path.c_str(), cores, bench::mcycles(r.total_cycles),
+                static_cast<unsigned long long>(session.emitted()),
+                static_cast<unsigned long long>(session.dropped()));
   }
   bench::teardown();
   return 0;

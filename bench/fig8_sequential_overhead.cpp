@@ -11,18 +11,9 @@
 //
 // The six (sequential, xspcl) pairs are independent deterministic sims
 // and run on the parallel sweep driver; rows print in definition order.
-#include <functional>
-
 #include "bench_util.hpp"
 
 namespace {
-
-struct RowDef {
-  std::string name;
-  std::function<apps::SeqResult()> seq;
-  std::string spec;
-  int64_t frames;
-};
 
 struct Meas {
   uint64_t cycles;
@@ -39,39 +30,18 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string trace_path =
-      bench::parse_trace_flag(argc, argv, "fig8_trace.json");
+int main() {
   std::printf("Figure 8: sequential overhead (cycles x 1e6, 1 core)\n");
   std::printf("%-10s %14s %14s %10s %16s\n", "app", "sequential", "xspcl",
               "overhead", "L2-miss ratio");
 
-  std::vector<RowDef> defs;
-  for (int pips : {1, 2}) {
-    apps::PipConfig c = bench::paper_pip(pips);
-    defs.push_back({"PiP-" + std::to_string(pips),
-                    [c] { return apps::run_pip_sequential(c); },
-                    apps::pip_xspcl(c), c.frames});
-  }
-  for (int pips : {1, 2}) {
-    apps::JpipConfig c = bench::paper_jpip(pips);
-    defs.push_back({"JPiP-" + std::to_string(pips),
-                    [c] { return apps::run_jpip_sequential(c); },
-                    apps::jpip_xspcl(c), c.frames});
-  }
-  for (int kernel : {3, 5}) {
-    apps::BlurConfig c = bench::paper_blur(kernel);
-    defs.push_back(
-        {"Blur-" + std::to_string(kernel) + "x" + std::to_string(kernel),
-         [c] { return apps::run_blur_sequential(c); }, apps::blur_xspcl(c),
-         c.frames});
-  }
+  std::vector<bench::PaperRow> defs = bench::paper_rows();
 
   // Per row: even point = hand-written sequential, odd point = the
   // XSPCL version on one simulated core.
   std::vector<Meas> meas = bench::parallel_sweep(
       static_cast<int>(defs.size()) * 2, [&](int idx) -> Meas {
-        const RowDef& d = defs[static_cast<size_t>(idx / 2)];
+        const bench::PaperRow& d = defs[static_cast<size_t>(idx / 2)];
         if (idx % 2 == 0) {
           apps::SeqResult s = d.seq();
           return Meas{s.cycles, s.mem.mem_fetches};
@@ -82,9 +52,13 @@ int main(int argc, char** argv) {
       });
 
   std::vector<Row> rows;
-  for (size_t i = 0; i < defs.size(); ++i)
-    rows.push_back(Row{defs[i].name, meas[2 * i].cycles, meas[2 * i + 1].cycles,
+  for (size_t i = 0; i < defs.size(); ++i) {
+    // Fig. 8 labels the blur rows by kernel size ("Blur-3x3").
+    std::string name = defs[i].name;
+    if (name.rfind("Blur-", 0) == 0) name += "x" + name.substr(5);
+    rows.push_back(Row{name, meas[2 * i].cycles, meas[2 * i + 1].cycles,
                        meas[2 * i].misses, meas[2 * i + 1].misses});
+  }
 
   for (const Row& row : rows) {
     double overhead = 100.0 * (static_cast<double>(row.xspcl_cycles) /
@@ -103,12 +77,6 @@ int main(int argc, char** argv) {
       "\nPaper shape: PiP ~5%% overhead, JPiP largest (~18%%, extra cache\n"
       "misses from de-fused kernels - see the miss ratio column), Blur ~0%%.\n");
 
-  if (!trace_path.empty()) {
-    // Figure 8 is the 1-core comparison: trace the XSPCL PiP-1 run.
-    apps::PipConfig c = bench::paper_pip(1);
-    bench::write_sim_trace(apps::pip_xspcl(c), c.frames, /*cores=*/1,
-                           trace_path);
-  }
   bench::teardown();
   return 0;
 }

@@ -9,20 +9,11 @@
 // The (series x cores) grid is a set of independent deterministic sims,
 // so the points run on the parallel sweep driver; results are collected
 // by index and the printed table is byte-identical to a sequential run.
-#include <functional>
-
 #include "bench_util.hpp"
 
 namespace {
 
 constexpr int kMaxCores = 9;
-
-struct SeriesDef {
-  std::string name;
-  std::string spec;
-  int64_t frames;
-  std::function<uint64_t()> seq_cycles;  // hand-written sequential run
-};
 
 struct Series {
   std::string name;
@@ -31,30 +22,10 @@ struct Series {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string trace_path =
-      bench::parse_trace_flag(argc, argv, "fig9_trace.json");
+int main() {
   std::printf("Figure 9: speedup vs cores (relative to fastest sequential)\n");
 
-  std::vector<SeriesDef> defs;
-  for (int pips : {1, 2}) {
-    apps::PipConfig c = bench::paper_pip(pips);
-    defs.push_back({"PiP-" + std::to_string(pips), apps::pip_xspcl(c),
-                    c.frames,
-                    [c] { return apps::run_pip_sequential(c).cycles; }});
-  }
-  for (int pips : {1, 2}) {
-    apps::JpipConfig c = bench::paper_jpip(pips);
-    defs.push_back({"JPiP-" + std::to_string(pips), apps::jpip_xspcl(c),
-                    c.frames,
-                    [c] { return apps::run_jpip_sequential(c).cycles; }});
-  }
-  for (int kernel : {3, 5}) {
-    apps::BlurConfig c = bench::paper_blur(kernel);
-    defs.push_back({"Blur-" + std::to_string(kernel), apps::blur_xspcl(c),
-                    c.frames,
-                    [c] { return apps::run_blur_sequential(c).cycles; }});
-  }
+  std::vector<bench::PaperRow> defs = bench::paper_rows();
 
   // Per series: point 0 = hand-written sequential, point 1 = 1-core
   // XSPCL with synchronization disabled ("parallel runs at 1 node
@@ -63,9 +34,9 @@ int main(int argc, char** argv) {
   const int per_series = kMaxCores + 1;
   std::vector<uint64_t> cycles = bench::parallel_sweep(
       static_cast<int>(defs.size()) * per_series, [&](int idx) -> uint64_t {
-        const SeriesDef& d = defs[static_cast<size_t>(idx / per_series)];
+        const bench::PaperRow& d = defs[static_cast<size_t>(idx / per_series)];
         int point = idx % per_series;
-        if (point == 0) return d.seq_cycles();
+        if (point == 0) return d.seq().cycles;
         auto prog = bench::build_program(d.spec);
         if (point == 1)
           return bench::run_sim(*prog, d.frames, 1, /*sync_costs=*/false)
@@ -103,13 +74,6 @@ int main(int argc, char** argv) {
       "\nPaper shape: all scale well; Blur best (highest compute/comm\n"
       "ratio); JPiP lowest (sequential overhead carries over).\n");
 
-  if (!trace_path.empty()) {
-    // Trace the PiP-2 speedup point on 4 cores: per-core utilization in
-    // the trace matches the table's speedup for that row.
-    apps::PipConfig c = bench::paper_pip(2);
-    bench::write_sim_trace(apps::pip_xspcl(c), c.frames, /*cores=*/4,
-                           trace_path);
-  }
   bench::teardown();
   return 0;
 }

@@ -194,14 +194,7 @@ void SessionExecutor::set_active_cap(int cap) {
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
     active_cap_ = std::max(0, cap);
-    while (!queue_.empty() &&
-           (active_cap_ == 0 || active_ < active_cap_)) {
-      to_start.push_back(queue_.front());
-      queue_.erase(queue_.begin());
-      ++active_;
-      peak_active_ = std::max(peak_active_, active_);
-      live_.push_back(to_start.back());
-    }
+    to_start = admit_queued();
     publish_server_gauges();
   }
   for (const SessionPtr& s : to_start) start_session(s);
@@ -430,19 +423,26 @@ void SessionExecutor::finalize(const SessionPtr& s) {
       --active_;
     }
     ++completed_;
-    while (accepting_ && !queue_.empty() &&
-           (active_cap_ == 0 || active_ < active_cap_)) {
-      to_start.push_back(queue_.front());
-      queue_.erase(queue_.begin());
-      ++active_;
-      peak_active_ = std::max(peak_active_, active_);
-      live_.push_back(to_start.back());
-    }
+    to_start = admit_queued();
     publish_server_gauges();
     if (active_ == 0 && queue_.empty()) drained_cv_.notify_all();
   }
   s->cv_.notify_all();
   for (const SessionPtr& next : to_start) start_session(next);
+}
+
+std::vector<SessionPtr> SessionExecutor::admit_queued() {
+  // Nothing queued starts once shutdown() has stopped accepting.
+  std::vector<SessionPtr> started;
+  while (accepting_ && !queue_.empty() &&
+         (active_cap_ == 0 || active_ < active_cap_)) {
+    started.push_back(queue_.front());
+    queue_.erase(queue_.begin());
+    ++active_;
+    peak_active_ = std::max(peak_active_, active_);
+    live_.push_back(started.back());
+  }
+  return started;
 }
 
 void SessionExecutor::publish_server_gauges() {

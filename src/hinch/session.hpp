@@ -233,6 +233,10 @@ class SessionExecutor {
   // The admission path shared by both submit overloads: `s` carries its
   // program; the session starts now or joins the FIFO queue.
   SessionPtr admit(SessionPtr s, const SessionConfig& cfg);
+  // Moves queued sessions into the live set while below the cap and
+  // returns them; the caller holds admission_mu_ and starts them after
+  // releasing it.
+  std::vector<SessionPtr> admit_queued();
   void start_session(const SessionPtr& s);
   void run_chain(int worker_id, Job job);
   // One pending unit of `s` retired (job executed or dropped); if it

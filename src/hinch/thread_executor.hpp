@@ -10,7 +10,7 @@
 // central job queue") is preserved observably: any free worker ends up
 // running any ready job.
 //
-// Used by the example applications and the correctness tests; the
+// Used by `xspclc run --backend=threads` and the correctness tests; the
 // simulator backend is what reproduces the paper's cycle counts.
 #pragma once
 

@@ -1,4 +1,4 @@
-// Video containers used by the example applications:
+// Video containers used by the built-in applications:
 //  - RawVideo: uncompressed planar YUV clip (in memory or on disk).
 //  - MjpegClip: a sequence of independently coded baseline JPEG frames
 //    (motion-JPEG), the input format of the paper's JPiP application.

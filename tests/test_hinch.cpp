@@ -260,8 +260,8 @@ TEST_F(HinchTest, PipeliningOverlapsIterations) {
   // With 3 stages of equal cost and >= 3 cores, pipelining should push
   // throughput toward one stage-cost per iteration rather than three.
   NodePtr g = chain_graph(0, 1000);
-  auto prog = Program::build(*g, registry_,
-                             hinch::BuildConfig{.stream_depth = 5});
+  auto prog = Program::build(
+      *g, registry_, hinch::BuildConfig{.stream_depth = 5, .passes = {}});
   ASSERT_TRUE(prog.is_ok());
   RunConfig run;
   run.iterations = 50;
@@ -280,8 +280,8 @@ TEST_F(HinchTest, PipeliningOverlapsIterations) {
 
 TEST_F(HinchTest, WindowOneDisablesPipelining) {
   NodePtr g = chain_graph(0, 1000);
-  auto prog = Program::build(*g, registry_,
-                             hinch::BuildConfig{.stream_depth = 5});
+  auto prog = Program::build(
+      *g, registry_, hinch::BuildConfig{.stream_depth = 5, .passes = {}});
   ASSERT_TRUE(prog.is_ok());
   RunConfig narrow;
   narrow.iterations = 20;
@@ -300,8 +300,8 @@ TEST_F(HinchTest, WindowOneDisablesPipelining) {
 
 TEST_F(HinchTest, WindowClampedToStreamDepth) {
   NodePtr g = chain_graph();
-  auto prog = Program::build(*g, registry_,
-                             hinch::BuildConfig{.stream_depth = 2});
+  auto prog = Program::build(
+      *g, registry_, hinch::BuildConfig{.stream_depth = 2, .passes = {}});
   ASSERT_TRUE(prog.is_ok());
   RunConfig run;
   run.iterations = 10;

@@ -72,8 +72,9 @@ TEST_P(JpegRoundTripTest, EncodeDecodePsnr) {
   ASSERT_FALSE(bytes.empty());
   // Tiny images are header-dominated; only expect compression when the
   // payload is big enough to amortize the tables.
-  if (original->bytes() > 4096)
+  if (original->bytes() > 4096) {
     EXPECT_LT(bytes.size(), original->bytes());
+  }
   FramePtr decoded = must_decode(bytes);
   ASSERT_TRUE(decoded);
   EXPECT_EQ(decoded->width(), width);

@@ -8,7 +8,6 @@
 #include "media/metrics.hpp"
 #include "media/mjpeg.hpp"
 #include "media/synth.hpp"
-#include "media/y4m.hpp"
 
 namespace {
 
@@ -316,47 +315,6 @@ TEST(MjpegClip, SaveLoadRoundTrip) {
   ASSERT_EQ(loaded.value().frame_count(), 3);
   for (int i = 0; i < 3; ++i)
     EXPECT_EQ(loaded.value().frame(i), clip.value().frame(i));
-}
-
-TEST(Y4m, WritesParsableHeaderAndPayload) {
-  media::SynthSpec spec{.seed = 30, .width = 32, .height = 24};
-  media::RawVideo video = media::RawVideo::synthesize(spec, 3);
-  std::string path = ::testing::TempDir() + "/clip.y4m";
-  ASSERT_TRUE(media::save_y4m(video, path, 30, 1).is_ok());
-  std::ifstream f(path, std::ios::binary);
-  std::string header;
-  std::getline(f, header);
-  EXPECT_EQ(header, "YUV4MPEG2 W32 H24 F30:1 Ip A1:1 C420jpeg");
-  std::string frame_marker;
-  std::getline(f, frame_marker);
-  EXPECT_EQ(frame_marker, "FRAME");
-  // Payload size: header + 3 x (FRAME\n + frame bytes).
-  f.seekg(0, std::ios::end);
-  auto size = static_cast<size_t>(f.tellg());
-  EXPECT_EQ(size, header.size() + 1 + 3 * (6 + video.frame(0)->bytes()));
-}
-
-TEST(Y4m, GrayUsesMono) {
-  media::SynthSpec spec{.seed = 31, .width = 16, .height = 16,
-                        .format = PixelFormat::kGray};
-  media::RawVideo video = media::RawVideo::synthesize(spec, 1);
-  std::string path = ::testing::TempDir() + "/mono.y4m";
-  ASSERT_TRUE(media::save_y4m(video, path).is_ok());
-  std::ifstream f(path, std::ios::binary);
-  std::string header;
-  std::getline(f, header);
-  EXPECT_NE(header.find("Cmono"), std::string::npos);
-}
-
-TEST(Y4m, Rejects444AndBadRate) {
-  media::RawVideo video(PixelFormat::kYuv444, 8, 8);
-  video.append(media::make_frame(PixelFormat::kYuv444, 8, 8));
-  EXPECT_FALSE(
-      media::save_y4m(video, ::testing::TempDir() + "/x.y4m").is_ok());
-  media::SynthSpec spec{.seed = 32, .width = 8, .height = 8};
-  media::RawVideo ok = media::RawVideo::synthesize(spec, 1);
-  EXPECT_FALSE(
-      media::save_y4m(ok, ::testing::TempDir() + "/y.y4m", 0, 1).is_ok());
 }
 
 }  // namespace

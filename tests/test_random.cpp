@@ -312,8 +312,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphTest,
 // scheduler races or slot-reuse bugs.
 TEST(RandomGraphStress, ManyIterationsManyWorkers) {
   GeneratedProgram g = generate(4242);
-  auto prog = Program::build(*g.graph, registry(),
-                             hinch::BuildConfig{.stream_depth = 3});
+  auto prog =
+      Program::build(*g.graph, registry(),
+                     hinch::BuildConfig{.stream_depth = 3, .passes = {}});
   ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
   for (int workers : {2, 8}) {
     for (int window : {1, 3}) {
@@ -328,8 +329,9 @@ TEST(RandomGraphStress, ManyIterationsManyWorkers) {
       std::lock_guard<std::mutex> lock(board().mutex);
       for (const auto& [instance, runs] : board().runs) {
         std::string base = instance.substr(0, instance.find('#'));
-        if (!optional.count(base) && !optional.count(instance))
+        if (!optional.count(base) && !optional.count(instance)) {
           EXPECT_EQ(runs, 60) << instance;
+        }
       }
     }
   }

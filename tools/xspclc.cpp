@@ -19,10 +19,11 @@
 //                   [--metrics]           dump the unified metrics registry
 //   xspclc predict  <spec.xml> [--cores=N] [--iterations=N]
 //                   [--platform=p.xml]    profile 1 core, predict speedup
-//   xspclc emit-app <pip|jpip|blur|mjpeg> [--reconfigurable] [-o f]
+//   xspclc emit-app <pip|jpip|blur|mjpeg> [key=value ...] [-o f]
 //                                         dump a built-in application spec
-//                                         (apps::builtin_xspcl; mjpeg has
-//                                         no reconfigurable variant)
+//                                         (apps::builtin_xspcl; the keys
+//                                         are hinchd open's, e.g. pips=2
+//                                         reconfigurable=1)
 //   xspclc passes                         list the registered SP-IR passes
 //
 // Spec-taking subcommands accept --passes=a,b,c to replace the default
@@ -78,7 +79,7 @@ struct Args {
   int cores = 1;
   long long iterations = 32;
   bool emit_main = true;
-  bool reconfigurable = false;
+  std::vector<std::string> catalog_params;  // emit-app key=value tokens
   bool passes_given = false;
   std::string passes;      // comma-separated, valid when passes_given
   std::string dump_after;  // pass name or "all"
@@ -138,8 +139,8 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->metrics = true;
     } else if (a == "--no-main") {
       args->emit_main = false;
-    } else if (a == "--reconfigurable") {
-      args->reconfigurable = true;
+    } else if (args->command == "emit-app" && a[0] != '-') {
+      args->catalog_params.push_back(a);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
       return false;
@@ -207,9 +208,12 @@ int main(int argc, char** argv) {
   if (!parse_args(argc, argv, &args)) return usage();
 
   if (args.command == "emit-app") {
-    std::vector<apps::CatalogParam> params;
-    if (args.reconfigurable) params.emplace_back("reconfigurable", "1");
-    auto text = apps::builtin_xspcl(args.input, params);
+    auto params = apps::parse_catalog_params(args.catalog_params);
+    if (!params.is_ok()) {
+      std::fprintf(stderr, "%s\n", params.status().message().c_str());
+      return 2;
+    }
+    auto text = apps::builtin_xspcl(args.input, params.value());
     if (!text.is_ok()) {
       std::fprintf(stderr, "%s\n", text.status().message().c_str());
       return 2;
