@@ -361,10 +361,4 @@ std::string Program::task_graph_dot(const std::string& title) const {
   return out;
 }
 
-int Program::option_index(const std::string& name) const {
-  for (size_t i = 0; i < options_.size(); ++i)
-    if (options_[i].name == name) return static_cast<int>(i);
-  return -1;
-}
-
 }  // namespace hinch

@@ -105,10 +105,6 @@ class Program {
   // Tasks with no predecessors (iteration entry points).
   const std::vector<int>& entry_tasks() const { return entry_tasks_; }
 
-  // Sum over options of its components (used by reconfiguration cost
-  // accounting); exposed for tests.
-  int option_index(const std::string& name) const;
-
   // Graphviz rendering of the per-iteration task DAG (after slice /
   // crossdep expansion and group fusion) — the structure the executors
   // actually schedule, as opposed to sp::to_dot's source-level tree.

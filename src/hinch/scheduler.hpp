@@ -14,27 +14,11 @@
 //   execute(job, ctx)  -> run the job's side effects, collecting charges
 //   complete(job)      -> newly-ready jobs
 //
-// Concurrency: execute() and complete() may be called concurrently from
-// many worker threads (the work-stealing thread executor does exactly
-// that). The hot path — dependency release in complete()/finish() — is
-// lock-free: per-instance atomic `remaining` counters released with
-// fetch-sub, a CAS on the instance state to make the fire decision
-// unique, and a per-(task, slot) rendezvous cell for the cross-iteration
-// self-dependency edge (admission and the previous iteration's finish
-// race for it; exactly one side releases the edge). Only two locks
-// remain, both cold:
-//   - admit_mutex_ serializes iteration admission (once per iteration);
-//     it is recursive because an admission can cascade through skipped
-//     tasks and complete further iterations inline.
-//   - ManagerRun::mutex guards each manager's reconfiguration state
-//     (pending flips, quiesce bookkeeping, poll-side counters).
-// Locking rules (see docs/RUNTIME.md "Executor architecture"): never
-// call finish() while holding a ManagerRun mutex; admit_mutex_ may be
-// held while taking a ManagerRun mutex, never the reverse.
-//
-// Under the single-threaded sim executor every atomic degenerates to a
-// plain access in program order, so the ready-job sequence — and with it
-// every simulated cycle count — is bit-for-bit the pre-lock-free one.
+// Concurrency: one mutex guards all scheduler state. start(), complete(),
+// stats() and the manager jobs of execute() take it; component jobs run
+// their kernels outside it, so workers still execute in parallel. Under
+// the single-threaded sim executor the ready-job sequence is fixed by
+// program order alone.
 #pragma once
 
 #include <atomic>
@@ -93,8 +77,8 @@ class Scheduler {
     return iterations_done_.load(std::memory_order_acquire);
   }
 
-  // Snapshot of the (atomic) counters. Totals are schedule-independent:
-  // the thread executor produces the same numbers as the sim executor.
+  // Snapshot of the counters. Totals are schedule-independent: the
+  // thread executor produces the same numbers as the sim executor.
   SchedulerStats stats() const;
 
   // The component a job runs, or nullptr for manager jobs.
@@ -106,45 +90,12 @@ class Scheduler {
  private:
   enum : uint8_t { kUnborn, kWaiting, kReady, kDone };
 
-  // One task instance per ring slot, padded to a cache line: neighbouring
-  // tasks are usually being retired by different workers, and the
-  // per-instance counters (and the self-dependency rendezvous cell,
-  // which lives here for the same reason) are the hottest atomics in the
-  // system.
-  struct alignas(64) Instance {
-    std::atomic<uint8_t> state{kUnborn};
-    std::atomic<int> remaining{0};
-    std::atomic<int64_t> self_cell{-1};
-  };
-
-  struct alignas(64) DoneCount {
-    std::atomic<int64_t> count{0};
-  };
-
-  // The per-job counters (executed/skipped) are sharded so workers do
-  // not serialize on one cache line; the per-reconfiguration counters
-  // are cold and stay single. stats() sums the shards — totals are
-  // exact, and under the single-threaded sim executor everything lands
-  // in one shard in program order.
-  struct alignas(64) StatShard {
-    std::atomic<uint64_t> executed{0};
-    std::atomic<uint64_t> skipped{0};
-  };
-  static constexpr unsigned kStatShards = 16;
-  static unsigned stat_shard_index();
-
-  struct AtomicStats {
-    std::atomic<uint64_t> reconfigurations{0};
-    std::atomic<uint64_t> events_handled{0};
-    std::atomic<uint64_t> components_created{0};
+  struct Instance {
+    uint8_t state = kUnborn;
+    int remaining = 0;  // unmet dependencies
   };
 
   struct ManagerRun {
-    // Guards ALL mutable fields below. Taken by poll_manager (enter and
-    // exit jobs of different iterations may poll concurrently), by
-    // complete() for the quiesce/splice decision, and by finish() when a
-    // manager exit retires. Never held across finish()/fire() cascades.
-    std::mutex mutex;
     // (option index, desired state) flips awaiting the next splice.
     std::vector<std::pair<int, bool>> pending_flips;
     int64_t waiting_iter = -1;  // enter iteration blocked on quiesce
@@ -163,53 +114,35 @@ class Scheduler {
     return instances_[slot(task, iter)];
   }
 
-  // Self-dependency rendezvous tokens. The edge (t, k-1) -> (t, k) is
-  // released by whichever of {admit_iteration(k), finish(t, k-1)} runs
-  // second; the two sides agree via an atomic exchange on the cell of
-  // (t, k mod window). Token values are unique per edge, so a stale
-  // token from the slot's previous tenant (iteration k - window) can
-  // never be mistaken for the current edge's counterpart.
-  static int64_t admit_token(int64_t iter) { return 2 * iter; }
-  static int64_t finish_token(int64_t iter) { return 2 * iter - 1; }
-  std::atomic<int64_t>& self_cell(int task, int64_t iter) {
-    return inst(task, iter).self_cell;
-  }
-
+  // Everything below runs with mu_ held.
   bool task_skipped(const Task& t) const;
   void admit_iteration(int64_t iter, std::vector<JobRef>* ready);
-  // Instance became runnable: claim it (CAS, unique across racing
-  // releasers) and either emit a ready job or (for skipped tasks) finish
-  // it immediately and propagate.
+  // One dependency of (task, iter) met; fires it when none are left.
+  void release(int task, int64_t iter, std::vector<JobRef>* ready);
+  // Instance became runnable: emit a ready job, or (for skipped tasks)
+  // finish it immediately and propagate.
   void fire(int task, int64_t iter, std::vector<JobRef>* ready);
   void finish(int task, int64_t iter, std::vector<JobRef>* ready);
   // All tasks of `iter` retired: advance the completed prefix and admit
-  // successor iterations. Completion *detections* are ordered by a
-  // happens-before chain, but detecting threads may reach the admission
-  // lock out of order, hence the small reorder ring.
+  // the next iteration.
   void on_iteration_complete(int64_t iter, std::vector<JobRef>* ready);
   void poll_manager(int mgr_idx, ExecContext& ctx);
 
   Program& prog_;
   RunConfig config_;
   size_t ntasks_;
-  std::vector<Instance> instances_;    // ring: window x ntasks
-  std::vector<DoneCount> done_counts_; // per in-window iteration
-  // Option on/off state. Flipped only under the owning ManagerRun's
-  // mutex while its subgraph is quiesced; read lock-free on the fire
-  // path (the dependency-release chain orders the reads after the flip).
-  std::vector<std::atomic<char>> option_active_;
+
+  mutable std::mutex mu_;  // guards every field below but iterations_done_
+  std::vector<Instance> instances_;  // ring: window x ntasks
+  std::vector<int> done_counts_;     // finished tasks per in-window iteration
+  std::vector<char> option_active_;  // flipped only by splices
   std::vector<ManagerRun> manager_run_;
+  int64_t admitted_ = 0;  // iterations [0, admitted_) are born
+  SchedulerStats stats_;
 
-  // Admission state, guarded by admit_mutex_ (recursive: admitting an
-  // iteration of fully-skipped tasks completes it inline, which admits
-  // the next one).
-  std::recursive_mutex admit_mutex_;
-  int64_t admitted_ = 0;            // iterations [0, admitted_) are born
-  std::vector<char> complete_ring_; // out-of-order completion buffer
-
-  std::atomic<int64_t> iterations_done_{0};  // completed prefix
-  std::vector<StatShard> stat_shards_;
-  AtomicStats stats_;
+  // Completed prefix. Written under mu_, read without it by finished(),
+  // iterations_done() and the executors' live gauges.
+  std::atomic<int64_t> iterations_done_{0};
 };
 
 }  // namespace hinch

@@ -402,18 +402,11 @@ void SessionExecutor::finalize(const SessionPtr& s) {
     std::lock_guard<std::mutex> lock(s->frame_mu_);
     result.frame_done_ns = s->frame_done_ns_;
   }
-  {
-    std::lock_guard<std::mutex> lock(s->mu_);
-    // A queued session cancelled before start has t0_ == epoch; its
-    // wall time is meaningless, zero it.
-    if (s->status_ == SessionStatus::kQueued) result.wall_seconds = 0;
-    s->status_ = result.status;
-    s->result_ = std::move(result);
-  }
 
   // Free the admission slot and start the next queued session (if any)
-  // BEFORE waking waiters: a thread returning from wait() must observe
-  // the server gauges already updated (active down, completed up).
+  // BEFORE publishing the status: a thread returning from wait() — which
+  // returns at once if it finds the status final — must observe the
+  // server gauges already updated (active down, completed up).
   std::vector<SessionPtr> to_start;
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
@@ -426,6 +419,14 @@ void SessionExecutor::finalize(const SessionPtr& s) {
     to_start = admit_queued();
     publish_server_gauges();
     if (active_ == 0 && queue_.empty()) drained_cv_.notify_all();
+  }
+  {
+    std::lock_guard<std::mutex> lock(s->mu_);
+    // A queued session cancelled before start has t0_ == epoch; its
+    // wall time is meaningless, zero it.
+    if (s->status_ == SessionStatus::kQueued) result.wall_seconds = 0;
+    s->status_ = result.status;
+    s->result_ = std::move(result);
   }
   s->cv_.notify_all();
   for (const SessionPtr& next : to_start) start_session(next);

@@ -3,12 +3,9 @@
 // Each worker owns a deque: new jobs are pushed and popped LIFO at the
 // owner's end (locality — a job's successors run where their inputs are
 // warm), idle workers steal FIFO from the opposite end of randomly
-// ordered victims. This replaces the seed's single central queue + one
-// global mutex, which serialized every dequeue and completion and capped
-// wall-clock scaling well below the simulator's modelled speedup. The
-// paper's load-balancing contract (§1: "automatic load balancing using a
-// central job queue") is preserved observably: any free worker ends up
-// running any ready job.
+// ordered victims. The paper's load-balancing contract (§1: "automatic
+// load balancing using a central job queue") is preserved observably:
+// any free worker ends up running any ready job.
 //
 // Used by `xspclc run --backend=threads` and the correctness tests; the
 // simulator backend is what reproduces the paper's cycle counts.

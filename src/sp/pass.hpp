@@ -151,9 +151,7 @@ PassManager make_pipeline(const PassOptions& options);
 // an advisor changes what the same flags produce. The verify flag is
 // excluded — it never changes the output graph. Two option sets with
 // equal fingerprints produce the same graph from the same input *unless*
-// their advisor callables differ behind the marker; callers caching on
-// the fingerprint (xspcl::SpecCache) must add their own salt in that
-// case.
+// their advisor callables differ behind the marker.
 std::string pass_fingerprint(const PassOptions& options);
 
 }  // namespace sp

@@ -7,15 +7,11 @@
 namespace xspcl {
 namespace {
 
-// Composite key: fingerprint and salt first (short, discriminate fast),
-// then the full spec text. '\n' cannot appear in a fingerprint and the
-// '\0' separators cannot appear in well-formed XML, so the key is
-// injective over (text, fingerprint, salt).
-std::string make_key(std::string_view text, const sp::PassOptions& passes,
-                     std::string_view salt) {
+// Composite key: fingerprint first (short, discriminates fast), then
+// the full spec text. The '\0' separator cannot appear in a fingerprint,
+// so the key is injective over (text, fingerprint).
+std::string make_key(std::string_view text, const sp::PassOptions& passes) {
   std::string key = sp::pass_fingerprint(passes);
-  key += '\0';
-  key.append(salt.data(), salt.size());
   key += '\0';
   key.append(text.data(), text.size());
   return key;
@@ -24,9 +20,8 @@ std::string make_key(std::string_view text, const sp::PassOptions& passes,
 }  // namespace
 
 support::Result<const sp::Node*> SpecCache::load(std::string_view text,
-                                                 const sp::PassOptions& passes,
-                                                 std::string_view salt) {
-  std::string key = make_key(text, passes, salt);
+                                                 const sp::PassOptions& passes) {
+  std::string key = make_key(text, passes);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -55,9 +50,8 @@ support::Result<const sp::Node*> SpecCache::load(std::string_view text,
 
 support::Result<std::unique_ptr<hinch::Program>> SpecCache::build_program(
     std::string_view text, const hinch::ComponentRegistry& registry,
-    const hinch::Program::BuildConfig& config, std::string_view salt) {
-  SUP_ASSIGN_OR_RETURN(const sp::Node* graph,
-                       load(text, config.passes, salt));
+    const hinch::Program::BuildConfig& config) {
+  SUP_ASSIGN_OR_RETURN(const sp::Node* graph, load(text, config.passes));
   hinch::Program::BuildConfig compiled = config;
   compiled.passes = sp::PassOptions::none();
   return hinch::Program::build(*graph, registry, compiled);

@@ -13,11 +13,6 @@
 // without cloning. Programs stay per-session (they hold live components
 // and streams); only the immutable front-end product is shared.
 //
-// Advisor caveat: the fingerprint marks advisor presence but cannot
-// identify the callable (see sp::pass_fingerprint). Callers mixing
-// differently-behaving advisors under identical flags must pass a
-// distinct `salt` per advisor.
-//
 // Thread-safety: all methods lock; concurrent load() of the same key may
 // both compile, last insert wins (the graphs are equal). Cached graphs
 // are only read after insertion, so handed-out pointers stay valid —
@@ -50,11 +45,10 @@ class SpecCache {
   SpecCache(const SpecCache&) = delete;
   SpecCache& operator=(const SpecCache&) = delete;
 
-  // The cached post-pipeline graph for (text, passes, salt); compiled on
-  // first use. The pointer is owned by the cache (valid until clear()).
+  // The cached post-pipeline graph for (text, passes); compiled on first
+  // use. The pointer is owned by the cache (valid until clear()).
   support::Result<const sp::Node*> load(std::string_view text,
-                                        const sp::PassOptions& passes,
-                                        std::string_view salt = {});
+                                        const sp::PassOptions& passes);
 
   // Instantiate a fresh Program from the cached graph: front-end and
   // pipeline amortized, components/streams newly created. config.passes
@@ -62,8 +56,7 @@ class SpecCache {
   // PassOptions::none() (the pipeline already ran).
   support::Result<std::unique_ptr<hinch::Program>> build_program(
       std::string_view text, const hinch::ComponentRegistry& registry,
-      const hinch::Program::BuildConfig& config = {},
-      std::string_view salt = {});
+      const hinch::Program::BuildConfig& config = {});
 
   Stats stats() const;
   size_t size() const;

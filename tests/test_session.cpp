@@ -364,10 +364,6 @@ TEST(SpecCacheTest, DistinctPassPipelinesAreDistinctEntries) {
   ASSERT_TRUE(cache.load(spec, grouped).is_ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
-  // A salt separates entries that would otherwise collide (advisors
-  // carry identity the fingerprint cannot see).
-  ASSERT_TRUE(cache.load(spec, defaults, "tenant-a").is_ok());
-  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(SpecCacheTest, BuildProgramInstantiatesFreshState) {

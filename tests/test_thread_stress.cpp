@@ -2,8 +2,8 @@
 // iterations x deep pipeline window x reconfiguration events, asserting
 // that the scheduler-visible statistics agree with the deterministic
 // simulator backend. Designed to run under ThreadSanitizer (label
-// "tsan"; build with -DHINCH_SANITIZE=thread) — any data race in the
-// lock-free dependency-release path shows up here.
+// "tsan"; build with -DHINCH_SANITIZE=thread) — any data race between
+// the scheduler's lock and the kernels running outside it shows up here.
 //
 // Determinism notes. The event source is scheduled before the manager
 // inside a <seq>, so with window == 1 every poll observes exactly the

@@ -1,8 +1,9 @@
 // hinchd — long-lived multi-tenant Hinch streaming server.
 //
 // One process, one SessionExecutor (shared work-stealing pool), many
-// tenants: each `open` names a built-in application (apps::catalog), its
-// spec is compiled once through the SpecCache, and each `feed` runs a
+// tenants: each `open` names a built-in application (apps::catalog) and
+// compiles its spec through the SpecCache (once per distinct spec; a
+// spec the front end rejects is an error at open), and each `feed` runs a
 // batch of iterations as a hinch::Session on the shared pool. Closing a
 // tenant cancels and drains only its jobs; everyone else keeps
 // streaming. This is the server the session-scoped runtime refactor
@@ -32,15 +33,11 @@
 // Responses go to stdout (one "ok"/"done"/"error" line per command,
 // `stats` multi-line); diagnostics to stderr. A malformed command —
 // a bad number included — gets an "error" line and the server keeps
-// serving every other tenant. `hinchd --loadgen ... | hinchd`
-// pipes a generated client script into a server — the CI end-to-end
-// smoke runs exactly that.
+// serving every other tenant. tests/hinchd_churn.txt is a client script
+// that closes tenants while later ones are still feeding.
 //
 //   hinchd [--workers=N] [--max-sessions=N]
-//   hinchd --loadgen [--sessions=N] [--apps=pip,blur] [--iters=N]
-//                    [--feeds=M] [--churn]
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -200,6 +197,13 @@ int serve(const ServeOptions& opts) {
         err(spec.status().message());
         continue;
       }
+      // Compile now, under the key feed's build_program uses, so a spec
+      // the front end rejects fails here rather than at the first feed.
+      auto compiled = cache.load(spec.value(), sp::PassOptions{});
+      if (!compiled.is_ok()) {
+        err(compiled.status().message());
+        continue;
+      }
       Tenant t;
       t.id = next_tenant++;
       t.app = tokens[1];
@@ -326,48 +330,9 @@ int serve(const ServeOptions& opts) {
   return 0;
 }
 
-struct LoadgenOptions {
-  int sessions = 4;
-  std::vector<std::string> apps = {"blur", "pip"};
-  int iters = 24;
-  int feeds = 1;
-  bool churn = false;
-};
-
-// Emit a client script. With --churn, tenants are closed while later
-// ones are still feeding, exercising teardown-under-load.
-int loadgen(const LoadgenOptions& opts) {
-  std::vector<int> open_order;
-  for (int i = 0; i < opts.sessions; ++i) {
-    const std::string& app = opts.apps[static_cast<size_t>(i) %
-                                       opts.apps.size()];
-    // Small frame sizes: the load generator stresses session churn, not
-    // pixel throughput.
-    std::printf("open %s width=96 height=64 frames=8\n", app.c_str());
-    open_order.push_back(i);
-    for (int f = 0; f < opts.feeds; ++f)
-      std::printf("feed %d %d\n", i, opts.iters);
-    if (opts.churn && i >= 2) {
-      // Close the tenant opened two steps ago while this one streams.
-      std::printf("close %d\n", i - 2);
-    }
-  }
-  std::printf("stats\n");
-  for (int i : open_order) {
-    if (opts.churn && i < opts.sessions - 2) continue;  // already closed
-    std::printf("wait %d\n", i);
-    std::printf("close %d\n", i);
-  }
-  std::printf("stats\n");
-  std::printf("quit\n");
-  return 0;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: hinchd [--workers=N] [--max-sessions=N]\n"
-               "       hinchd --loadgen [--sessions=N] [--apps=a,b] "
-               "[--iters=N] [--feeds=M] [--churn]\n"
                "(see the header of tools/hinchd.cpp)\n");
   return 2;
 }
@@ -375,9 +340,7 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool is_loadgen = false;
   ServeOptions serve_opts;
-  LoadgenOptions load_opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     bool bad_number = false;
@@ -392,27 +355,13 @@ int main(int argc, char** argv) {
         bad_number = true;
       return true;
     };
-    if (arg == "--loadgen") {
-      is_loadgen = true;
-    } else if (arg == "--churn") {
-      load_opts.churn = true;
-    } else if (arg.rfind("--apps=", 0) == 0) {
-      load_opts.apps.clear();
-      for (const std::string& a :
-           support::split(arg.substr(std::strlen("--apps=")), ','))
-        load_opts.apps.push_back(std::string(support::trim(a)));
-      if (load_opts.apps.empty()) return usage();
-    } else if (int_flag("--workers", &serve_opts.workers) ||
-               int_flag("--max-sessions", &serve_opts.max_sessions) ||
-               int_flag("--sessions", &load_opts.sessions) ||
-               int_flag("--iters", &load_opts.iters) ||
-               int_flag("--feeds", &load_opts.feeds)) {
+    if (int_flag("--workers", &serve_opts.workers) ||
+        int_flag("--max-sessions", &serve_opts.max_sessions)) {
       if (bad_number) return usage();
     } else {
       return usage();
     }
   }
-  if (is_loadgen) return loadgen(load_opts);
-  if (serve_opts.workers < 1 || load_opts.sessions < 0) return usage();
+  if (serve_opts.workers < 1) return usage();
   return serve(serve_opts);
 }

@@ -1,6 +1,7 @@
 // hinchtrace — summarize a Chrome trace-event file produced by the obs
-// tracing layer (xspclc run --trace=..., the figure benches' --trace
-// flags, hinchd's `trace` command, or obs::write_chrome_trace directly).
+// tracing layer (xspclc run --trace=..., fig10_reconfig_overhead
+// --trace, hinchd's `trace` command, or obs::write_chrome_trace
+// directly).
 //
 //   hinchtrace <trace.json> [--session=<pid>]
 //
