@@ -53,10 +53,13 @@
 //                                  factor, src_plane, x, y, alpha,
 //                                  plane. Honours "pos=X,Y". Sliced by
 //                                  downscaled rows.
-//   frame_sink     in:"in"         Consumes frames; FNV checksum, frame
-//                                  count, optional retention (store=1).
-//   yuv_sink       in:"y","u","v"  Reassembles per-plane gray frames;
-//                                  checksum/retention like frame_sink.
+//   frame_sink     in:"in"         Consumes frames; folds their plane
+//                                  digests into a checksum (a frame_hash
+//                                  chain), frame count, optional
+//                                  retention (store=1).
+//   yuv_sink       in:"y","u","v"  Folds the three gray planes' digests
+//                                  into the same checksum; only store=1
+//                                  assembles and retains a frame.
 //   event_ticker   (no ports)      Sends `event` to `queue` every
 //                                  `period` iterations (user-interaction
 //                                  stand-in driving reconfiguration).

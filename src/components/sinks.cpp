@@ -1,5 +1,5 @@
-// Sink components: consume the final frames, accumulate checksums, and
-// optionally retain output for correctness comparisons in tests.
+// Sink components: consume the final frames, fold their plane digests into
+// a checksum, and optionally retain output for correctness comparisons.
 #include <vector>
 
 #include "components/detail.hpp"
@@ -26,13 +26,14 @@ media::FramePtr SinkState::frame(int i) const {
   return stored[static_cast<size_t>(i)];
 }
 
-void SinkState::record(const media::Frame& f, bool store) {
+void SinkState::record(std::span<const uint64_t> plane_digests,
+                       media::FramePtr keep) {
   std::lock_guard<std::mutex> lock(mutex);
   // Iterations complete in order and a sink is sequential with itself, so
   // the running hash is well-defined under both executors.
-  hash = media::frame_hash(f, hash);
+  for (uint64_t d : plane_digests) hash = media::hash_fold(hash, d);
   ++count;
-  if (store) stored.push_back(f.clone());
+  if (keep) stored.push_back(std::move(keep));
 }
 
 namespace {
@@ -50,7 +51,11 @@ class FrameSink : public hinch::Component, public SinkAccess {
 
   void run(hinch::ExecContext& ctx) override {
     media::FramePtr f = ctx.read(in_).frame();
-    state_.record(*f, store_);
+    uint64_t digests[3] = {};
+    for (int p = 0; p < f->planes(); ++p)
+      digests[p] = media::plane_digest(f->plane(p));
+    state_.record({digests, static_cast<size_t>(f->planes())},
+                  store_ ? f->clone() : nullptr);
     ctx.touch_read(in_, 0, f->bytes());
     // DMA the composed frame out (display / file).
     ctx.charge_compute(media::io_cycles(f->bytes()));
@@ -65,8 +70,9 @@ class FrameSink : public hinch::Component, public SinkAccess {
   SinkState state_;
 };
 
-// Consumes three gray planes (Y, U, V) per iteration and reassembles a
-// frame — the "Output" node of the per-plane task graphs (Fig. 7).
+// Consumes three gray planes (Y, U, V) per iteration — the "Output" node
+// of the per-plane task graphs (Fig. 7). It digests each plane where it
+// lies; only store=1 assembles them into a frame.
 class YuvSink : public hinch::Component, public SinkAccess {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
@@ -82,28 +88,36 @@ class YuvSink : public hinch::Component, public SinkAccess {
         store_(store) {}
 
   void run(hinch::ExecContext& ctx) override {
-    media::FramePtr py = ctx.read(y_).frame();
-    media::FramePtr pu = ctx.read(u_).frame();
-    media::FramePtr pv = ctx.read(v_).frame();
-    // Infer the subsampling from the plane sizes.
-    bool is420 = pu->width() == (py->width() + 1) / 2;
-    media::FramePtr frame = media::make_frame(
-        is420 ? media::PixelFormat::kYuv420 : media::PixelFormat::kYuv444,
-        py->width(), py->height());
-    const media::FramePtr in[3] = {py, pu, pv};
+    const media::FramePtr in[3] = {ctx.read(y_).frame(), ctx.read(u_).frame(),
+                                   ctx.read(v_).frame()};
+    uint64_t digests[3] = {};
+    size_t bytes = 0;
     for (int p = 0; p < 3; ++p) {
-      media::copy_plane(in[p]->plane(0), frame->plane(p), 0,
-                        frame->plane(p).height);
+      digests[p] = media::plane_digest(in[p]->plane(0));
       ctx.touch_read(p, 0, in[p]->bytes());
+      bytes += in[p]->bytes();
     }
-    state_.record(*frame, store_);
-    ctx.charge_compute(media::io_cycles(frame->bytes()));
+    state_.record(digests, store_ ? assemble(in) : nullptr);
+    ctx.charge_compute(media::io_cycles(bytes));
   }
 
   void reset() override { state_.clear(); }
   const SinkState& sink() const override { return state_; }
 
  private:
+  // The frame the three planes make; the subsampling follows from their
+  // sizes.
+  static media::FramePtr assemble(const media::FramePtr (&in)[3]) {
+    bool is420 = in[1]->width() == (in[0]->width() + 1) / 2;
+    media::FramePtr frame = media::make_frame(
+        is420 ? media::PixelFormat::kYuv420 : media::PixelFormat::kYuv444,
+        in[0]->width(), in[0]->height());
+    for (int p = 0; p < 3; ++p)
+      media::copy_plane(in[p]->plane(0), frame->plane(p), 0,
+                        frame->plane(p).height);
+    return frame;
+  }
+
   int y_;
   int u_;
   int v_;

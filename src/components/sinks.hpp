@@ -5,9 +5,11 @@
 #pragma once
 
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "media/frame.hpp"
+#include "media/metrics.hpp"
 #include "media/mjpeg.hpp"
 
 namespace components {
@@ -18,18 +20,20 @@ class SinkState {
   int frames() const;
   media::FramePtr frame(int i) const;  // only when built with store=1
 
-  void record(const media::Frame& f, bool store);
+  // Counts one output frame: folds its plane digests (media::plane_digest,
+  // in plane order) into the checksum, so the checksum is the
+  // media::frame_hash chain of the frames, and keeps `keep` if not null.
+  void record(std::span<const uint64_t> plane_digests, media::FramePtr keep);
   void clear() {
     std::lock_guard<std::mutex> lock(mutex);
-    hash = 14695981039346656037ULL;
+    hash = media::kFnvBasis;
     count = 0;
     stored.clear();
   }
 
  private:
-  friend class SinkStateTestPeer;
   mutable std::mutex mutex;
-  uint64_t hash = 14695981039346656037ULL;  // FNV-1a offset basis
+  uint64_t hash = media::kFnvBasis;
   int count = 0;
   std::vector<media::FramePtr> stored;
 };

@@ -16,10 +16,28 @@ double psnr(const Frame& a, const Frame& b);
 // Largest absolute pixel difference over all planes.
 int max_abs_diff(const Frame& a, const Frame& b);
 
-// FNV-1a offset basis, the seed for frame_hash chains.
+// The FNV-1a offset basis: the start of every digest chain (frame_hash
+// seeds, sink checksums).
 inline constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
 
-// FNV-1a hash of the frame's pixels chained onto `seed`. Used to compare
+// One step of every digest chain: mixes the word `v` into `h`. The step
+// is a bijection of `h` for a fixed `v` and of `v` for a fixed `h`, so a
+// change in either always changes the result; the shift carries a
+// change in the high bits back down, where the next multiply spreads it.
+inline uint64_t hash_fold(uint64_t h, uint64_t v) {
+  h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+  return h ^ (h >> 29);
+}
+
+// Digest of one plane's pixels, independent of its stride: each row is
+// read as 64-bit words dealt round-robin to four independent lanes, its
+// last width % 8 bytes go to a fifth lane, and the lanes and the plane's
+// byte count are folded together at the end.
+uint64_t plane_digest(ConstPlaneView p);
+
+// The frame's plane digests folded in plane order onto `seed` (a
+// previous frame's hash chains the next). Equal frames hash equal; a
+// one-bit change in any pixel always changes the hash. Used to compare
 // whole output videos across executions cheaply.
 uint64_t frame_hash(const Frame& f, uint64_t seed = kFnvBasis);
 

@@ -5,10 +5,13 @@
 // thread executor.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <mutex>
 
 #include "hinch/runtime.hpp"
+#include "hinch/stream.hpp"
+#include "media/frame.hpp"
 #include "sp/graph.hpp"
 #include "sp/validate.hpp"
 #include "support/rng.hpp"
@@ -37,8 +40,12 @@ RunBoard& board() {
   return b;
 }
 
-// Reads `ins` integer packets, writes their sum (plus the iteration) to
-// `outs` outputs, charges `cost` cycles.
+// Reads `ins` packets, writes their sum (plus the iteration) to `outs`
+// outputs, charges `cost` cycles. Packets are small gray frames, and a
+// replica of a sliced region reads and writes only its own band of rows,
+// in place, as real sliced components do: replicas never write the same
+// bytes, and a crossdep phase-2 replica reads only rows its phase-1 twin
+// wrote.
 class RandomComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
@@ -59,12 +66,25 @@ class RandomComponent : public hinch::Component {
   }
 
   void run(hinch::ExecContext& ctx) override {
+    constexpr int kWidth = 8;
+    constexpr int kRows = 8;
     ctx.charge_compute(static_cast<uint64_t>(cost_));
+    int r0 = 0, r1 = 0;
+    hinch::slice_rows(kRows, slice_index(), slice_count(), &r0, &r1);
     int64_t acc = ctx.iteration();
-    for (int i = 0; i < input_count(); ++i) acc += *ctx.read(i).get<int64_t>();
-    for (int i = 0; i < output_count(); ++i)
-      ctx.write(i, hinch::Packet::of(std::make_shared<int64_t>(acc),
-                                     sizeof(int64_t)));
+    for (int i = 0; i < input_count(); ++i) {
+      media::ConstPlaneView in = ctx.read(i).frame()->plane(0);
+      for (int y = r0; y < r1; ++y) acc += in.row(y)[0];
+    }
+    for (int i = 0; i < output_count(); ++i) {
+      media::PlaneView out =
+          output_stream(i)
+              ->get_or_alloc_frame(ctx.iteration(), media::PixelFormat::kGray,
+                                   kWidth, kRows)
+              ->plane(0);
+      for (int y = r0; y < r1; ++y)
+        std::memset(out.row(y), static_cast<uint8_t>(acc), kWidth);
+    }
     std::lock_guard<std::mutex> lock(board().mutex);
     ++board().runs[instance()];
   }

@@ -25,6 +25,7 @@
 #include "hinch/runtime.hpp"
 #include "hinch/session.hpp"
 #include "hinch/thread_executor.hpp"
+#include "media/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cache.hpp"
@@ -59,19 +60,15 @@ std::unique_ptr<Program> build(const std::string& spec) {
   return std::move(prog).take();
 }
 
-// Chained FNV over every sink's checksum — equal iff all output video
+// Every sink's checksum folded into one chain — equal iff all output video
 // is equal (same reduction hinchd reports per batch).
 uint64_t output_checksum(Program& prog) {
-  uint64_t hash = 14695981039346656037ULL;
+  uint64_t hash = media::kFnvBasis;
   for (int i = 0; i < prog.component_count(); ++i) {
     const auto* access =
         dynamic_cast<const components::SinkAccess*>(&prog.component(i));
     if (access == nullptr) continue;
-    uint64_t c = access->sink().checksum();
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (c >> (8 * b)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
+    hash = media::hash_fold(hash, access->sink().checksum());
   }
   return hash;
 }

@@ -48,6 +48,7 @@
 #include "components/components.hpp"
 #include "components/sinks.hpp"
 #include "hinch/session.hpp"
+#include "media/metrics.hpp"
 #include "obs/chrome_export.hpp"
 #include "obs/trace.hpp"
 #include "support/strings.hpp"
@@ -73,21 +74,17 @@ struct Tenant {
   int64_t iterations_fed = 0;
 };
 
-// Chained FNV over every sink component's checksum: one number that is
+// Every sink component's checksum folded into one chain: one number that is
 // equal iff all output video of the batch is equal.
 uint64_t output_checksum(hinch::Program& prog) {
-  uint64_t hash = 14695981039346656037ULL;
+  uint64_t hash = media::kFnvBasis;
   bool any = false;
   for (int i = 0; i < prog.component_count(); ++i) {
     const auto* access =
         dynamic_cast<const components::SinkAccess*>(&prog.component(i));
     if (access == nullptr) continue;
     any = true;
-    uint64_t c = access->sink().checksum();
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (c >> (8 * b)) & 0xFF;
-      hash *= 1099511628211ULL;
-    }
+    hash = media::hash_fold(hash, access->sink().checksum());
   }
   return any ? hash : 0;
 }
