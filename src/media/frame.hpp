@@ -67,10 +67,14 @@ int plane_count(PixelFormat fmt);
 // Dimensions of plane `i` for a `w`x`h` frame of the given format.
 void plane_dims(PixelFormat fmt, int w, int h, int plane, int* pw, int* ph);
 
-// A planar image frame. Owns its pixel storage (one contiguous block).
+// A planar image frame. Owns its pixel storage: one contiguous,
+// cache-line-aligned block. Blocks of 64 KiB and more come from, and go
+// back to, a process-wide pool kept by size (frame.cpp), so a graph that
+// allocates the same frame sizes over and over reuses resident pages.
 class Frame {
  public:
   Frame(PixelFormat fmt, int width, int height);
+  Frame& operator=(const Frame&) = delete;
 
   PixelFormat format() const { return fmt_; }
   int width() const { return width_; }
@@ -81,15 +85,15 @@ class Frame {
   ConstPlaneView plane(int i) const;
 
   // Total payload size in bytes.
-  size_t bytes() const { return data_.size(); }
+  size_t bytes() const { return data_.get_deleter().bytes; }
   // Byte offset of plane `i` inside the contiguous payload (used for
   // memory-traffic accounting on stream slots).
   size_t plane_offset(int i) const {
     SUP_CHECK(i >= 0 && i < planes());
     return offsets_[static_cast<size_t>(i)];
   }
-  uint8_t* raw() { return data_.data(); }
-  const uint8_t* raw() const { return data_.data(); }
+  uint8_t* raw() { return data_.get(); }
+  const uint8_t* raw() const { return data_.get(); }
 
   // Fill every plane with a constant value.
   void fill(uint8_t value);
@@ -100,11 +104,19 @@ class Frame {
   std::shared_ptr<Frame> clone() const;
 
  private:
+  Frame(const Frame& other);  // deep copy; callers use clone()
+
+  // Hands a pixel block back to the pool (or frees it).
+  struct ReleasePixels {
+    size_t bytes;
+    void operator()(uint8_t* p) const;
+  };
+
   PixelFormat fmt_;
   int width_;
   int height_;
   std::vector<size_t> offsets_;  // per-plane start offset into data_
-  std::vector<uint8_t> data_;
+  std::unique_ptr<uint8_t[], ReleasePixels> data_;
 };
 
 using FramePtr = std::shared_ptr<Frame>;
