@@ -17,19 +17,12 @@
 // The (variant x cores) grid plus the hand-written sequential baseline
 // run on the parallel sweep driver.
 #include "bench_util.hpp"
-#include "perf/fusion.hpp"
 
 namespace {
 
 struct Meas {
   uint64_t cycles;
   uint64_t fetches;
-};
-
-struct AutoMeas {
-  uint64_t cycles;
-  uint64_t fetches;
-  bool fused;  // did the cost model take any fusion at this core count?
 };
 
 }  // namespace
@@ -95,83 +88,6 @@ int main() {
       "high core counts — the fused decode+IDCT task is unsliced, the\n"
       "paper's \"reduces the amount of parallelism\" caveat. Choosing the\n"
       "balance is exactly the further research §4.1 calls for.\n");
-
-  // --- auto-grouping ---------------------------------------------------------
-  //
-  // The same experiment with the balance chosen automatically: the
-  // plain (ungrouped) spec run through the auto-group pass, each fusion
-  // priced by the perf cost model (link footprint vs the simulated L2,
-  // §4.1) at that core count. Link footprints come from one shared
-  // 2-frame profiling run of the unfused program.
-  components::register_standard_globally();
-  auto graph = xspcl::load_string(plain_spec);
-  if (!graph.is_ok()) {
-    std::fprintf(stderr, "ablation_grouping: %s\n",
-                 graph.status().to_string().c_str());
-    return 1;
-  }
-  auto bytes = perf::measure_stream_slot_bytes(
-      *graph.value(), hinch::ComponentRegistry::global());
-  if (!bytes.is_ok()) {
-    std::fprintf(stderr, "ablation_grouping: %s\n",
-                 bytes.status().to_string().c_str());
-    return 1;
-  }
-
-  std::vector<AutoMeas> auto_meas = bench::parallel_sweep(
-      static_cast<int>(core_counts.size()), [&](int idx) -> AutoMeas {
-        int cores = core_counts[static_cast<size_t>(idx)];
-        perf::FusionModel model;
-        model.cores = cores;
-        hinch::BuildConfig config;
-        config.passes.auto_group = true;
-        config.passes.advisor =
-            perf::make_fusion_advisor(bytes.value(), model);
-        auto prog = hinch::Program::build(
-            *graph.value(), hinch::ComponentRegistry::global(), config);
-        if (!prog.is_ok()) {
-          std::fprintf(stderr, "ablation_grouping: %s\n",
-                       prog.status().to_string().c_str());
-          std::abort();
-        }
-        bool fused = false;
-        for (const hinch::Task& t : prog.value()->tasks())
-          if (t.components.size() > 1) fused = true;
-        hinch::SimResult r = bench::run_sim(*prog.value(), plain_cfg.frames,
-                                            cores, cores > 1);
-        return AutoMeas{r.total_cycles, r.mem.mem_fetches, fused};
-      });
-
-  std::printf("\nAuto-grouping (cost-model-driven pass, plain spec):\n");
-  std::printf("%-10s %14s %14s %7s\n", "cores", "auto Mcyc", "vs plain",
-              "fused");
-  for (size_t i = 0; i < core_counts.size(); ++i) {
-    const Meas& p = meas[1 + 2 * i];
-    const AutoMeas& a = auto_meas[i];
-    std::printf("%-10d %14.1f %+13.1f%% %7s\n", core_counts[i],
-                bench::mcycles(a.cycles),
-                100.0 * (static_cast<double>(a.cycles) /
-                             static_cast<double>(p.cycles) -
-                         1.0),
-                a.fused ? "yes" : "no");
-    if (core_counts[i] == 1) {
-      std::printf("  1-core overhead vs hand-written sequential: auto "
-                  "%.1f%% (plain %.1f%%)\n",
-                  100.0 * (static_cast<double>(a.cycles) /
-                               static_cast<double>(seq.cycles) -
-                           1.0),
-                  100.0 * (static_cast<double>(p.cycles) /
-                               static_cast<double>(seq.cycles) -
-                           1.0));
-      std::printf("  L2 misses: auto %llu (plain %llu)\n",
-                  static_cast<unsigned long long>(a.fetches),
-                  static_cast<unsigned long long>(p.fetches));
-    }
-  }
-  std::printf(
-      "\nExpected: the model fuses the decode chains at 1 core (matching\n"
-      "the manual <group> numbers above) and declines once the forfeited\n"
-      "IDCT slicing would cost more than the cache-miss savings.\n");
   bench::teardown();
   return 0;
 }

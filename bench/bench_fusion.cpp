@@ -5,17 +5,15 @@
 // one entity). ablation_grouping reproduces that; this bench measures
 // the next step the fuse-kernels pass adds: rewriting registered chains
 // into single fused-loop components, so the linking packets never
-// materialize at all. Three legs, each at pipeline windows 5 and 2
+// materialize at all. Two legs, each at pipeline windows 5 and 2
 // (stream depth = window), all at 1 core against the hand-written
 // sequential baseline:
 //
 //   plain  — default pipeline, no fusion pass
-//   group  — auto-group only (component fusion: shared core, packets
-//            still materialize)
-//   fuse   — auto-group + fuse-kernels (loop fusion: the decode chain
-//            becomes jpeg_decode_planes, each downscale->blend becomes
-//            a downscale_blend; coefficient images and small frames
-//            are strip/scratch traffic)
+//   fuse   — fuse-kernels (loop fusion: the decode chain becomes
+//            jpeg_decode_planes, each downscale->blend becomes a
+//            downscale_blend; coefficient images and small frames are
+//            strip/scratch traffic)
 //
 // At window 5 the five-slot stream rotation keeps ~17 MB of canvas and
 // plane slots live against the 16 MB simulated L2, so even the fused
@@ -27,6 +25,7 @@
 //
 // Emits BENCH_fusion.json (simulated cycles, not wall-clock).
 // `bench_fusion --smoke` (CI) runs fewer frames with the same gates.
+#include <algorithm>
 #include <cstring>
 
 #include "bench_util.hpp"
@@ -40,7 +39,6 @@ namespace {
 struct Leg {
   std::string name;
   int window;
-  bool group;
   bool fuse;
 };
 
@@ -48,7 +46,7 @@ struct Meas {
   uint64_t cycles = 0;
   uint64_t fetches = 0;
   uint64_t checksum = 0;
-  int fused_tasks = 0;  // tasks synthesized by either fusion pass
+  int fused_tasks = 0;  // tasks synthesized by the fusion pass
 };
 
 uint64_t sink_checksum(hinch::Program& prog) {
@@ -94,9 +92,10 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<Leg> legs = {
-      {"plain", 5, false, false}, {"group", 5, true, false},
-      {"fuse", 5, true, true},    {"plain", 2, false, false},
-      {"group", 2, true, false},  {"fuse", 2, true, true},
+      {"plain", 5, false},
+      {"fuse", 5, true},
+      {"plain", 2, false},
+      {"fuse", 2, true},
   };
 
   // Point 0 is the hand-written sequential baseline; then one point per
@@ -116,11 +115,6 @@ int main(int argc, char** argv) {
         // stream rings to match so the cache sees what the schedule
         // actually keeps live.
         config.stream_depth = leg.window;
-        if (leg.group) {
-          config.passes.auto_group = true;
-          config.passes.advisor =
-              perf::make_fusion_advisor(bytes.value(), model);
-        }
         if (leg.fuse) {
           config.passes.fuse_kernels = true;
           config.passes.kernel_patterns = &components::standard_fusions();
@@ -221,7 +215,16 @@ int main(int argc, char** argv) {
   // (the plain leg is ~40x). The window-5 rows are reported, not gated:
   // five-slot rotation is a pipelining choice the fusion pass does not
   // control.
-  const Meas& gated = meas[6];  // fuse @ window 2
+  const auto gated_leg =
+      std::find_if(legs.begin(), legs.end(), [](const Leg& l) {
+        return l.name == "fuse" && l.window == 2;
+      });
+  if (gated_leg == legs.end()) {
+    std::fprintf(stderr, "bench_fusion: FAIL no fuse@2 leg to gate\n");
+    return 1;
+  }
+  const Meas& gated =
+      meas[1 + static_cast<size_t>(gated_leg - legs.begin())];
   bool ok = true;
   if (!checksums_ok) {
     std::fprintf(stderr, "bench_fusion: FAIL checksum mismatch\n");

@@ -130,6 +130,41 @@ void bench_decode() {
   add_row("idct_1080p_luma", f_ref, fixed, "IDCT of one 1080p luma plane");
 }
 
+// --- the decode-chain fusion pattern, component for component ----------------
+
+// jpeg_decode -> 3 x idct as the XSPCL MJPEG app wires it, against the
+// same spec with every fuse-kernels candidate taken (one
+// jpeg_decode_planes). Both run the same media calls; the row prices what
+// the rewrite removes on the host: the coefficient packet's hand-off and
+// three scheduled tasks per frame. One worker, window 1, so the two legs
+// differ only in the chain.
+void bench_decode_chain_fusion() {
+  apps::MjpegDecodeConfig c;
+  c.frames = g_smoke ? 4 : 8;
+  c.clip_frames = 4;
+  const std::string spec = apps::mjpeg_xspcl(c);
+  std::unique_ptr<hinch::Program> unfused = bench::build_program(spec);
+  hinch::BuildConfig fuse;
+  fuse.passes.fuse_kernels = true;
+  fuse.passes.kernel_patterns = &components::standard_fusions();
+  auto fused =
+      xspcl::build_program(spec, hinch::ComponentRegistry::global(), fuse);
+  SUP_CHECK_MSG(fused.is_ok(), fused.status().to_string().c_str());
+  bool rewritten = false;
+  for (const hinch::Task& t : fused.value()->tasks())
+    if (t.label.find('+') != std::string::npos) rewritten = true;
+  SUP_CHECK_MSG(rewritten, "decode chain was not fused");
+  hinch::RunConfig run;
+  run.iterations = c.frames;
+  run.window = 1;
+  auto [base, opt] = best_ms_pair(
+      reps(5), [&] { hinch::run_on_threads(*unfused, run, 1); },
+      [&] { hinch::run_on_threads(*fused.value(), run, 1); });
+  add_row("jpeg_decode_planes_vs_3idct", base, opt,
+          "1080p MJPEG app, " + std::to_string(c.frames) +
+              " frames, 1 worker: fused chain vs jpeg_decode + 3 idct");
+}
+
 // --- pixel kernels ----------------------------------------------------------
 
 // Naive clamp-everywhere references, mirroring the pre-optimization
@@ -287,6 +322,7 @@ int main(int argc, char** argv) {
       media::kernel_dispatch_name(media::active_kernel_dispatch()));
   g_report.add_context("mode", g_smoke ? "smoke" : "full");
   bench_decode();
+  bench_decode_chain_fusion();
   bench_kernels();
   g_report.write_json(out);
   // The headline acceptance bar: the new decode path must be at least

@@ -172,32 +172,44 @@ class DownscaleBlendComponent : public hinch::Component {
     FramePtr src = ctx.read(in_).frame();
     Packet& slot = ctx.inout(canvas_);
     FramePtr canvas = slot.frame();
-    int sp_idx = src_plane_ >= 0 ? src_plane_ : 0;
     SUP_CHECK_MSG(src_plane_ < src->planes(),
                   "downscale_blend: no such plane");
-    SUP_CHECK_MSG(src_plane_ >= 0 || src->planes() == 1,
-                  "downscale_blend: multi-plane source needs src_plane");
-    media::ConstPlaneView sp = src->plane(sp_idx);
-    int target = canvas->planes() == 1 ? 0 : std::max(plane_, 0);
-    media::PlaneView c = canvas->plane(target);
+    const int target = canvas->planes() == 1 ? 0 : std::max(plane_, 0);
+    if (src_plane_ >= 0 || src->planes() == 1) {
+      fuse_plane(ctx, *src, std::max(src_plane_, 0), *canvas, target);
+    } else if (plane_ >= 0) {
+      fuse_plane(ctx, *src, plane_, *canvas, target);
+    } else {
+      // Whole-frame chain (neither side names a plane): like the unfused
+      // pair, each source plane lands on the matching canvas plane.
+      SUP_CHECK(canvas->planes() == src->planes());
+      for (int p = 0; p < src->planes(); ++p)
+        fuse_plane(ctx, *src, p, *canvas, p);
+    }
+  }
+
+ private:
+  void fuse_plane(ExecContext& ctx, const Frame& src, int sp_idx,
+                  Frame& canvas, int target) {
+    media::ConstPlaneView sp = src.plane(sp_idx);
+    media::PlaneView c = canvas.plane(target);
     // Luma-space offset scaled into the target plane's coordinate space
     // (same arithmetic as the unfused blend).
-    int px = canvas->width() ? x_ * c.width / canvas->width() : x_;
-    int py = canvas->height() ? y_ * c.height / canvas->height() : y_;
+    int px = canvas.width() ? x_ * c.width / canvas.width() : x_;
+    int py = canvas.height() ? y_ * c.height / canvas.height() : y_;
     int sh = sp.height / factor_;
     int sw = sp.width / factor_;
     int r0 = 0, r1 = 0;
     hinch::slice_rows(sh, slice_index(), slice_count(), &r0, &r1);
     media::downscale_blend(sp, c, factor_, px, py, alpha_, py + r0, py + r1);
     ctx.charge_compute(media::downscale_blend_cycles(sw, r1 - r0, factor_));
-    charge_touch_rows(ctx, true, in_, *src, sp_idx, r0 * factor_,
+    charge_touch_rows(ctx, true, in_, src, sp_idx, r0 * factor_,
                       r1 * factor_);
     int c0 = std::clamp(py + r0, 0, c.height);
     int c1 = std::clamp(py + r1, 0, c.height);
-    charge_touch_rows(ctx, false, canvas_, *canvas, target, c0, c1);
+    charge_touch_rows(ctx, false, canvas_, canvas, target, c0, c1);
   }
 
- private:
   int in_;
   int canvas_;
   int factor_;

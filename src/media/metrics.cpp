@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 
 namespace media {
@@ -36,29 +37,37 @@ double psnr(const Frame& a, const Frame& b) {
   return 10.0 * std::log10(255.0 * 255.0 / m);
 }
 
+namespace {
+
+uint64_t load_word(const uint8_t* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+}  // namespace
+
 uint64_t plane_digest(ConstPlaneView p) {
-  constexpr int kLanes = 4;
-  uint64_t lane[kLanes] = {kFnvBasis, kFnvBasis, kFnvBasis, kFnvBasis};
+  // Four lanes as four named scalars, not an array: with an array GCC's
+  // -O2 vectorizer packs the lanes into SSE2 registers and emulates each
+  // 64-bit multiply, at half the scalar speed.
+  uint64_t l0 = kFnvBasis, l1 = kFnvBasis, l2 = kFnvBasis, l3 = kFnvBasis;
   uint64_t tail = kFnvBasis;
   const size_t words = static_cast<size_t>(p.width) / 8;
   const size_t rest = static_cast<size_t>(p.width) % 8;
   for (int y = 0; y < p.height; ++y) {
     const uint8_t* r = p.row(y);
-    // Whole groups of kLanes words first: the lanes' multiplies are
-    // independent, which the compiler sees only with the lane index fixed.
     size_t i = 0;
-    for (; i + kLanes <= words; i += kLanes) {
-      for (int k = 0; k < kLanes; ++k) {
-        uint64_t w = 0;
-        std::memcpy(&w, r + 8 * (i + static_cast<size_t>(k)), 8);
-        lane[k] = hash_fold(lane[k], w);
-      }
+    for (; i + 4 <= words; i += 4) {
+      l0 = hash_fold(l0, load_word(r + 8 * i));
+      l1 = hash_fold(l1, load_word(r + 8 * i + 8));
+      l2 = hash_fold(l2, load_word(r + 8 * i + 16));
+      l3 = hash_fold(l3, load_word(r + 8 * i + 24));
     }
-    for (; i < words; ++i) {
-      uint64_t w = 0;
-      std::memcpy(&w, r + 8 * i, 8);
-      lane[i % kLanes] = hash_fold(lane[i % kLanes], w);
-    }
+    // Up to three words left over, dealt to the lanes in order.
+    if (i < words) l0 = hash_fold(l0, load_word(r + 8 * i++));
+    if (i < words) l1 = hash_fold(l1, load_word(r + 8 * i++));
+    if (i < words) l2 = hash_fold(l2, load_word(r + 8 * i));
     if (rest != 0) {
       uint64_t w = 0;
       std::memcpy(&w, r + 8 * words, rest);
@@ -66,7 +75,7 @@ uint64_t plane_digest(ConstPlaneView p) {
     }
   }
   uint64_t d = hash_fold(kFnvBasis, p.bytes());
-  for (uint64_t l : lane) d = hash_fold(d, l);
+  for (uint64_t l : {l0, l1, l2, l3}) d = hash_fold(d, l);
   return hash_fold(d, tail);
 }
 

@@ -50,47 +50,6 @@ support::Result<StreamBytes> measure_stream_slot_bytes(
   return bytes;
 }
 
-bool fusion_wins(const FusionModel& model, uint64_t link_bytes,
-                 int lost_parallelism) {
-  if (link_bytes == 0) return false;
-  // The pipelined program parks `window` packets per link. While they
-  // fit in the L2 budget, consumers read them back at L2 cost and
-  // fusion has nothing to save.
-  const double parked =
-      static_cast<double>(model.window) * static_cast<double>(link_bytes);
-  if (parked <= kLinkL2Share * static_cast<double>(model.cache.l2_bytes))
-    return false;
-  // Overflowed: each consumer read of the link data is a memory fetch
-  // instead of an L2 hit. Fusing keeps the data cache-warm, saving the
-  // L2-vs-memory latency difference per chunk, once per iteration.
-  const double chunks =
-      std::ceil(static_cast<double>(link_bytes) /
-                static_cast<double>(model.cache.chunk_bytes));
-  const double saving =
-      chunks * static_cast<double>(model.cache.mem_cycles_per_chunk -
-                                   model.cache.l2_cycles_per_chunk);
-  // Fusing serializes the chain onto one core. Approximate the chain's
-  // work by the bytes it moves across the link, and charge the fraction
-  // the forfeited parallelism would have absorbed.
-  const int par =
-      std::max(1, std::min(model.cores, lost_parallelism));
-  const double work = kChainCyclesPerByte * static_cast<double>(link_bytes);
-  const double loss = work * (1.0 - 1.0 / static_cast<double>(par));
-  return saving > loss;
-}
-
-sp::FusionAdvisor make_fusion_advisor(StreamBytes bytes, FusionModel model) {
-  return [bytes = std::move(bytes),
-          model](const sp::FusionCandidate& cand) {
-    uint64_t link_bytes = 0;
-    for (const std::string& s : cand.link_streams) {
-      auto it = bytes.find(s);
-      if (it != bytes.end()) link_bytes += it->second;
-    }
-    return fusion_wins(model, link_bytes, cand.lost_replicas);
-  };
-}
-
 bool kernel_fusion_wins(const FusionModel& model, uint64_t link_bytes,
                         int lost_parallelism) {
   if (link_bytes == 0) return false;
@@ -127,14 +86,6 @@ sp::FusionAdvisor make_kernel_fusion_advisor(StreamBytes bytes,
     }
     return kernel_fusion_wins(model, link_bytes, cand.lost_replicas);
   };
-}
-
-support::Result<sp::FusionAdvisor> make_fusion_advisor(
-    const sp::Node& root, const hinch::ComponentRegistry& registry,
-    FusionModel model) {
-  SUP_ASSIGN_OR_RETURN(StreamBytes bytes,
-                       measure_stream_slot_bytes(root, registry));
-  return make_fusion_advisor(std::move(bytes), std::move(model));
 }
 
 }  // namespace perf

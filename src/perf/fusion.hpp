@@ -1,13 +1,13 @@
-// The cost-model side of the auto-group pass (§4.1): decides, per
-// fusion candidate, whether fusing a stream-connected chain into one
-// task beats leaving it pipelined/sliced.
+// The cost-model side of the fuse-kernels pass (§4.1): decides, per
+// fusion candidate, whether rewriting a stream-connected chain into one
+// fused-loop task beats leaving it pipelined/sliced.
 //
 // The decision sees the simulated cache hierarchy (sim::CacheConfig):
-// fusing pays off when the linking streams' in-flight packets overflow
-// the L2 — every consumer read then goes to memory — and the predicted
-// miss-stall savings beat the serialization loss from giving up the
-// chain's parallelism. Link footprints come from a short profiling run
-// (measure_stream_slot_bytes) of the *unfused* program.
+// the elided link traffic is priced at the level the parked packets
+// live at, against the fused loop's register pressure and the
+// serialization loss from giving up the chain's parallelism. Link
+// footprints come from a short profiling run (measure_stream_slot_bytes)
+// of the *unfused* program.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 
 #include "hinch/registry.hpp"
 #include "sim/cache.hpp"
-#include "sp/fuse.hpp"
+#include "sp/fuse_kernels.hpp"
 #include "support/status.hpp"
 
 namespace perf {
@@ -40,16 +40,8 @@ support::Result<StreamBytes> measure_stream_slot_bytes(
     int iterations = 2);
 
 // The pure decision, exposed for tests: `link_bytes` is the summed
-// packet size of the links a fusion would internalize,
+// packet size of the links a rewrite would internalize,
 // `lost_parallelism` the slice replication the fused task gives up.
-bool fusion_wins(const FusionModel& model, uint64_t link_bytes,
-                 int lost_parallelism);
-
-// Advisor over an already-measured byte map (cheap to copy per sweep
-// point; the map is shared by value).
-sp::FusionAdvisor make_fusion_advisor(StreamBytes bytes, FusionModel model);
-
-// --- loop-level (fuse-kernels) decisions ------------------------------------
 //
 // The fuse-kernels pass elides the link's packets entirely: the fused
 // loop keeps the intermediate in a strip-sized scratch, so BOTH the
@@ -58,20 +50,15 @@ sp::FusionAdvisor make_fusion_advisor(StreamBytes bytes, FusionModel model);
 // currently live at (L2 while the window's worth fits the budget,
 // memory once it overflows). Against that saving the model charges the
 // fused loop's register pressure (a per-chunk constant — wider fused
-// loops keep more live state, throttling the issue rate) and, as for
-// auto-group, the serialization loss when the rewrite forfeits slice
-// replication on a multi-core run.
+// loops keep more live state, throttling the issue rate) and the
+// serialization loss when the rewrite forfeits slice replication on a
+// multi-core run.
 bool kernel_fusion_wins(const FusionModel& model, uint64_t link_bytes,
                         int lost_parallelism);
 
-// Advisor for PassOptions::kernel_advisor over a measured byte map.
+// Advisor for PassOptions::kernel_advisor over an already-measured byte
+// map (cheap to copy per sweep point; the map is shared by value).
 sp::FusionAdvisor make_kernel_fusion_advisor(StreamBytes bytes,
                                              FusionModel model);
-
-// Convenience: measure the graph, then wrap the result. Fails when the
-// profiling build/run fails (unknown component class etc.).
-support::Result<sp::FusionAdvisor> make_fusion_advisor(
-    const sp::Node& root, const hinch::ComponentRegistry& registry,
-    FusionModel model);
 
 }  // namespace perf

@@ -1,10 +1,9 @@
 #include "sp/fuse_kernels.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
-
-#include "sp/fuse.hpp"
 
 namespace sp {
 
@@ -18,6 +17,53 @@ void KernelFusionRegistry::add(KernelFusionPattern pattern) {
 }
 
 namespace {
+
+// Whether scheduling the whole subtree as one sequential unit is legal:
+// options and managers need their own tasks (they gate / reconfigure at
+// run time), and crossdep regions carry cross-replica dependencies a
+// flattened order would hide.
+bool fusible_subtree(const Node& n) {
+  switch (n.kind()) {
+    case NodeKind::kLeaf:
+    case NodeKind::kGroup:
+      return true;
+    case NodeKind::kOption:
+    case NodeKind::kManager:
+      return false;
+    case NodeKind::kPar:
+      if (n.shape == ParShape::kCrossDep) return false;
+      break;
+    case NodeKind::kSeq:
+      break;
+  }
+  for (const NodePtr& c : n.children)
+    if (!fusible_subtree(*c)) return false;
+  return true;
+}
+
+// A seq step's leaves in depth-first (schedule) order and the maximum
+// slice replication multiplying any of them.
+struct StepIo {
+  std::vector<const Node*> leaves;
+  int max_replicas = 1;
+};
+
+void scan_step(const Node& n, int mult, StepIo* io) {
+  if (n.kind() == NodeKind::kLeaf) {
+    io->leaves.push_back(&n);
+    io->max_replicas = std::max(io->max_replicas, mult);
+    return;
+  }
+  if (n.kind() == NodeKind::kPar && n.shape != ParShape::kTask)
+    mult *= n.replicas;
+  for (const NodePtr& c : n.children) scan_step(*c, mult, io);
+}
+
+StepIo step_io(const Node& n) {
+  StepIo io;
+  scan_step(n, 1, &io);
+  return io;
+}
 
 // Global stream fan-in/fan-out, counted over leaf port bindings. Used
 // to decline rewrites whose link streams have consumers or producers

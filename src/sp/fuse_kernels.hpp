@@ -1,18 +1,19 @@
-// The fuse-kernels pass: loop-level fusion, one level below auto-group.
+// The fuse-kernels pass: loop-level fusion, the one automatic fusion
+// pass (§4.1's remedy for the coordination overhead, below the
+// hand-written <group>).
 //
-// auto-group (sp/fuse.hpp) fuses stream-connected steps into a kGroup so
-// they share a core and the linking packets stay cache-warm — but each
-// member still runs its own full-frame loop and the intermediate frame
-// still materializes in the linking stream's slot. This pass goes
-// further: when the leaves of a fused run (or of adjacent seq steps)
-// match a *registered fusible pattern* — a chain of component classes
-// for which a single fused kernel exists — the chain is rewritten into
-// ONE synthesized leaf whose component executes one fused loop over a
-// strip-sized scratch. The linking streams disappear from the graph
-// entirely; their packets never materialize at all.
+// A group shares a core so the linking packets stay cache-warm, but
+// each member still runs its own full-frame loop and the intermediate
+// frame still materializes in the linking stream's slot. This pass goes
+// further: when the members of a hand-written group (or the leaves of
+// adjacent seq steps) match a *registered fusible pattern* — a chain of
+// component classes for which a single fused kernel exists — the chain
+// is rewritten into ONE synthesized leaf whose component executes one
+// fused loop over a strip-sized scratch. The linking streams disappear
+// from the graph entirely; their packets never materialize at all.
 //
-// Unlike auto-group, a kernel rewrite is only semantically safe under
-// structural conditions this pass checks per candidate:
+// A kernel rewrite is only semantically safe under structural
+// conditions this pass checks per candidate:
 //   - every matched subtree is fusible (no options/managers/crossdep);
 //   - the chain is stream-connected (each member after the first reads
 //     something an earlier member wrote);
@@ -42,6 +43,21 @@
 #include "support/status.hpp"
 
 namespace sp {
+
+// One proposed rewrite, as the advisor sees it: which streams would stop
+// parking between tasks and how much replication the fused task gives
+// up.
+struct FusionCandidate {
+  // The chain's producers, in schedule order.
+  std::vector<const Node*> run_leaves;
+  // The chain's final consumer.
+  std::vector<const Node*> step_leaves;
+  // Streams internal to the chain — the links whose packets never
+  // materialize if the rewrite is taken.
+  std::vector<std::string> link_streams;
+  // Slice replication the fused task gives up (1 when none is lost).
+  int lost_replicas = 1;
+};
 
 // One fusible chain: an ordered list of component classes plus the
 // rewrite that synthesizes the fused leaf from the matched specs.

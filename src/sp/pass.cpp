@@ -3,7 +3,6 @@
 #include <set>
 #include <utility>
 
-#include "sp/fuse.hpp"
 #include "sp/fuse_kernels.hpp"
 #include "sp/transform.hpp"
 #include "sp/validate.hpp"
@@ -91,7 +90,6 @@ PassOptions PassOptions::none() {
   o.normalize = false;
   o.strip_dead_options = false;
   o.to_sp_form = false;
-  o.auto_group = false;
   o.fuse_kernels = false;
   o.verify = false;
   return o;
@@ -169,10 +167,6 @@ const std::vector<PassInfo>& registered_passes() {
       {"normalize", normalize_pass().description, true},
       {"strip-dead-options", strip_dead_options_pass().description, true},
       {"to-sp-form", to_sp_form_pass().description, false},
-      {"auto-group",
-       "fuse stream-connected producer->consumer chains into groups when "
-       "the cost model predicts a win (section 4.1)",
-       false},
       {"fuse-kernels", fuse_kernels_pass(nullptr, {}).description, false},
   };
   return kPasses;
@@ -183,7 +177,6 @@ support::Result<Pass> pass_by_name(const std::string& name,
   if (name == "normalize") return normalize_pass();
   if (name == "strip-dead-options") return strip_dead_options_pass();
   if (name == "to-sp-form") return to_sp_form_pass();
-  if (name == "auto-group") return auto_group_pass(options.advisor);
   if (name == "fuse-kernels")
     return fuse_kernels_pass(options.kernel_patterns,
                              options.kernel_advisor);
@@ -202,7 +195,6 @@ PassManager make_pipeline(const PassOptions& options) {
   if (options.normalize) pm.add(normalize_pass());
   if (options.strip_dead_options) pm.add(strip_dead_options_pass());
   if (options.to_sp_form) pm.add(to_sp_form_pass());
-  if (options.auto_group) pm.add(auto_group_pass(options.advisor));
   if (options.fuse_kernels)
     pm.add(fuse_kernels_pass(options.kernel_patterns,
                              options.kernel_advisor));
@@ -218,10 +210,6 @@ std::string pass_fingerprint(const PassOptions& options) {
   if (options.normalize) mark("normalize");
   if (options.strip_dead_options) mark("strip-dead-options");
   if (options.to_sp_form) mark("to-sp-form");
-  if (options.auto_group) {
-    mark("auto-group");
-    if (options.advisor) out += "+advisor";
-  }
   if (options.fuse_kernels) {
     mark("fuse-kernels");
     if (options.kernel_patterns != nullptr) out += "+patterns";

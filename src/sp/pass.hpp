@@ -7,8 +7,7 @@
 // two places in perf/predict.cpp and nowhere else).
 //
 // Canonical order (see docs/COMPILER.md):
-//   normalize -> strip-dead-options -> [to-sp-form] -> [auto-group]
-//     -> [fuse-kernels]
+//   normalize -> strip-dead-options -> [to-sp-form] -> [fuse-kernels]
 #pragma once
 
 #include <functional>
@@ -34,12 +33,13 @@ struct Pass {
 using DumpHook =
     std::function<void(const std::string& pass, const Node& graph)>;
 
-struct FusionCandidate;       // sp/fuse.hpp
+struct FusionCandidate;       // sp/fuse_kernels.hpp
 class KernelFusionRegistry;   // sp/fuse_kernels.hpp
 
 // Decides whether a fusion candidate is worth taking. The sp layer only
 // defines the contract; the cost-model-backed implementation lives in
-// perf::make_fusion_advisor (it sees the simulated cache hierarchy).
+// perf::make_kernel_fusion_advisor (it sees the simulated cache
+// hierarchy).
 using FusionAdvisor = std::function<bool(const FusionCandidate&)>;
 
 // Verification between passes defaults to on in debug builds (§ the
@@ -65,14 +65,9 @@ struct PassOptions {
   // Rewrite crossdep regions into SP form (§3.3). Off for building —
   // the executors schedule crossdep natively; perf::predict turns it on.
   bool to_sp_form = false;
-  // Fuse stream-connected producer->consumer chains into kGroup nodes
-  // (§4.1). Off by default; when on, `advisor` arbitrates each fusion
-  // (empty advisor = fuse every candidate).
-  bool auto_group = false;
-  FusionAdvisor advisor;
   // Rewrite registered component chains into single fused-loop
-  // components (loop-level fusion; runs after auto-group so it sees the
-  // groups that pass formed). `kernel_patterns` names the chains and
+  // components (loop-level fusion, §4.1; it also sees the members of
+  // hand-written groups). `kernel_patterns` names the chains and
   // their rewrites — typically components::standard_fusions(); it must
   // outlive the pipeline run, and null makes the pass a no-op.
   // `kernel_advisor` arbitrates each rewrite (empty = take every
@@ -118,8 +113,6 @@ class PassManager {
 Pass normalize_pass();
 Pass strip_dead_options_pass();
 Pass to_sp_form_pass();
-// Defined in sp/fuse.cpp; an empty advisor fuses every candidate.
-Pass auto_group_pass(FusionAdvisor advisor);
 // Defined in sp/fuse_kernels.cpp (see that header for the contract).
 Pass fuse_kernels_pass(const KernelFusionRegistry* patterns,
                        FusionAdvisor advisor);
@@ -135,7 +128,7 @@ struct PassInfo {
 const std::vector<PassInfo>& registered_passes();
 
 // Look up a single pass by registered name, drawing its configuration
-// (advisors, kernel patterns) from `options`. Not-found lists the
+// (kernel patterns and advisor) from `options`. Not-found lists the
 // valid names.
 support::Result<Pass> pass_by_name(const std::string& name,
                                    const PassOptions& options);
@@ -147,8 +140,8 @@ PassManager make_pipeline(const PassOptions& options);
 
 // A short stable string identifying *which rewrites* a PassOptions runs:
 // the enabled pass names in canonical order, plus markers for attached
-// advisors/patterns ("+advisor", "+kernel-advisor", "+patterns") since
-// an advisor changes what the same flags produce. The verify flag is
+// patterns/advisor ("+patterns", "+kernel-advisor") since an advisor
+// changes what the same flags produce. The verify flag is
 // excluded — it never changes the output graph. Two option sets with
 // equal fingerprints produce the same graph from the same input *unless*
 // their advisor callables differ behind the marker.

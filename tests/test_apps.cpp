@@ -81,6 +81,14 @@ uint64_t run_sim_checksum(hinch::Program& prog, int64_t iterations,
   return sink_checksum(prog);
 }
 
+// Tasks running a component synthesized by fuse-kernels ("a+b" labels).
+int fused_tasks(const hinch::Program& prog) {
+  int n = 0;
+  for (const hinch::Task& t : prog.tasks())
+    if (t.label.find('+') != std::string::npos) ++n;
+  return n;
+}
+
 // --- PiP -------------------------------------------------------------------------
 
 TEST(PipApp, XspclMatchesSequentialAcrossCores) {
@@ -167,50 +175,30 @@ TEST(JpipApp, GroupedVariantProducesIdenticalOutput) {
   EXPECT_EQ(run_sim_checksum(*prog, config.frames, 3), seq.checksum);
 }
 
-TEST(JpipApp, AutoGroupedVariantProducesIdenticalOutput) {
-  // The auto-group pass on the PLAIN spec: force every fusion (bypassing
-  // the cost model) and the output must still be bit-identical — fusion
-  // only reorders scheduling, never dataflow.
-  JpipConfig config = small_jpip(1);
-  apps::SeqResult seq = apps::run_jpip_sequential(config);
-  components::register_standard_globally();
-  hinch::Program::BuildConfig build_config;
-  build_config.passes.auto_group = true;
-  build_config.passes.advisor = [](const sp::FusionCandidate&) {
-    return true;
-  };
-  auto prog = xspcl::build_program(apps::jpip_xspcl(config),
-                                   hinch::ComponentRegistry::global(),
-                                   build_config);
-  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
-  int fused_tasks = 0;
-  for (const hinch::Task& t : prog.value()->tasks())
-    if (t.components.size() > 1) ++fused_tasks;
-  EXPECT_GT(fused_tasks, 0);
-  EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 1), seq.checksum);
-  EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 3), seq.checksum);
-}
-
 TEST(JpipApp, CostModelAdvisorPreservesOutput) {
   // End-to-end through the measuring advisor (profiling run + cost
-  // model). Whatever it decides at this scaled-down size, the checksum
-  // must not move.
+  // model) driving fuse-kernels. At one core no slicing is forfeited,
+  // so the model takes every measured chain; the checksum must not
+  // move.
   JpipConfig config = small_jpip(1);
   apps::SeqResult seq = apps::run_jpip_sequential(config);
   components::register_standard_globally();
   auto graph = xspcl::load_string(apps::jpip_xspcl(config));
   ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
+  auto bytes = perf::measure_stream_slot_bytes(
+      *graph.value(), hinch::ComponentRegistry::global());
+  ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
   perf::FusionModel model;
   model.cores = 1;
-  auto advisor = perf::make_fusion_advisor(
-      *graph.value(), hinch::ComponentRegistry::global(), model);
-  ASSERT_TRUE(advisor.is_ok()) << advisor.status().to_string();
   hinch::Program::BuildConfig build_config;
-  build_config.passes.auto_group = true;
-  build_config.passes.advisor = advisor.value();
+  build_config.passes.fuse_kernels = true;
+  build_config.passes.kernel_patterns = &components::standard_fusions();
+  build_config.passes.kernel_advisor =
+      perf::make_kernel_fusion_advisor(std::move(bytes).take(), model);
   auto prog = hinch::Program::build(
       *graph.value(), hinch::ComponentRegistry::global(), build_config);
   ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  EXPECT_GE(fused_tasks(*prog.value()), 1);
   EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 1), seq.checksum);
 }
 
@@ -235,12 +223,53 @@ TEST(JpipApp, FuseKernelsVariantProducesIdenticalOutput) {
   ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
   // At least the decode chain and the PiP's plane pipelines must have
   // been rewritten into synthesized components ("a+b" instance names).
-  int rewritten = 0;
-  for (const hinch::Task& t : prog.value()->tasks())
-    if (t.label.find('+') != std::string::npos) ++rewritten;
-  EXPECT_GE(rewritten, 2);
+  EXPECT_GE(fused_tasks(*prog.value()), 2);
   EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 1), seq.checksum);
   EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 3), seq.checksum);
+}
+
+TEST(FusedOverlay, WholeFrameChainMatchesUnfused) {
+  // downscale and blend with no plane param over a multi-plane (YUV)
+  // source: the fused downscale_blend must take every plane onto the
+  // matching canvas plane, exactly as the unfused pair does.
+  const std::string spec = R"(<xspcl><procedure name="main"><body>
+    <parallel shape="task">
+      <parblock><component name="bg_src" class="video_source">
+        <param name="seed" value="7"/><param name="width" value="160"/>
+        <param name="height" value="120"/><param name="frames" value="4"/>
+        <outport name="out" stream="bg"/></component></parblock>
+      <parblock><component name="fg_src" class="video_source">
+        <param name="seed" value="8"/><param name="width" value="160"/>
+        <param name="height" value="120"/><param name="frames" value="4"/>
+        <outport name="out" stream="fg"/></component></parblock>
+    </parallel>
+    <component name="bgcopy" class="copy">
+      <inport name="in" stream="bg"/><outport name="out" stream="canvas"/>
+    </component>
+    <parallel shape="slice" n="3"><parblock>
+      <component name="ds" class="downscale"><param name="factor" value="4"/>
+        <inport name="in" stream="fg"/><outport name="out" stream="small"/>
+      </component></parblock></parallel>
+    <parallel shape="slice" n="3"><parblock>
+      <component name="bl" class="blend"><param name="x" value="10"/>
+        <param name="y" value="6"/><inport name="fg" stream="small"/>
+        <outport name="canvas" stream="canvas"/></component>
+    </parblock></parallel>
+    <component name="sink" class="frame_sink">
+      <inport name="in" stream="canvas"/></component>
+  </body></procedure></xspcl>)";
+  auto unfused = build(spec);
+  ASSERT_TRUE(unfused);
+  hinch::Program::BuildConfig build_config;
+  build_config.passes.fuse_kernels = true;
+  build_config.passes.kernel_patterns = &components::standard_fusions();
+  auto fused = xspcl::build_program(
+      spec, hinch::ComponentRegistry::global(), build_config);
+  ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
+  EXPECT_GE(fused_tasks(*fused.value()), 1);
+  const uint64_t want = run_sim_checksum(*unfused, 4, 1);
+  EXPECT_EQ(run_sim_checksum(*fused.value(), 4, 1), want);
+  EXPECT_EQ(run_sim_checksum(*fused.value(), 4, 3), want);
 }
 
 TEST(JpipApp, TwoPipsMatchSequential) {

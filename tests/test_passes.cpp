@@ -1,13 +1,11 @@
 // The SP-IR pass pipeline: normalize / strip-dead-options semantics,
 // PassManager verification and dump hooks, pass registry lookup, the
-// auto-group fusion pass, and the perf cost model arbitrating it.
+// fuse-kernels pass, and the perf cost model arbitrating it.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <vector>
 
 #include "perf/fusion.hpp"
-#include "sp/fuse.hpp"
 #include "sp/fuse_kernels.hpp"
 #include "sp/graph.hpp"
 #include "sp/pass.hpp"
@@ -249,17 +247,15 @@ TEST(PassManager, DumpHookFiresAfterEveryPassInOrder) {
 
 TEST(PassRegistry, RegisteredPassesInCanonicalOrder) {
   const std::vector<sp::PassInfo>& passes = sp::registered_passes();
-  ASSERT_EQ(passes.size(), 5u);
+  ASSERT_EQ(passes.size(), 4u);
   EXPECT_EQ(passes[0].name, "normalize");
   EXPECT_TRUE(passes[0].default_on);
   EXPECT_EQ(passes[1].name, "strip-dead-options");
   EXPECT_TRUE(passes[1].default_on);
   EXPECT_EQ(passes[2].name, "to-sp-form");
   EXPECT_FALSE(passes[2].default_on);
-  EXPECT_EQ(passes[3].name, "auto-group");
+  EXPECT_EQ(passes[3].name, "fuse-kernels");
   EXPECT_FALSE(passes[3].default_on);
-  EXPECT_EQ(passes[4].name, "fuse-kernels");
-  EXPECT_FALSE(passes[4].default_on);
 }
 
 TEST(PassRegistry, UnknownPassNameListsTheRegisteredOnes) {
@@ -267,7 +263,7 @@ TEST(PassRegistry, UnknownPassNameListsTheRegisteredOnes) {
   ASSERT_FALSE(res.is_ok());
   EXPECT_EQ(res.status().code(), support::Code::kNotFound);
   EXPECT_NE(res.status().message().find("normalize"), std::string::npos);
-  EXPECT_NE(res.status().message().find("auto-group"), std::string::npos);
+  EXPECT_NE(res.status().message().find("fuse-kernels"), std::string::npos);
 }
 
 TEST(PassRegistry, EveryRegisteredNameResolves) {
@@ -276,150 +272,6 @@ TEST(PassRegistry, EveryRegisteredNameResolves) {
     ASSERT_TRUE(res.is_ok()) << info.name;
     EXPECT_EQ(res.value().name, info.name);
   }
-}
-
-// --- auto-group ---------------------------------------------------------------
-
-sp::PassOptions auto_group_only(sp::FusionAdvisor advisor = {}) {
-  sp::PassOptions o = sp::PassOptions::none();
-  o.auto_group = true;
-  o.advisor = std::move(advisor);
-  return o;
-}
-
-int count_groups(const sp::Node& root) {
-  int groups = 0;
-  sp::visit(root, [&](const sp::Node& n) {
-    if (n.kind() == NodeKind::kGroup) ++groups;
-  });
-  return groups;
-}
-
-TEST(AutoGroupPass, FusesStreamConnectedChainWithEmptyAdvisor) {
-  NodePtr root = run_pipeline(simple_chain(), auto_group_only());
-  ASSERT_TRUE(root);
-  ASSERT_EQ(root->children.size(), 1u);
-  const sp::Node& group = *root->children[0];
-  ASSERT_EQ(group.kind(), NodeKind::kGroup);
-  EXPECT_EQ(leaf_names(group),
-            (std::vector<std::string>{"src", "mid", "sink"}));
-  EXPECT_TRUE(sp::validate(*root).is_ok())
-      << sp::validate(*root).to_string();
-}
-
-TEST(AutoGroupPass, DecliningAdvisorLeavesGraphUnfused) {
-  NodePtr root = run_pipeline(
-      simple_chain(),
-      auto_group_only([](const sp::FusionCandidate&) { return false; }));
-  ASSERT_TRUE(root);
-  EXPECT_EQ(count_groups(*root), 0);
-  EXPECT_EQ(root->children.size(), 3u);
-}
-
-TEST(AutoGroupPass, UnconnectedStepsDoNotFuse) {
-  // Two independent producer/consumer pairs interleaved so no adjacent
-  // steps are stream-connected: nothing to fuse even when the advisor
-  // approves everything.
-  std::vector<NodePtr> steps;
-  steps.push_back(sp::make_leaf(leaf("src1", "", "a")));
-  steps.push_back(sp::make_leaf(leaf("src2", "", "b")));
-  steps.push_back(sp::make_leaf(leaf("sink1", "a", "")));
-  NodePtr root = sp::make_seq(std::move(steps));
-  root = run_pipeline(std::move(root), auto_group_only());
-  ASSERT_TRUE(root);
-  // src2 reads nothing src1 wrote, so the run from src1 stops there;
-  // sink1 does read src1's "a" but is no longer adjacent to a run
-  // containing it. Fusion is strictly over neighbouring steps.
-  EXPECT_EQ(count_groups(*root), 0);
-}
-
-TEST(AutoGroupPass, OptionStepsBreakRuns) {
-  // manager(option(...)) between producer and consumer: not fusible, so
-  // no run can span it.
-  std::vector<NodePtr> steps;
-  steps.push_back(sp::make_leaf(leaf("src", "", "a")));
-  NodePtr opt = sp::make_option("extra", true,
-                                sp::make_leaf(leaf("fx", "a", "b")));
-  steps.push_back(sp::make_manager(
-      "m", "q", {EventRule{"e", EventAction::kToggle, "extra", ""}},
-      std::move(opt)));
-  steps.push_back(sp::make_leaf(leaf("sink", "b", "")));
-  NodePtr root = sp::make_seq(std::move(steps));
-  ASSERT_TRUE(sp::validate(*root).is_ok());
-  root = run_pipeline(std::move(root), auto_group_only());
-  ASSERT_TRUE(root);
-  EXPECT_EQ(count_groups(*root), 0);
-  EXPECT_EQ(root->children.size(), 3u);
-}
-
-TEST(AutoGroupPass, CandidateReportsLinksAndLostReplicas) {
-  // src -> slice-par(4){work} -> sink. The advisor must see the linking
-  // stream and the slicing the fusion would forfeit.
-  std::vector<NodePtr> steps;
-  steps.push_back(sp::make_leaf(leaf("src", "", "a")));
-  std::vector<NodePtr> block;
-  block.push_back(sp::make_leaf(leaf("work", "a", "b")));
-  std::vector<NodePtr> parblocks;
-  parblocks.push_back(sp::make_seq(std::move(block)));
-  steps.push_back(sp::make_par(ParShape::kSlice, 4, std::move(parblocks)));
-  steps.push_back(sp::make_leaf(leaf("sink", "b", "")));
-  NodePtr root = sp::make_seq(std::move(steps));
-
-  struct Seen {
-    std::vector<std::string> links;
-    int lost_replicas;
-    size_t run_size;
-    size_t step_size;
-  };
-  std::vector<Seen> candidates;
-  root = run_pipeline(
-      std::move(root),
-      auto_group_only([&](const sp::FusionCandidate& c) {
-        candidates.push_back(Seen{c.link_streams, c.lost_replicas,
-                                  c.run_leaves.size(),
-                                  c.step_leaves.size()});
-        return true;
-      }));
-  ASSERT_TRUE(root);
-
-  ASSERT_EQ(candidates.size(), 2u);
-  EXPECT_EQ(candidates[0].links, std::vector<std::string>{"a"});
-  EXPECT_EQ(candidates[0].lost_replicas, 4);
-  EXPECT_EQ(candidates[0].run_size, 1u);
-  EXPECT_EQ(candidates[0].step_size, 1u);
-  EXPECT_EQ(candidates[1].links, std::vector<std::string>{"b"});
-  EXPECT_EQ(candidates[1].lost_replicas, 4);
-  EXPECT_EQ(candidates[1].run_size, 2u);
-
-  EXPECT_EQ(count_groups(*root), 1);
-  EXPECT_EQ(leaf_names(*root),
-            (std::vector<std::string>{"src", "work", "sink"}));
-}
-
-TEST(AutoGroupPass, FusesInsideParblockBodies) {
-  // A chain nested inside a task-par parblock gets its own fusion; the
-  // sibling parblock (a single step) is left alone.
-  std::vector<NodePtr> inner;
-  inner.push_back(sp::make_leaf(leaf("p_src", "", "x")));
-  inner.push_back(sp::make_leaf(leaf("p_sink", "x", "")));
-  std::vector<NodePtr> other;
-  other.push_back(sp::make_leaf(leaf("lone", "", "y")));
-  std::vector<NodePtr> parblocks;
-  parblocks.push_back(sp::make_seq(std::move(inner)));
-  parblocks.push_back(sp::make_seq(std::move(other)));
-  std::vector<NodePtr> steps;
-  steps.push_back(sp::make_par(ParShape::kTask, 1, std::move(parblocks)));
-  NodePtr root = sp::make_seq(std::move(steps));
-  ASSERT_TRUE(sp::validate(*root).is_ok());
-
-  root = run_pipeline(std::move(root), auto_group_only());
-  ASSERT_TRUE(root);
-  EXPECT_EQ(count_groups(*root), 1);
-  const sp::Node& par = *root->children[0];
-  ASSERT_EQ(par.kind(), NodeKind::kPar);
-  ASSERT_EQ(par.children[0]->children.size(), 1u);
-  EXPECT_EQ(par.children[0]->children[0]->kind(), NodeKind::kGroup);
-  EXPECT_TRUE(sp::validate(*root).is_ok());
 }
 
 // --- fuse-kernels -------------------------------------------------------------
@@ -480,14 +332,20 @@ TEST(FuseKernelsPass, RewritesAdjacentSeqStepsAndAnnotates) {
       << sp::validate(*root).to_string();
 }
 
-TEST(FuseKernelsPass, RewritesPatternInsideAutoGroupedRun) {
-  // auto-group first fuses the whole chain into one kGroup; the kernel
-  // matcher must still find the k_mid -> k_sink subsequence among the
-  // group members and rewrite just those two.
+TEST(FuseKernelsPass, RewritesPatternInsideHandWrittenGroup) {
+  // seq(group(src, mid, sink)): the kernel matcher must find the
+  // k_mid -> k_sink subsequence among the group members and rewrite
+  // just those two.
+  std::vector<NodePtr> members;
+  members.push_back(sp::make_leaf(leaf("src", "", "a")));
+  members.push_back(sp::make_leaf(leaf("mid", "a", "b")));
+  members.push_back(sp::make_leaf(leaf("sink", "b", "")));
+  std::vector<NodePtr> steps;
+  steps.push_back(sp::make_group(std::move(members)));
+  NodePtr root = sp::make_seq(std::move(steps));
+  ASSERT_TRUE(sp::validate(*root).is_ok());
   sp::KernelFusionRegistry reg = mid_sink_registry();
-  sp::PassOptions o = fuse_kernels_only(reg);
-  o.auto_group = true;
-  NodePtr root = run_pipeline(simple_chain(), o);
+  root = run_pipeline(std::move(root), fuse_kernels_only(reg));
   ASSERT_TRUE(root);
   ASSERT_EQ(root->children.size(), 1u);
   const sp::Node& group = *root->children[0];
@@ -583,61 +441,6 @@ TEST(FuseKernelsPass, NullRegistryIsANoOp) {
             (std::vector<std::string>{"src", "mid", "sink"}));
 }
 
-// --- the perf cost model ------------------------------------------------------
-
-TEST(FusionModel, DeclinesWhenLinkFitsInL2Share) {
-  perf::FusionModel model;  // 16 MiB L2, share 0.5, window 5
-  // 1 MiB link: 5 MiB parked < 8 MiB budget — nothing to save.
-  EXPECT_FALSE(perf::fusion_wins(model, 1 << 20, 1));
-  EXPECT_FALSE(perf::fusion_wins(model, 0, 1));
-}
-
-TEST(FusionModel, FusesOverflowingLinkAtOneCore) {
-  perf::FusionModel model;
-  model.cores = 1;
-  // 4 MiB link: 20 MiB parked overflows; at one core fusion forfeits
-  // nothing, so the saving always wins.
-  EXPECT_TRUE(perf::fusion_wins(model, 4 << 20, 4));
-}
-
-TEST(FusionModel, DeclinesWhenForfeitedParallelismCostsMore) {
-  perf::FusionModel model;
-  model.cores = 4;
-  // Same overflowing link, but serializing a 4-way-sliced chain onto
-  // one of four cores loses more than the miss-stall saving.
-  EXPECT_FALSE(perf::fusion_wins(model, 4 << 20, 4));
-}
-
-TEST(FusionModel, LostParallelismCappedByCores) {
-  perf::FusionModel model;
-  model.cores = 1;
-  // Plenty of forfeited slicing, but only one core to run it on: no
-  // parallelism actually lost.
-  EXPECT_TRUE(perf::fusion_wins(model, 4 << 20, 16));
-}
-
-TEST(FusionModel, AdvisorSumsMeasuredLinkBytes) {
-  perf::StreamBytes bytes;
-  bytes["hot"] = 4 << 20;
-  bytes["cold"] = 1 << 10;
-  perf::FusionModel model;
-  model.cores = 1;
-  sp::FusionAdvisor advisor = perf::make_fusion_advisor(bytes, model);
-
-  sp::FusionCandidate hot;
-  hot.link_streams = {"hot"};
-  EXPECT_TRUE(advisor(hot));
-
-  sp::FusionCandidate cold;
-  cold.link_streams = {"cold"};
-  EXPECT_FALSE(advisor(cold));
-
-  // Streams the profile never saw measure 0 bytes: decline.
-  sp::FusionCandidate unknown;
-  unknown.link_streams = {"never_measured"};
-  EXPECT_FALSE(advisor(unknown));
-}
-
 // --- the loop-level (fuse-kernels) cost model ---------------------------------
 
 TEST(KernelFusionModel, DeclinesEmptyLink) {
@@ -647,11 +450,11 @@ TEST(KernelFusionModel, DeclinesEmptyLink) {
 }
 
 TEST(KernelFusionModel, ElidedPassesWinAtOneCoreEvenWithinL2) {
-  // Unlike auto-group, eliding the link saves even when the parked
-  // packets fit the L2 budget: the store+load passes were still L2
-  // traffic, and at one core nothing is forfeited. 1 MiB link, window 5:
-  // parked 5 MiB < 8 MiB budget, saving 2*1024 chunks * 192 cyc beats
-  // the 8 cyc/chunk register-pressure charge.
+  // Eliding the link saves even when the parked packets fit the L2
+  // budget: the store+load passes were still L2 traffic, and at one core
+  // nothing is forfeited. 1 MiB link, window 5: parked 5 MiB < 8 MiB
+  // budget, saving 2*1024 chunks * 192 cyc beats the 8 cyc/chunk
+  // register-pressure charge.
   perf::FusionModel model;
   model.cores = 1;
   EXPECT_TRUE(perf::kernel_fusion_wins(model, 1 << 20, 1));

@@ -355,10 +355,10 @@ TEST(SpecCacheTest, DistinctPassPipelinesAreDistinctEntries) {
   xspcl::SpecCache cache;
   const std::string spec = blur_spec(8);
   sp::PassOptions defaults;
-  sp::PassOptions grouped = defaults;
-  grouped.auto_group = true;
+  sp::PassOptions fused = defaults;
+  fused.fuse_kernels = true;
   ASSERT_TRUE(cache.load(spec, defaults).is_ok());
-  ASSERT_TRUE(cache.load(spec, grouped).is_ok());
+  ASSERT_TRUE(cache.load(spec, fused).is_ok());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
@@ -410,9 +410,9 @@ TEST(PassFingerprint, DistinguishesPipelinesAndIgnoresVerify) {
   EXPECT_EQ(sp::pass_fingerprint(none), "none");
 
   sp::PassOptions defaults;
-  sp::PassOptions grouped = defaults;
-  grouped.auto_group = true;
-  EXPECT_NE(sp::pass_fingerprint(defaults), sp::pass_fingerprint(grouped));
+  sp::PassOptions fused = defaults;
+  fused.fuse_kernels = true;
+  EXPECT_NE(sp::pass_fingerprint(defaults), sp::pass_fingerprint(fused));
 
   sp::PassOptions verifying = defaults;
   verifying.verify = !verifying.verify;

@@ -29,14 +29,14 @@
 // Spec-taking subcommands accept --passes=a,b,c to replace the default
 // SP-IR pipeline (normalize, strip-dead-options) and --dump-after=
 // <pass|all> to write after-<pass>.dot for the named pass(es). The
-// auto-group and fuse-kernels passes price their fusions with the perf
-// cost model at --cores=N; fuse-kernels rewrites chains registered in
-// components::standard_fusions(). Listing fuse-kernels before
-// auto-group is legal but diagnosed (groups feed the kernel matcher).
+// fuse-kernels pass rewrites chains registered in
+// components::standard_fusions(), each priced with the perf cost model
+// at --cores=N.
 //
 // --cores takes 1..sim::kMaxCores and --iterations a positive count; a
 // bad number, an unknown --backend or --platform with the threads
 // backend is a usage error (exit 2).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -235,38 +235,16 @@ int main(int argc, char** argv) {
     pipeline = sp::make_pipeline(sp::PassOptions{});
   } else {
     std::vector<std::string> names = split_passes(args.passes);
-    // The canonical order runs fuse-kernels after auto-group (fused runs
-    // feed the kernel matcher). Honour the user's order, but say why the
-    // other one usually finds less.
-    {
-      int fuse_at = -1, group_at = -1;
-      for (int i = 0; i < static_cast<int>(names.size()); ++i) {
-        if (names[static_cast<size_t>(i)] == "fuse-kernels" && fuse_at < 0)
-          fuse_at = i;
-        if (names[static_cast<size_t>(i)] == "auto-group") group_at = i;
-      }
-      if (fuse_at >= 0 && group_at >= 0 && fuse_at < group_at)
-        std::fprintf(stderr,
-                     "warning: --passes runs 'fuse-kernels' (position %d) "
-                     "before 'auto-group' (position %d); the canonical "
-                     "pipeline groups first so the kernel matcher also "
-                     "sees fused runs\n",
-                     fuse_at + 1, group_at + 1);
-    }
-    // Both fusion passes share one stream-size measurement and cost
-    // model; measure only when a pass that prices fusions is requested.
+    // fuse-kernels prices its rewrites with the cost model; measure the
+    // stream sizes only when it is requested.
     sp::PassOptions options = sp::PassOptions::none();
-    bool wants_fusion = false;
-    for (const std::string& name : names)
-      if (name == "auto-group" || name == "fuse-kernels")
-        wants_fusion = true;
-    if (wants_fusion) {
+    if (std::find(names.begin(), names.end(), "fuse-kernels") !=
+        names.end()) {
       auto bytes = perf::measure_stream_slot_bytes(
           *owned, hinch::ComponentRegistry::global());
       if (!bytes.is_ok()) return fail(bytes.status());
       perf::FusionModel model;
       model.cores = args.cores;
-      options.advisor = perf::make_fusion_advisor(bytes.value(), model);
       options.kernel_patterns = &components::standard_fusions();
       options.kernel_advisor =
           perf::make_kernel_fusion_advisor(std::move(bytes).take(), model);
