@@ -28,6 +28,7 @@ std::string source_xml(const std::string& name, uint64_t seed,
 
 // Decode procedure: JPEG decode followed by three concurrent sliced
 // IDCTs (Fig. 7's left column), writing into the given plane streams.
+// `reentrant` lets frames decode concurrently; JPiP keeps the default.
 const char* kDecodeProcedure = R"(
   <procedure name="jpeg_chain">
     <formal name="jpeg" kind="stream"/>
@@ -35,8 +36,9 @@ const char* kDecodeProcedure = R"(
     <formal name="pu" kind="stream"/>
     <formal name="pv" kind="stream"/>
     <formal name="slices" kind="value"/>
+    <formal name="reentrant" kind="value" default="false"/>
     <body>
-      <component name="dec" class="jpeg_decode">
+      <component name="dec" class="jpeg_decode" reentrant="$reentrant">
         <inport name="jpeg" stream="jpeg"/>
         <outport name="coeffs" stream="coeffs"/>
       </component>

@@ -39,8 +39,10 @@ void jpip_position(const JpipConfig& config, int index, int* x, int* y);
 std::string jpip_xspcl(const JpipConfig& config);
 
 // XSPCL text of the `jpeg_chain` procedure: JPEG decode followed by three
-// concurrent sliced IDCTs. Formals: streams jpeg, py, pu, pv and the
-// value slices. jpip_xspcl and mjpeg_xspcl both emit it.
+// concurrent sliced IDCTs. Formals: streams jpeg, py, pu, pv, the value
+// slices and the value reentrant (default false; mjpeg_xspcl passes true
+// so frames decode concurrently). jpip_xspcl and mjpeg_xspcl both emit
+// it.
 const char* jpeg_chain_procedure();
 
 SeqResult run_jpip_sequential(const JpipConfig& config,

@@ -35,6 +35,7 @@ std::string mjpeg_xspcl(const MjpegDecodeConfig& c) {
       "        <arg name=\"pu\" stream=\"pu\"/>\n"
       "        <arg name=\"pv\" stream=\"pv\"/>\n"
       "        <arg name=\"slices\" value=\"%d\"/>\n"
+      "        <arg name=\"reentrant\" value=\"true\"/>\n"
       "      </call>\n",
       c.slices);
   body += format(

@@ -7,7 +7,8 @@
 // Two orthogonal parallelism knobs, both in the coordination layer (the
 // components stay sequential):
 //   workers  host threads in the executor pool (frame-parallel via the
-//            iteration window),
+//            iteration window; the decoder is opted in as reentrant, so
+//            up to `window` frames entropy-decode at once),
 //   slices   data-parallel IDCT slices inside one frame.
 //
 // Wall-clock throughput of this graph is measured by perfbench's

@@ -38,8 +38,9 @@ uint64_t coeff_plane_offset(const CoeffImage& img, int plane) {
 }
 
 // Entropy decode + dequantization: sequential over the whole scan
-// (restart-coded streams included). MJPEG decode runs frames of the
-// stream concurrently through the iteration window instead.
+// (restart-coded streams included). The component keeps no state
+// between runs, so it registers reentrant: a spec may let frames of an
+// MJPEG stream decode concurrently through the iteration window.
 class JpegDecodeComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
@@ -52,13 +53,13 @@ class JpegDecodeComponent : public hinch::Component {
 
   void run(hinch::ExecContext& ctx) override {
     auto bytes = ctx.read(in_).get<std::vector<uint8_t>>();
-    // Reuse the previous frame's coefficient buffer once every
-    // downstream IDCT stage has released it (we hold the only
-    // reference); a 1080p CoeffImage is several MB, and a fresh
-    // allocation + fill per frame costs as much as the entropy decode.
-    if (!spare_ || spare_.use_count() != 1)
-      spare_ = std::make_shared<CoeffImage>();
-    auto img = spare_;
+    // Decode in place into this iteration's slot. It holds the image of
+    // iteration iter - depth, which has retired (window <= depth), so a
+    // 1080p stream reuses its several-MB coefficient buffers instead of
+    // allocating and zero-filling one per frame.
+    hinch::Packet& slot = ctx.acquire(out_);
+    std::shared_ptr<CoeffImage> img =
+        slot.empty() ? std::make_shared<CoeffImage>() : slot.get<CoeffImage>();
     support::Status st = media::jpeg::decode_to_coefficients_into(
         bytes->data(), bytes->size(), img.get());
     SUP_CHECK_MSG(st.is_ok(), st.to_string().c_str());
@@ -68,13 +69,13 @@ class JpegDecodeComponent : public hinch::Component {
     ctx.touch_write(out_, 0, out_bytes);
     ctx.charge_compute(
         media::jpeg::entropy_decode_cycles(bytes->size(), blocks));
-    ctx.write(out_, hinch::Packet::of(std::move(img), out_bytes));
+    slot = hinch::Packet::of(std::move(img), out_bytes);
+    ctx.commit(out_);
   }
 
  private:
-  int in_;
-  int out_;
-  std::shared_ptr<CoeffImage> spare_;
+  const int in_;
+  const int out_;
 };
 
 // IDCT of one colour component into a gray frame; data-parallel over
@@ -220,7 +221,8 @@ class MjpegSink : public hinch::Component, public MjpegSinkAccess {
 }  // namespace
 
 void register_jpeg_stages(hinch::ComponentRegistry& registry) {
-  registry.register_class("jpeg_decode", &JpegDecodeComponent::create);
+  registry.register_class("jpeg_decode", &JpegDecodeComponent::create,
+                          /*reentrant=*/true);
   registry.register_class("idct", &IdctComponent::create);
   registry.register_class("jpeg_encode", &JpegEncodeComponent::create);
   registry.register_class("mjpeg_sink", &MjpegSink::create);

@@ -27,6 +27,16 @@ class ProgramBuilder {
     SUP_RETURN_IF_ERROR(compile(root, ctx, &span));
     for (const Task& t : prog_->tasks_)
       if (t.preds.empty()) prog_->entry_tasks_.push_back(t.id);
+    // A task without successors ends its iteration. Keeping its self
+    // edge is what makes iterations complete in order, so it cannot
+    // opt out.
+    for (const auto& [task, n] : reentrant_leaves_) {
+      if (prog_->tasks_[static_cast<size_t>(task)].succs.empty())
+        return support::failed_precondition(
+            "component '" + n->leaf.instance +
+            "' cannot be reentrant: nothing in its iteration runs after "
+            "it" + sp::loc_suffix(n->loc));
+    }
     return support::Status::ok();
   }
 
@@ -132,10 +142,19 @@ class ProgramBuilder {
 
   support::Status compile_leaf(const sp::Node& n, const Ctx& ctx,
                                Span* out) {
+    if (n.leaf.reentrant && !registry_.is_reentrant(n.leaf.klass))
+      return support::failed_precondition(
+          "component '" + n.leaf.instance + "' cannot be reentrant: class " +
+          n.leaf.klass + " is not registered reentrant" +
+          sp::loc_suffix(n.loc));
     SUP_ASSIGN_OR_RETURN(int comp_idx, instantiate(n, ctx));
     int task =
         add_task(TaskKind::kComponent, ctx, n.leaf.instance + ctx.suffix);
     prog_->tasks_[static_cast<size_t>(task)].components.push_back(comp_idx);
+    if (n.leaf.reentrant) {
+      prog_->tasks_[static_cast<size_t>(task)].reentrant = true;
+      reentrant_leaves_.emplace_back(task, &n);
+    }
     out->entries = {task};
     out->exits = {task};
     return support::Status::ok();
@@ -150,6 +169,11 @@ class ProgramBuilder {
       if (c->kind() != sp::NodeKind::kLeaf)
         return support::invalid_argument(
             "groups may only contain components");
+      // The group's task runs its members back to back as one unit.
+      if (c->leaf.reentrant)
+        return support::failed_precondition(
+            "component '" + c->leaf.instance +
+            "' cannot be reentrant inside a <group>" + sp::loc_suffix(c->loc));
       SUP_ASSIGN_OR_RETURN(int comp_idx, instantiate(*c, ctx));
       comps.push_back(comp_idx);
       if (comps.size() > 1) label += "+";
@@ -311,6 +335,8 @@ class ProgramBuilder {
 
   Program* prog_;
   const ComponentRegistry& registry_;
+  // (task, leaf) of every reentrant opt-in, checked once the DAG is wired.
+  std::vector<std::pair<int, const sp::Node*>> reentrant_leaves_;
 };
 
 support::Result<std::unique_ptr<Program>> Program::build(
@@ -350,8 +376,10 @@ std::string Program::task_graph_dot(const std::string& title) const {
                             : "house";
     std::string label = t.label;
     if (!t.options.empty()) label += "\\n[optional]";
-    out += support::format("  t%d [shape=%s,label=\"%s\"];\n", t.id, shape,
-                           label.c_str());
+    // Reentrant tasks overlap across iterations: dashed, and tagged.
+    if (t.reentrant) label += "\\n[reentrant]";
+    out += support::format("  t%d [shape=%s%s,label=\"%s\"];\n", t.id, shape,
+                           t.reentrant ? ",style=dashed" : "", label.c_str());
   }
   for (const Task& t : tasks_) {
     for (int s : t.succs)

@@ -40,6 +40,9 @@ struct Task {
   std::vector<int> preds;
   std::vector<int> succs;
   std::string label;
+  // No self edge: instances of different iterations may run at once
+  // (sp::LeafSpec::reentrant, checked by Program::build).
+  bool reentrant = false;
 };
 
 // Static description of an option (§3.4). Runtime on/off state lives in

@@ -5,13 +5,18 @@
 namespace hinch {
 
 void ComponentRegistry::register_class(const std::string& name,
-                                       Factory factory) {
+                                       Factory factory, bool reentrant) {
   SUP_CHECK_MSG(!factories_.count(name), "component class already registered");
-  factories_[name] = std::move(factory);
+  factories_[name] = Entry{std::move(factory), reentrant};
 }
 
 bool ComponentRegistry::has_class(const std::string& name) const {
   return factories_.count(name) != 0;
+}
+
+bool ComponentRegistry::is_reentrant(const std::string& name) const {
+  auto it = factories_.find(name);
+  return it != factories_.end() && it->second.reentrant;
 }
 
 std::vector<std::string> ComponentRegistry::class_names() const {
@@ -28,7 +33,7 @@ support::Result<std::unique_ptr<Component>> ComponentRegistry::create(
   if (it == factories_.end())
     return support::not_found("unknown component class '" + klass +
                               "' (instance '" + config.instance + "')");
-  auto result = it->second(config);
+  auto result = it->second.factory(config);
   if (result.is_ok()) result.value()->set_instance(config.instance);
   return result;
 }

@@ -20,9 +20,14 @@ class ComponentRegistry {
   using Factory = std::function<support::Result<std::unique_ptr<Component>>(
       const ComponentConfig&)>;
 
-  // Registering the same class twice is a programming error.
-  void register_class(const std::string& name, Factory factory);
+  // Registering the same class twice is a programming error. A class
+  // registered `reentrant` keeps no state from one run to the next, so
+  // instances of different iterations may run at once; a spec still has
+  // to opt each instance in (the `reentrant` attribute of <component>).
+  void register_class(const std::string& name, Factory factory,
+                      bool reentrant = false);
   bool has_class(const std::string& name) const;
+  bool is_reentrant(const std::string& name) const;
   std::vector<std::string> class_names() const;
 
   support::Result<std::unique_ptr<Component>> create(
@@ -32,7 +37,11 @@ class ComponentRegistry {
   static ComponentRegistry& global();
 
  private:
-  std::unordered_map<std::string, Factory> factories_;
+  struct Entry {
+    Factory factory;
+    bool reentrant = false;
+  };
+  std::unordered_map<std::string, Entry> factories_;
 };
 
 }  // namespace hinch

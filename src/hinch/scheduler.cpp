@@ -65,7 +65,9 @@ void Scheduler::admit_iteration(int64_t iter, std::vector<JobRef>* ready) {
     // With window == 1 the previous iteration is fully complete by
     // construction — admission happens when iteration iter-window
     // finishes — and its slot aliases this one, so no self edge exists.
-    if (iter > 0 && config_.window > 1 && inst(t.id, iter - 1).state != kDone)
+    // A reentrant task has none either: its instances run side by side.
+    if (iter > 0 && config_.window > 1 && !t.reentrant &&
+        inst(t.id, iter - 1).state != kDone)
       ++in.remaining;
   }
   // Fire in task order; a skipped task's cascade may already have fired
@@ -119,7 +121,7 @@ void Scheduler::finish(int task, int64_t iter, std::vector<JobRef>* ready) {
   // the edge iff it runs before kDone is set, so setting it here, after
   // the successor cascade, keeps that decision and this release in step.
   in.state = kDone;
-  if (config_.window > 1 && iter + 1 < admitted_)
+  if (config_.window > 1 && !t.reentrant && iter + 1 < admitted_)
     release(task, iter + 1, ready);
 
   if (iteration_complete) on_iteration_complete(iter, ready);
@@ -127,8 +129,8 @@ void Scheduler::finish(int task, int64_t iter, std::vector<JobRef>* ready) {
 
 void Scheduler::on_iteration_complete(int64_t iter,
                                       std::vector<JobRef>* ready) {
-  // Every task of iter+1 finishes after the same task of iter (self
-  // edges), so iterations complete in order.
+  // Every task reaches a task without successors, which keeps its self
+  // edge (Program::build), so iterations complete in order.
   SUP_CHECK(iter == iterations_done_.load(std::memory_order_relaxed));
   iterations_done_.store(iter + 1, std::memory_order_release);
   if (admitted_ < config_.iterations)

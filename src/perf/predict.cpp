@@ -11,7 +11,10 @@ namespace {
 struct WorkSpan {
   double work = 0;
   double span = 0;
+  // Heaviest task that is sequential with itself (reentrant tasks
+  // overlap across iterations and do not bound the interval).
   double max_leaf = 0;
+  int max_task = -1;  // its task id (profile evaluation only)
 };
 
 WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count,
@@ -19,7 +22,7 @@ WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count,
   switch (n.kind()) {
     case sp::NodeKind::kLeaf: {
       double c = cost(n.leaf, slice_count);
-      return {c, c, c};
+      return {c, c, n.leaf.reentrant ? 0 : c};
     }
     case sp::NodeKind::kGroup:
     case sp::NodeKind::kSeq: {
@@ -84,8 +87,10 @@ Prediction finish(WorkSpan ws, int processors) {
   // SPC contention bound for one iteration.
   p.t_iteration = std::max(ws.span, ws.work / p.processors);
   // Steady-state pipelined interval: processors limit throughput, and a
-  // component is sequential with itself across iterations.
+  // component is sequential with itself across iterations unless it is
+  // reentrant.
   p.interval = std::max(ws.work / p.processors, ws.max_leaf);
+  p.bound_task = ws.max_task;
   return p;
 }
 
@@ -102,8 +107,12 @@ WorkSpan profile_workspan(const hinch::Program& prog,
     indeg[static_cast<size_t>(t.id)] = static_cast<int>(t.preds.size());
   std::vector<int> queue;
   for (const hinch::Task& t : tasks) {
-    ws.work += task_cost[static_cast<size_t>(t.id)];
-    ws.max_leaf = std::max(ws.max_leaf, task_cost[static_cast<size_t>(t.id)]);
+    const double c = task_cost[static_cast<size_t>(t.id)];
+    ws.work += c;
+    if (!t.reentrant && (ws.max_task < 0 || c > ws.max_leaf)) {
+      ws.max_leaf = c;
+      ws.max_task = t.id;
+    }
     if (t.preds.empty()) {
       queue.push_back(t.id);
       dist[static_cast<size_t>(t.id)] = task_cost[static_cast<size_t>(t.id)];
@@ -169,6 +178,7 @@ Prediction predict_from_profile(const hinch::Program& prog,
   p.span = ws.span * fastest;
   p.t_iteration = std::max(p.span, ws.work / p.effective);
   p.interval = std::max(ws.work / p.effective, ws.max_leaf * fastest);
+  p.bound_task = ws.max_task;
   return p;
 }
 

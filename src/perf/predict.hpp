@@ -11,7 +11,9 @@
 //
 // Both produce the SPC contention bound: with P processors, one
 // iteration takes ~ max(span, work / P); a K-deep software pipeline
-// sustains one iteration per max(work / P, heaviest single task).
+// sustains one iteration per max(work / P, heaviest task that is
+// sequential with itself). Reentrant tasks run K instances at once, so
+// they bound only through work / P.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,9 @@ struct Prediction {
   // `processors` for homogeneous platforms; the platform-aware overload
   // sets it to the sum of 1/cycle_multiplier over all cores.
   double effective = 1;
+  // predict_from_profile: the id of the heaviest task that is sequential
+  // with itself (the per-task term of `interval`); -1 otherwise.
+  int bound_task = -1;
 
   // Predicted total cycles for `iterations` pipelined iterations:
   // fill the pipeline once (span), then one interval per iteration.

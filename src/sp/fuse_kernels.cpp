@@ -149,6 +149,10 @@ NodePtr build_fused_leaf(const KernelFusionPattern& pattern,
   support::Result<LeafSpec> fused = pattern.rewrite(specs);
   if (!fused.is_ok()) return nullptr;
   LeafSpec spec = std::move(fused).take();
+  // A fused kernel may keep scratch between runs (jpeg_decode_planes
+  // does), so the fused leaf stays sequential with itself even when a
+  // leaf it replaces was reentrant.
+  spec.reentrant = false;
   spec.fused_pattern = pattern.name;
   spec.fused_from.clear();
   for (const Node* leaf : match.leaves)

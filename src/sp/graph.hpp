@@ -79,6 +79,10 @@ struct LeafSpec {
   // Initial reconfiguration request delivered on creation (§3.1), empty
   // when absent.
   std::string initial_reconfig;
+  // The spec opted this instance out of the self edge: iterations may run
+  // it concurrently. Program::build accepts it only for a class
+  // registered reentrant, on a plain leaf that has successors.
+  bool reentrant = false;
   // Loop-level fusion annotation (the fuse-kernels pass): the registered
   // pattern this leaf was synthesized from and the instances it
   // replaced, in chain order. Empty for ordinary leaves. Carried on the

@@ -22,6 +22,8 @@
 //     <outport name="out" stream="small"/>
 //     <reconfig request="pos=10,10"/>            (optional, §3.1)
 //   </component>
+//   An optional reentrant="true|false" attribute (may be "$formal") drops
+//   the instance's self edge; see docs/LANGUAGE.md.
 //
 //   <call procedure="scaler_chain" name="left">
 //     <arg name="in" stream="video1"/>
@@ -87,6 +89,7 @@ struct Node {
   std::vector<sp::PortBinding> inputs;
   std::vector<sp::PortBinding> outputs;
   std::string reconfig;
+  std::string reentrant;  // raw attribute text; "" when absent
 
   // kCall
   std::string callee;

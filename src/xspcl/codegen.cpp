@@ -44,6 +44,7 @@ class Emitter {
         if (!n.leaf.initial_reconfig.empty())
           line(spec + ".initial_reconfig = " +
                quoted(n.leaf.initial_reconfig) + ";");
+        if (n.leaf.reentrant) line(spec + ".reentrant = true;");
         std::string var = fresh("node");
         line("sp::NodePtr " + var + " = sp::make_leaf(std::move(" + spec +
              "));");

@@ -122,6 +122,15 @@ class Elaborator {
           SUP_ASSIGN_OR_RETURN(leaf.initial_reconfig,
                                subst(n.reconfig, env, n.pos));
         }
+        if (!n.reentrant.empty()) {
+          SUP_ASSIGN_OR_RETURN(std::string r, subst(n.reentrant, env, n.pos));
+          if (r == "true" || r == "1") {
+            leaf.reentrant = true;
+          } else if (r != "false" && r != "0") {
+            return err_at(n.pos, "reentrant= must be true/false, got '" + r +
+                                     "'");
+          }
+        }
         return sp::make_leaf(std::move(leaf));
       }
       case ast::Kind::kCall:

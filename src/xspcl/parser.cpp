@@ -24,6 +24,7 @@ support::Result<NodePtr> parse_component(const xml::Element& e) {
   node->pos = e.position();
   SUP_ASSIGN_OR_RETURN(node->name, e.require_attr("name"));
   SUP_ASSIGN_OR_RETURN(node->klass, e.require_attr("class"));
+  node->reentrant = e.attr_or("reentrant", "");
   if (!support::is_identifier(node->name))
     return err(e, "component name '" + node->name +
                    "' is not a valid identifier");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -139,6 +140,9 @@ ComponentRegistry make_registry() {
   components::register_standard(reg);
   reg.register_class("probe_producer", &Producer::create);
   reg.register_class("probe_worker", &Worker::create);
+  // The same worker, declared to keep no state between runs.
+  reg.register_class("probe_reentrant_worker", &Worker::create,
+                     /*reentrant=*/true);
   reg.register_class("probe_consumer", &Consumer::create);
   return reg;
 }
@@ -225,7 +229,185 @@ TEST_F(HinchTest, BuildChainStructure) {
   EXPECT_EQ(prog.value()->find_stream("zzz"), nullptr);
 }
 
+// producer -> `klass` (opted in as reentrant) -> consumer.
+NodePtr reentrant_chain(const std::string& klass) {
+  sp::LeafSpec work =
+      leaf("work", klass, {{"in", "a"}}, {{"out", "b"}}, {{"add", "0"}});
+  work.reentrant = true;
+  std::vector<NodePtr> steps;
+  steps.push_back(
+      sp::make_leaf(leaf("prod", "probe_producer", {}, {{"out", "a"}})));
+  steps.push_back(sp::make_leaf(std::move(work)));
+  steps.push_back(
+      sp::make_leaf(leaf("cons", "probe_consumer", {{"in", "b"}}, {})));
+  return sp::make_seq(std::move(steps));
+}
+
+TEST_F(HinchTest, BuildRejectsUnsafeReentrantOptIns) {
+  auto expect_rejected = [&](const sp::Node& g, const std::string& why) {
+    auto prog = Program::build(g, registry_);
+    ASSERT_FALSE(prog.is_ok()) << why;
+    EXPECT_EQ(prog.status().code(), support::Code::kFailedPrecondition);
+    EXPECT_NE(prog.status().message().find(why), std::string::npos)
+        << prog.status().to_string();
+  };
+  // The class must declare itself reentrant.
+  expect_rejected(*reentrant_chain("probe_worker"),
+                  "class probe_worker is not registered reentrant");
+  sp::LeafSpec sink = leaf("sink", "yuv_sink",
+                           {{"y", "a"}, {"u", "a"}, {"v", "a"}}, {});
+  sink.reentrant = true;
+  expect_rejected(*sp::make_leaf(sink),
+                  "class yuv_sink is not registered reentrant");
+  // A task that ends its iteration keeps its self edge.
+  sp::LeafSpec last =
+      leaf("last", "probe_reentrant_worker", {{"in", "a"}}, {{"out", "b"}});
+  last.reentrant = true;
+  std::vector<NodePtr> steps;
+  steps.push_back(
+      sp::make_leaf(leaf("prod", "probe_producer", {}, {{"out", "a"}})));
+  steps.push_back(sp::make_leaf(last));
+  expect_rejected(*sp::make_seq(std::move(steps)),
+                  "nothing in its iteration runs after it");
+  // A group's members run as one task.
+  std::vector<NodePtr> members;
+  members.push_back(sp::make_leaf(last));
+  steps.clear();
+  steps.push_back(
+      sp::make_leaf(leaf("prod", "probe_producer", {}, {{"out", "a"}})));
+  steps.push_back(sp::make_group(std::move(members)));
+  steps.push_back(
+      sp::make_leaf(leaf("cons", "probe_consumer", {{"in", "b"}}, {})));
+  expect_rejected(*sp::make_seq(std::move(steps)), "inside a <group>");
+}
+
 // --- execution ------------------------------------------------------------------
+
+// Drives the Scheduler by hand, completing jobs in a chosen order: a
+// reentrant task's instances overlap across iterations and may finish
+// out of order, while iterations still retire in order and the other
+// tasks keep their self edges.
+TEST_F(HinchTest, ReentrantTaskOverlapsIterationsAndRetiresInOrder) {
+  NodePtr g = reentrant_chain("probe_reentrant_worker");
+  auto prog = Program::build(*g, registry_);
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  const int prod = 0, work = 1, cons = 2;
+  ASSERT_EQ(prog.value()->task(work).label, "work");
+  EXPECT_FALSE(prog.value()->task(prod).reentrant);
+  EXPECT_TRUE(prog.value()->task(work).reentrant);
+  EXPECT_FALSE(prog.value()->task(cons).reentrant);
+
+  RunConfig config;
+  config.iterations = 8;
+  config.window = 3;
+  hinch::Scheduler sched(*prog.value(), config);
+  std::vector<hinch::JobRef> ready;  // ready, not yet completed
+  std::map<int, int> in_flight;      // task -> ready instances
+  int max_work_in_flight = 0;
+  auto take = [&](const std::vector<hinch::JobRef>& jobs) {
+    for (const hinch::JobRef& j : jobs) {
+      ready.push_back(j);
+      int n = ++in_flight[j.task];
+      if (j.task == work) max_work_in_flight = std::max(max_work_in_flight, n);
+      // Tasks that are not opted in keep their self edge.
+      if (j.task != work) {
+        EXPECT_EQ(n, 1) << "task " << j.task;
+      }
+    }
+  };
+  auto is_ready = [&](int task, int64_t iter) {
+    return std::find(ready.begin(), ready.end(),
+                     hinch::JobRef{task, iter, 0}) != ready.end();
+  };
+  auto run = [&](int task, int64_t iter) {
+    hinch::JobRef job{task, iter, 0};
+    auto it = std::find(ready.begin(), ready.end(), job);
+    ASSERT_NE(it, ready.end()) << "task " << task << " iter " << iter;
+    ready.erase(it);
+    --in_flight[task];
+    ExecContext ctx(sched.job_component(job), iter, 0,
+                    &prog.value()->queues());
+    sched.execute(job, ctx);
+    take(sched.complete(job));
+  };
+
+  take(sched.start());
+  run(prod, 0);
+  run(prod, 1);
+  // work@1 is ready while work@0 has not completed.
+  EXPECT_TRUE(is_ready(work, 0));
+  EXPECT_TRUE(is_ready(work, 1));
+  run(prod, 2);
+  EXPECT_EQ(max_work_in_flight, 3);
+  // prod@3 waits for iteration 0 to retire (window 3).
+  EXPECT_FALSE(is_ready(prod, 3));
+
+  // Complete work@2 and work@1 before work@0.
+  run(work, 2);
+  run(work, 1);
+  EXPECT_FALSE(is_ready(cons, 1));  // cons keeps its self edge
+  EXPECT_EQ(sched.iterations_done(), 0);
+  run(work, 0);
+  run(cons, 0);
+  EXPECT_EQ(sched.iterations_done(), 1);
+  EXPECT_TRUE(is_ready(cons, 1));
+  EXPECT_TRUE(is_ready(prod, 3));
+
+  // Drain, always completing the newest ready job first, and check that
+  // iterations retire one at a time, in order.
+  int64_t done = sched.iterations_done();
+  while (!ready.empty()) {
+    hinch::JobRef job = ready.back();
+    run(job.task, job.iter);
+    int64_t now = sched.iterations_done();
+    EXPECT_TRUE(now == done || now == done + 1);
+    done = now;
+  }
+  EXPECT_TRUE(sched.finished());
+  EXPECT_EQ(sched.stats().jobs_executed, 24u);
+  ProbeState& c = ProbeBoard::get().state("cons");
+  ASSERT_EQ(c.runs, 8);
+  for (int64_t i = 0; i < 8; ++i) EXPECT_EQ(c.seen_values[i], i);
+}
+
+// On the simulator a heavy reentrant stage runs on several cores at once;
+// the same stage without the opt-in runs one frame at a time.
+TEST_F(HinchTest, ReentrantStageSpreadsOverCoresOnTheSimulator) {
+  auto makespan = [&](bool reentrant) {
+    sp::LeafSpec work =
+        leaf("work", "probe_reentrant_worker", {{"in", "a"}}, {{"out", "b"}},
+             {{"cost", "3000"}, {"add", "0"}});
+    work.reentrant = reentrant;
+    std::vector<NodePtr> steps;
+    steps.push_back(sp::make_leaf(
+        leaf("prod", "probe_producer", {}, {{"out", "a"}}, {{"cost", "100"}})));
+    steps.push_back(sp::make_leaf(std::move(work)));
+    steps.push_back(sp::make_leaf(
+        leaf("cons", "probe_consumer", {{"in", "b"}}, {}, {{"cost", "100"}})));
+    NodePtr g = sp::make_seq(std::move(steps));
+    auto prog = Program::build(*g, registry_);
+    EXPECT_TRUE(prog.is_ok()) << prog.status().to_string();
+    EXPECT_EQ(prog.value()->task_graph_dot().find("[reentrant]") !=
+                  std::string::npos,
+              reentrant);
+    ProbeBoard::get().clear();
+    RunConfig run;
+    run.iterations = 30;
+    SimParams sim;
+    sim.cores = 3;
+    sim.sync_costs = false;
+    SimResult r = hinch::run_on_sim(*prog.value(), run, sim);
+    EXPECT_EQ(r.jobs, 90u);
+    ProbeState& c = ProbeBoard::get().state("cons");
+    EXPECT_EQ(c.runs, 30);
+    for (int64_t i = 0; i < c.runs; ++i) EXPECT_EQ(c.seen_values[i], i);
+    return r.total_cycles;
+  };
+  uint64_t serial = makespan(false);
+  uint64_t overlapped = makespan(true);
+  EXPECT_GT(static_cast<double>(serial) / static_cast<double>(overlapped),
+            2.5);
+}
 
 TEST_F(HinchTest, ChainRunsAllIterationsInOrder) {
   NodePtr g = chain_graph();

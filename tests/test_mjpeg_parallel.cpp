@@ -41,6 +41,10 @@ TEST(MjpegParallel, SpecBuilds) {
   auto prog = xspcl::build_program(apps::mjpeg_xspcl(small_config()),
                                    hinch::ComponentRegistry::global());
   ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  // Only the decoder overlaps across frames; the IDCTs and the sink keep
+  // their self edges.
+  for (const hinch::Task& t : prog.value()->tasks())
+    EXPECT_EQ(t.reentrant, t.label == "dec/dec") << t.label;
 }
 
 TEST(MjpegParallel, ChecksumStableAcrossWorkerCounts) {
@@ -92,15 +96,18 @@ uint64_t serial_checksum(const MjpegDecodeConfig& c) {
   return h;
 }
 
+// The decoder is reentrant in this graph, so up to `window` frames
+// entropy-decode at once, each into its own coefficient slot; window 5
+// on 2 workers keeps more frames in flight than there are workers.
 TEST(MjpegParallel, ChecksumEqualsSerialDecode) {
   MjpegDecodeConfig c = odd_config();
   const uint64_t serial = serial_checksum(c);
-  for (int workers : {1, 4}) {
+  for (auto [workers, window] : {std::pair{1, 1}, {4, 4}, {2, 5}}) {
     c.workers = workers;
-    c.window = workers;
+    c.window = window;
     MjpegDecodeResult r = apps::run_mjpeg_decode(c);
-    EXPECT_EQ(r.frames, c.frames) << workers << " workers";
-    EXPECT_EQ(r.checksum, serial) << workers << " workers";
+    EXPECT_EQ(r.frames, c.frames) << workers << " workers, window " << window;
+    EXPECT_EQ(r.checksum, serial) << workers << " workers, window " << window;
   }
 }
 

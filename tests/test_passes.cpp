@@ -332,6 +332,34 @@ TEST(FuseKernelsPass, RewritesAdjacentSeqStepsAndAnnotates) {
       << sp::validate(*root).to_string();
 }
 
+// A fused kernel may keep scratch between runs, so the fused leaf is
+// sequential with itself even when a leaf it replaced was reentrant.
+TEST(FuseKernelsPass, FusedLeafDropsReentrant) {
+  NodePtr g = simple_chain();
+  g->children[1]->leaf.reentrant = true;  // mid
+  // This rewrite copies its first leaf's spec, flag included; the pass
+  // must still clear it.
+  sp::KernelFusionRegistry reg;
+  sp::KernelFusionPattern p;
+  p.name = "mid_sink";
+  p.klasses = {"k_mid", "k_sink"};
+  p.rewrite = [](const std::vector<const sp::LeafSpec*>& chain)
+      -> support::Result<LeafSpec> {
+    LeafSpec fused = *chain.front();
+    fused.instance = chain.front()->instance + "+" + chain.back()->instance;
+    fused.klass = "k_fused";
+    fused.outputs = chain.back()->outputs;
+    return fused;
+  };
+  reg.add(std::move(p));
+  NodePtr root = run_pipeline(std::move(g), fuse_kernels_only(reg));
+  ASSERT_TRUE(root);
+  ASSERT_EQ(root->children.size(), 2u);
+  const sp::Node& fused = *root->children[1];
+  EXPECT_EQ(fused.leaf.fused_pattern, "mid_sink");
+  EXPECT_FALSE(fused.leaf.reentrant);
+}
+
 TEST(FuseKernelsPass, RewritesPatternInsideHandWrittenGroup) {
   // seq(group(src, mid, sink)): the kernel matcher must find the
   // k_mid -> k_sink subsequence among the group members and rewrite

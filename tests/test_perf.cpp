@@ -199,6 +199,64 @@ TEST(PredictProfile, SpeedupCurveIsMonotonicAndBounded) {
   }
 }
 
+// A reentrant task overlaps across iterations, so the pipelined
+// interval's per-task term is the heaviest task that keeps its self
+// edge: here the IDCT, not the (heavier) reentrant decoder.
+TEST(PredictProfile, ReentrantTaskDoesNotBoundTheInterval) {
+  const char* spec = R"(
+<xspcl><procedure name="main"><body>
+  <component name="src" class="mjpeg_source">
+    <param name="width" value="32"/><param name="height" value="16"/>
+    <param name="frames" value="2"/>
+    <outport name="out" stream="jpeg"/>
+  </component>
+  <component name="dec" class="jpeg_decode" reentrant="$r">
+    <inport name="jpeg" stream="jpeg"/><outport name="coeffs" stream="c"/>
+  </component>
+  <component name="idct" class="idct">
+    <inport name="coeffs" stream="c"/><outport name="out" stream="y"/>
+  </component>
+  <component name="sink" class="frame_sink"><inport name="in" stream="y"/></component>
+</body></procedure></xspcl>)";
+  components::register_standard_globally();
+  for (const char* reentrant : {"false", "true"}) {
+    std::string text = spec;
+    text.replace(text.find("$r"), 2, reentrant);
+    auto prog =
+        xspcl::build_program(text, hinch::ComponentRegistry::global());
+    ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+    ASSERT_EQ(prog.value()->task(1).label, "dec");
+    //                        src   dec   idct  sink
+    std::vector<double> cost = {10.0, 400.0, 100.0, 20.0};
+    Prediction p = perf::predict_from_profile(*prog.value(), cost, 8);
+    EXPECT_DOUBLE_EQ(p.work, 530);
+    EXPECT_DOUBLE_EQ(p.span, 530);
+    if (std::string(reentrant) == "true") {
+      EXPECT_DOUBLE_EQ(p.interval, 100);
+      EXPECT_EQ(p.bound_task, 2);
+    } else {
+      EXPECT_DOUBLE_EQ(p.interval, 400);
+      EXPECT_EQ(p.bound_task, 1);
+    }
+    // On one processor the work term binds either way.
+    EXPECT_DOUBLE_EQ(
+        perf::predict_from_profile(*prog.value(), cost, 1).interval, 530);
+  }
+}
+
+TEST(PredictTree, ReentrantLeafDoesNotBoundTheInterval) {
+  std::vector<NodePtr> steps;
+  steps.push_back(sp::make_leaf(leaf("a", 100)));
+  sp::LeafSpec heavy = leaf("b", 300);
+  heavy.reentrant = true;
+  steps.push_back(sp::make_leaf(heavy));
+  steps.push_back(sp::make_leaf(leaf("c", 50)));
+  NodePtr g = sp::make_seq(std::move(steps));
+  Prediction p4 = perf::predict_from_tree(*g, cost_fn, 4);
+  EXPECT_DOUBLE_EQ(p4.t_iteration, 450);
+  EXPECT_DOUBLE_EQ(p4.interval, 112.5);  // work / 4, above a's 100
+}
+
 TEST(Wcet, IncludesDisabledOptions) {
   // WCET must assume the adversarial configuration: every option on.
   std::vector<sp::NodePtr> steps;

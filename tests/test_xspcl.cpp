@@ -316,6 +316,54 @@ TEST(Elaborate, BadReplicaCountRejected) {
   EXPECT_FALSE(xspcl::elaborate(program.value()).is_ok());
 }
 
+// `reentrant` takes true/false/1/0, directly or through a value formal
+// with a default; anything else is a positioned elaboration error.
+TEST(Elaborate, ReentrantAttributeThroughFormal) {
+  const char* spec = R"(
+<xspcl>
+  <procedure name="main"><body>
+    <call procedure="f" name="on"><arg name="r" value="true"/></call>
+    <call procedure="f" name="off"/>
+    <component name="lit" class="k" reentrant="1"/>
+  </body></procedure>
+  <procedure name="f">
+    <formal name="r" kind="value" default="false"/>
+    <body><component name="w" class="k" reentrant="$r"/></body>
+  </procedure>
+</xspcl>)";
+  sp::NodePtr g = must_elaborate(spec);
+  ASSERT_TRUE(g);
+  EXPECT_TRUE(find_leaf(*g, "on/w")->leaf.reentrant);
+  EXPECT_FALSE(find_leaf(*g, "off/w")->leaf.reentrant);
+  EXPECT_TRUE(find_leaf(*g, "lit")->leaf.reentrant);
+
+  const char* bad = R"(<xspcl><procedure name="main"><body>
+  <component name="c" class="k" reentrant="yes"/>
+</body></procedure></xspcl>)";
+  auto program = xspcl::parse_string(bad);
+  ASSERT_TRUE(program.is_ok());
+  auto graph = xspcl::elaborate(program.value());
+  ASSERT_FALSE(graph.is_ok());
+  EXPECT_NE(graph.status().message().find(
+                "elaboration at 2:3: reentrant= must be true/false"),
+            std::string::npos)
+      << graph.status().message();
+}
+
+TEST(Codegen, EmitsReentrant) {
+  sp::LeafSpec spec;
+  spec.instance = "c";
+  spec.klass = "k";
+  sp::NodePtr plain = sp::make_leaf(spec);
+  EXPECT_EQ(xspcl::generate_cpp(*plain, {.app_name = "r"}).find("reentrant"),
+            std::string::npos);
+  spec.reentrant = true;
+  sp::NodePtr opted = sp::make_leaf(spec);
+  EXPECT_NE(xspcl::generate_cpp(*opted, {.app_name = "r"})
+                .find(".reentrant = true;"),
+            std::string::npos);
+}
+
 TEST(Loader, LoadStringValidates) {
   // The same component name twice -> validation must fail at load time.
   const char* spec = R"(

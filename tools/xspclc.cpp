@@ -5,7 +5,7 @@
 //   xspclc dot      <spec.xml> [-o f]     Graphviz of the source tree
 //   xspclc taskdot  <spec.xml> [-o f]     Graphviz of the compiled task
 //                                         DAG (slices expanded, groups
-//                                         fused)
+//                                         fused, reentrant tasks dashed)
 //   xspclc codegen  <spec.xml> --name N [-o f] [--no-main]
 //                                         emit C++ glue code
 //   xspclc run      <spec.xml> [--backend=sim|threads] [--cores=N]
@@ -19,6 +19,8 @@
 //                   [--metrics]           dump the unified metrics registry
 //   xspclc predict  <spec.xml> [--cores=N] [--iterations=N]
 //                   [--platform=p.xml]    profile 1 core, predict speedup
+//                                         and name the heaviest task that
+//                                         is sequential with itself
 //   xspclc emit-app <pip|jpip|blur|mjpeg> [key=value ...] [-o f]
 //                                         dump a built-in application spec
 //                                         (apps::builtin_xspcl; the keys
@@ -398,6 +400,13 @@ int main(int argc, char** argv) {
           perf::predict_from_profile(*prog.value(), cost, p);
       std::printf("%10d %16.0f %17.2f\n", p, pred.total(args.iterations),
                   base.total(args.iterations) / pred.total(args.iterations));
+    }
+    // The pipelined interval's per-task term: the task that, sequential
+    // with itself, bounds throughput however many cores there are.
+    if (base.bound_task >= 0) {
+      std::printf("heaviest_sequential_task=%s cycles=%.0f\n",
+                  prog.value()->task(base.bound_task).label.c_str(),
+                  cost[static_cast<size_t>(base.bound_task)]);
     }
     if (!args.platform.empty()) {
       auto platform = xspcl::load_platform_file(args.platform);
