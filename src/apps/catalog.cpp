@@ -20,6 +20,9 @@ support::Result<int> int_param(const std::string& key,
   return static_cast<int>(v.value());
 }
 
+// Most distinct frames a catalog clip may hold ("frames" key).
+constexpr int kMaxClipFrames = 64;
+
 // Apply one override; true if `key` is known to this app.
 template <typename Config>
 support::Result<bool> apply_common(Config* c, const std::string& key,
@@ -29,7 +32,8 @@ support::Result<bool> apply_common(Config* c, const std::string& key,
   } else if (key == "height") {
     SUP_ASSIGN_OR_RETURN(c->height, int_param(key, value, 1, kMaxFrameSide));
   } else if (key == "frames") {
-    SUP_ASSIGN_OR_RETURN(c->frames, int_param(key, value));
+    SUP_ASSIGN_OR_RETURN(c->clip_frames,
+                         int_param(key, value, 1, kMaxClipFrames));
   } else if (key == "slices") {
     SUP_ASSIGN_OR_RETURN(c->slices, int_param(key, value));
   } else {

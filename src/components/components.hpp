@@ -90,7 +90,7 @@ void register_standard_globally();
 // The fusible chains the standard library provides fused kernels for
 // (static storage; safe to hand to sp::fuse_kernels_pass by pointer):
 //   jpeg_decode -> idct x3   =>  jpeg_decode_planes
-//   downscale -> blend       =>  downscale_blend   (slice-preserving)
+//   downscale -> blend       =>  downscale_blend
 const sp::KernelFusionRegistry& standard_fusions();
 
 }  // namespace components

@@ -119,7 +119,7 @@ class JpegDecodePlanesComponent : public hinch::Component {
 // downscale + blend in one traversal (media::downscale_blend) — the
 // paper's §4.1 hand-written PiP kernel. The downscaled foreground never
 // materializes; sliced by downscaled-foreground rows exactly like the
-// unfused pair, so per-band fusion is exact (slice-preserving).
+// unfused pair, so per-band fusion is exact.
 class DownscaleBlendComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
@@ -317,12 +317,10 @@ const sp::KernelFusionRegistry& standard_fusions() {
     auto* r = new sp::KernelFusionRegistry();
     r->add({"jpeg_decode_planes",
             {"jpeg_decode", "idct", "idct", "idct"},
-            &rewrite_jpeg_decode_planes,
-            /*slice_preserving=*/false});
+            &rewrite_jpeg_decode_planes});
     r->add({"downscale_blend",
             {"downscale", "blend"},
-            &rewrite_downscale_blend,
-            /*slice_preserving=*/true});
+            &rewrite_downscale_blend});
     return r;
   }();
   return *registry;

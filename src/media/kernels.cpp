@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 
 #include "media/kernels_simd.hpp"
-#include "support/cpu.hpp"
 
 // Hot-path structure: every kernel splits border columns/rows from the
 // interior so the inner loops run clamp-free on hoisted row pointers;
 // the interiors themselves go through the KernelOps dispatch table
-// (scalar / AVX2 / NEON, kernels_simd.hpp). All tiers must stay
+// (scalar / AVX2, kernels_simd.hpp). All tiers must stay
 // bit-identical to the straightforward scalar formulation
 // (tests/test_kernels_equiv.cpp pins them against unoptimized references
 // and against each other); the `*_cycles` companions model the simulated
@@ -139,7 +139,6 @@ void down2_blend_row_scalar(const uint8_t* a, const uint8_t* b, uint8_t* dst,
 
 const detail::KernelOps kScalarOps = {
     KernelDispatch::kScalar,
-    "scalar",
     &blur_h3_row_scalar,
     &blur_h5_row_scalar,
     &blur_v3_row_scalar,
@@ -156,24 +155,35 @@ const detail::KernelOps kScalarOps = {
 std::atomic<KernelDispatch> g_policy{KernelDispatch::kAuto};
 std::atomic<const detail::KernelOps*> g_ops{nullptr};
 
+// True when this host executes AVX2 and HINCH_FORCE_SCALAR (set to
+// anything but "" or "0") does not pin the scalar reference. Probed once.
+bool avx2_usable() {
+  static const bool usable = [] {
+    const char* force = std::getenv("HINCH_FORCE_SCALAR");
+    if (force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0)
+      return false;
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+  }();
+  return usable;
+}
+
 // Table for an explicit tier, or nullptr when the build or this host
 // (with the HINCH_FORCE_SCALAR override) cannot run it.
 const detail::KernelOps* resolve(KernelDispatch d) {
-  const support::CpuFeatures& f = support::cpu_features();
+  const detail::KernelOps* avx2 = avx2_usable() ? detail::avx2_ops() : nullptr;
   switch (d) {
     case KernelDispatch::kScalar:
       return &kScalarOps;
     case KernelDispatch::kAvx2:
-      return f.avx2 ? detail::avx2_ops() : nullptr;
-    case KernelDispatch::kNeon:
-      return f.neon ? detail::neon_ops() : nullptr;
-    case KernelDispatch::kAuto: {
-      if (f.avx2)
-        if (const detail::KernelOps* t = detail::avx2_ops()) return t;
-      if (f.neon)
-        if (const detail::KernelOps* t = detail::neon_ops()) return t;
-      return &kScalarOps;
-    }
+      return avx2;
+    case KernelDispatch::kAuto:
+      return avx2 != nullptr ? avx2 : &kScalarOps;
   }
   return &kScalarOps;
 }
@@ -225,8 +235,6 @@ const char* kernel_dispatch_name(KernelDispatch dispatch) {
       return "scalar";
     case KernelDispatch::kAvx2:
       return "avx2";
-    case KernelDispatch::kNeon:
-      return "neon";
   }
   return "?";
 }

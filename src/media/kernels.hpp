@@ -17,24 +17,23 @@ namespace media {
 // ---- runtime kernel dispatch ----------------------------------------------
 //
 // Every pixel kernel below (and the fixed-point AAN IDCT in jpeg.hpp)
-// routes its inner row loops through one of several implementation
-// tiers, selected once at runtime — the same reference-retention pattern
-// as HuffmanImpl/IdctImpl, extended to vector instruction sets. The
-// scalar tier is the bit-exactness reference; every vector tier must
+// routes its inner row loops through one of two implementation tiers,
+// selected once at runtime — the same reference-retention pattern as
+// HuffmanImpl/IdctImpl, extended to a vector instruction set. The
+// scalar tier is the bit-exactness reference; the AVX2 tier must
 // produce byte-identical output (tests/test_kernels_equiv.cpp pins this
 // across ragged widths and borders). See docs/PERF.md ("dispatch
 // ladder").
 enum class KernelDispatch {
-  kAuto,    // probe support::cpu_features() and take the best tier
+  kAuto,    // avx2 when the host runs it, else scalar
   kScalar,  // portable reference (also forced by HINCH_FORCE_SCALAR)
   kAvx2,    // 256-bit x86
-  kNeon,    // 128-bit AArch64
 };
 
-// Select the tier. kAuto resolves through support::cpu_features(), which
-// honours HINCH_FORCE_SCALAR; explicitly requesting a tier the host (or
-// the build) lacks falls back to scalar. Thread-safe; intended to be set
-// at startup or between runs, not concurrently with kernel calls.
+// Select the tier. kAuto takes avx2 when the host supports it and
+// HINCH_FORCE_SCALAR is not set; explicitly requesting a tier the host
+// (or the build) lacks falls back to scalar. Thread-safe; intended to be
+// set at startup or between runs, not concurrently with kernel calls.
 void set_kernel_dispatch(KernelDispatch dispatch);
 
 // The policy as last set (default kAuto).

@@ -495,7 +495,6 @@ void idct8x8(const int16_t in[64], const int32_t prescale[64],
 
 const KernelOps kAvx2Ops = {
     KernelDispatch::kAvx2,
-    "avx2",
     &blur_h3_row,
     &blur_h5_row,
     &blur_v3_row,

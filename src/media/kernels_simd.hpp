@@ -1,15 +1,15 @@
 // Internal dispatch table behind media's runtime-selected kernel tiers.
 //
-// Each tier (scalar / AVX2 / NEON) fills one KernelOps with row
+// Each tier (scalar / AVX2) fills one KernelOps with row
 // kernels for the interiors the public entry points in kernels.cpp carve
 // out; borders and ragged vector tails always run the scalar
 // formulation, so every tier is bit-identical by construction at the
 // edges and must be proven bit-identical in the interior
 // (tests/test_kernels_equiv.cpp sweeps ragged widths per tier).
 //
-// The vector translation units are compiled with per-file instruction
-// set flags (src/media/CMakeLists.txt) and keep all their helpers at
-// internal linkage: nothing inline-linked from here may be compiled
+// The AVX2 translation unit is compiled with a per-file instruction set
+// flag (src/media/CMakeLists.txt) and keeps all its helpers at internal
+// linkage: nothing inline-linked from here may be compiled
 // under -mavx2, or the linker could pick an AVX2-encoded copy for a
 // baseline host.
 #pragma once
@@ -22,7 +22,6 @@ namespace media::detail {
 
 struct KernelOps {
   KernelDispatch tier;
-  const char* name;
 
   // Gaussian blur interiors. blur_h*: columns [r, w-r) of one row, the
   // caller handles the clamped borders. blur_v*: all `w` columns of one
@@ -56,11 +55,10 @@ struct KernelOps {
                   uint8_t* out, int stride);
 };
 
-// Per-tier tables. scalar_ops() always exists; the others return nullptr
-// when the translation unit was built without that instruction set.
+// Per-tier tables. scalar_ops() always exists; avx2_ops() returns nullptr
+// when its translation unit was built without AVX2 (a non-x86 host).
 const KernelOps* scalar_ops();
 const KernelOps* avx2_ops();
-const KernelOps* neon_ops();
 
 // The table for the currently active dispatch policy (kernels.cpp).
 const KernelOps* kernel_ops();

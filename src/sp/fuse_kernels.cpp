@@ -238,11 +238,8 @@ class Rewriter {
   // --- across seq steps ---
   //
   // A run of consecutive fusible steps whose concatenated depth-first
-  // leaf classes equal a pattern chain collapses into one step. The
-  // general rewrite is a single leaf (the chain's slice replication is
-  // forfeit — priced by the advisor); a slice_preserving pattern whose
-  // matched steps are equally-sliced single-leaf par-slice blocks keeps
-  // the par-slice wrapper and loses nothing.
+  // leaf classes equal a pattern chain collapses into one leaf; the
+  // chain's slice replication is forfeit, which the advisor prices.
   void rewrite_seq(Node* seq) {
     size_t i = 0;
     while (i < seq->children.size()) {
@@ -281,21 +278,11 @@ class Rewriter {
       Match match;
       if (!chain_ok(leaves, *root_, &match)) continue;
 
-      const bool sliced = pattern.slice_preserving &&
-                          slice_preserving_steps(*seq, start, end);
       int lost = 1;
-      if (!sliced)
-        for (const StepIo& io : ios)
-          lost = std::max(lost, io.max_replicas);
+      for (const StepIo& io : ios) lost = std::max(lost, io.max_replicas);
       if (!approved(match, lost)) continue;
       NodePtr fused = build_fused_leaf(pattern, match);
       if (!fused) continue;
-      if (sliced) {
-        const int replicas = seq->children[start]->replicas;
-        std::vector<NodePtr> body;
-        body.push_back(std::move(fused));
-        fused = make_par(ParShape::kSlice, replicas, std::move(body));
-      }
       seq->children.erase(
           seq->children.begin() + static_cast<ptrdiff_t>(start),
           seq->children.begin() + static_cast<ptrdiff_t>(end));
@@ -305,26 +292,6 @@ class Rewriter {
       return true;
     }
     return false;
-  }
-
-  // Every step in [start, end) is a par-slice with the same replica
-  // count and a single leaf parblock — the shape under which a
-  // slice_preserving pattern may keep the slicing (band i of each stage
-  // depends only on band i of the previous one).
-  static bool slice_preserving_steps(const Node& seq, size_t start,
-                                     size_t end) {
-    int replicas = 0;
-    for (size_t i = start; i < end; ++i) {
-      const Node& step = *seq.children[i];
-      if (step.kind() != NodeKind::kPar || step.shape != ParShape::kSlice)
-        return false;
-      if (step.children.size() != 1 ||
-          step.children[0]->kind() != NodeKind::kLeaf)
-        return false;
-      if (replicas == 0) replicas = step.replicas;
-      if (step.replicas != replicas) return false;
-    }
-    return replicas > 0;
   }
 
   const KernelFusionRegistry& registry_;

@@ -24,10 +24,7 @@
 // What a rewrite costs is the chain's parallelism (the fused leaf is
 // one task), so each candidate is additionally arbitrated by a
 // FusionAdvisor; the cost-model-backed one is
-// perf::make_kernel_fusion_advisor. Patterns marked slice_preserving
-// keep par-slice replication when the matched steps are equally-sliced
-// single-leaf parblocks (downscale->blend: blend band i reads exactly
-// foreground band i, so per-band fusion is exact).
+// perf::make_kernel_fusion_advisor.
 //
 // The registry of patterns lives with the fused components
 // (components::standard_fusions()); the sp layer only defines the
@@ -76,11 +73,6 @@ struct KernelFusionPattern {
   std::function<support::Result<LeafSpec>(
       const std::vector<const LeafSpec*>&)>
       rewrite;
-  // When true and every matched seq step is a par-slice with the same
-  // replica count and a single leaf, the rewrite keeps the slicing:
-  // the fused leaf is wrapped in par-slice(n) and no parallelism is
-  // lost. Only set for kernels whose slice bands are independent.
-  bool slice_preserving = false;
 };
 
 class KernelFusionRegistry {
@@ -100,8 +92,7 @@ class KernelFusionRegistry {
 // An empty advisor approves every structurally-safe candidate. The
 // FusionCandidate handed to the advisor maps the chain as run =
 // producers, step = final consumer, link_streams = every internalized
-// stream, lost_replicas = the slice replication the fused task gives up
-// (1 for a slice-preserving rewrite).
+// stream, lost_replicas = the slice replication the fused task gives up.
 Pass fuse_kernels_pass(const KernelFusionRegistry* patterns,
                        FusionAdvisor advisor);
 

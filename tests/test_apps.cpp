@@ -272,6 +272,52 @@ TEST(FusedOverlay, WholeFrameChainMatchesUnfused) {
   EXPECT_EQ(run_sim_checksum(*fused.value(), 4, 3), want);
 }
 
+TEST(FusedOverlay, PlaneBlendWithReconfigMatchesUnfused) {
+  // Only blend names a plane, and its initial reconfig moves the
+  // overlay: the fused downscale_blend must downscale that one source
+  // plane and honour pos= exactly as the unfused blend does.
+  const std::string spec = R"(<xspcl><procedure name="main"><body>
+    <parallel shape="task">
+      <parblock><component name="bg_src" class="video_source">
+        <param name="seed" value="7"/><param name="width" value="160"/>
+        <param name="height" value="120"/><param name="frames" value="4"/>
+        <outport name="out" stream="bg"/></component></parblock>
+      <parblock><component name="fg_src" class="video_source">
+        <param name="seed" value="8"/><param name="width" value="160"/>
+        <param name="height" value="120"/><param name="frames" value="4"/>
+        <outport name="out" stream="fg"/></component></parblock>
+    </parallel>
+    <component name="bgcopy" class="copy">
+      <inport name="in" stream="bg"/><outport name="out" stream="canvas"/>
+    </component>
+    <parallel shape="slice" n="3"><parblock>
+      <component name="ds" class="downscale"><param name="factor" value="4"/>
+        <inport name="in" stream="fg"/><outport name="out" stream="small"/>
+      </component></parblock></parallel>
+    <parallel shape="slice" n="3"><parblock>
+      <component name="bl" class="blend"><param name="x" value="10"/>
+        <param name="y" value="6"/><param name="plane" value="1"/>
+        <inport name="fg" stream="small"/>
+        <outport name="canvas" stream="canvas"/>
+        <reconfig request="pos=84,52"/></component>
+    </parblock></parallel>
+    <component name="sink" class="frame_sink">
+      <inport name="in" stream="canvas"/></component>
+  </body></procedure></xspcl>)";
+  auto unfused = build(spec);
+  ASSERT_TRUE(unfused);
+  hinch::Program::BuildConfig build_config;
+  build_config.passes.fuse_kernels = true;
+  build_config.passes.kernel_patterns = &components::standard_fusions();
+  auto fused = xspcl::build_program(
+      spec, hinch::ComponentRegistry::global(), build_config);
+  ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
+  EXPECT_GE(fused_tasks(*fused.value()), 1);
+  const uint64_t want = run_sim_checksum(*unfused, 4, 1);
+  EXPECT_EQ(run_sim_checksum(*fused.value(), 4, 1), want);
+  EXPECT_EQ(run_sim_checksum(*fused.value(), 4, 3), want);
+}
+
 TEST(JpipApp, TwoPipsMatchSequential) {
   JpipConfig config = small_jpip(2);
   apps::SeqResult seq = apps::run_jpip_sequential(config);

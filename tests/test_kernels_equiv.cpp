@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <random>
+#include <string>
 
 #include "media/frame.hpp"
 #include "media/jpeg.hpp"
@@ -499,8 +501,8 @@ class DispatchGuard {
 
 std::vector<media::KernelDispatch> available_vector_tiers() {
   std::vector<media::KernelDispatch> out;
-  for (auto d : {media::KernelDispatch::kAvx2, media::KernelDispatch::kNeon})
-    if (media::kernel_dispatch_available(d)) out.push_back(d);
+  if (media::kernel_dispatch_available(media::KernelDispatch::kAvx2))
+    out.push_back(media::KernelDispatch::kAvx2);
   return out;
 }
 
@@ -517,12 +519,31 @@ TEST(VectorTiers, DispatchStateIsSane) {
   }
   EXPECT_EQ(media::kernel_dispatch(), media::KernelDispatch::kAuto);
   // Requesting an unavailable tier must run scalar, not crash.
-  for (auto d : {media::KernelDispatch::kAvx2, media::KernelDispatch::kNeon}) {
-    if (media::kernel_dispatch_available(d)) continue;
-    DispatchGuard g(d);
+  if (!media::kernel_dispatch_available(media::KernelDispatch::kAvx2)) {
+    DispatchGuard g(media::KernelDispatch::kAvx2);
     EXPECT_EQ(media::active_kernel_dispatch(),
               media::KernelDispatch::kScalar);
   }
+}
+
+// kAuto takes avx2 exactly when the host runs it and HINCH_FORCE_SCALAR
+// (set to anything but "" or "0") does not pin the scalar reference.
+TEST(VectorTiers, AutoFollowsHostAndForceScalar) {
+  const char* force = std::getenv("HINCH_FORCE_SCALAR");
+  const bool forced =
+      force != nullptr && force[0] != '\0' && std::string(force) != "0";
+  bool host_avx2 = false;
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  host_avx2 = __builtin_cpu_supports("avx2") != 0;
+#endif
+  const bool want_avx2 = host_avx2 && !forced;
+  DispatchGuard g(media::KernelDispatch::kAuto);
+  EXPECT_EQ(media::kernel_dispatch_available(media::KernelDispatch::kAvx2),
+            want_avx2);
+  EXPECT_EQ(media::active_kernel_dispatch(),
+            want_avx2 ? media::KernelDispatch::kAvx2
+                      : media::KernelDispatch::kScalar);
 }
 
 TEST(VectorTiers, BlurBitExactAcrossRaggedWidths) {

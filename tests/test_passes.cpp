@@ -278,13 +278,11 @@ TEST(PassRegistry, EveryRegisteredNameResolves) {
 
 // A registry with one fusible chain, k_mid -> k_sink: the fused leaf
 // takes mid's inputs and sink's outputs and drops the internal link.
-sp::KernelFusionRegistry mid_sink_registry(bool slice_preserving = false,
-                                           bool rewrite_fails = false) {
+sp::KernelFusionRegistry mid_sink_registry(bool rewrite_fails = false) {
   sp::KernelFusionRegistry reg;
   sp::KernelFusionPattern p;
   p.name = "mid_sink";
   p.klasses = {"k_mid", "k_sink"};
-  p.slice_preserving = slice_preserving;
   p.rewrite = [rewrite_fails](const std::vector<const sp::LeafSpec*>& chain)
       -> support::Result<LeafSpec> {
     if (rewrite_fails)
@@ -416,48 +414,11 @@ TEST(FuseKernelsPass, RewriteErrorDeclinesSilently) {
   // The rewrite hook rejecting a parameter combination is not a pipeline
   // failure — the candidate is skipped and the chain kept as-is.
   sp::KernelFusionRegistry reg =
-      mid_sink_registry(/*slice_preserving=*/false, /*rewrite_fails=*/true);
+      mid_sink_registry(/*rewrite_fails=*/true);
   NodePtr root = run_pipeline(simple_chain(), fuse_kernels_only(reg));
   ASSERT_TRUE(root);
   EXPECT_EQ(leaf_names(*root),
             (std::vector<std::string>{"src", "mid", "sink"}));
-}
-
-TEST(FuseKernelsPass, SlicePreservingPatternKeepsReplication) {
-  // par-slice(3){mid} -> par-slice(3){sink} with a slice-preserving
-  // pattern: the fused leaf keeps the par-slice(3) wrapper and the
-  // advisor sees lost_replicas == 1 (nothing forfeited).
-  auto sliced_step = [](LeafSpec spec) {
-    std::vector<NodePtr> parblocks;
-    parblocks.push_back(sp::make_leaf(std::move(spec)));
-    return sp::make_par(ParShape::kSlice, 3, std::move(parblocks));
-  };
-  std::vector<NodePtr> steps;
-  steps.push_back(sp::make_leaf(leaf("src", "", "a")));
-  steps.push_back(sliced_step(leaf("mid", "a", "b")));
-  steps.push_back(sliced_step(leaf("sink", "b", "")));
-  NodePtr root = sp::make_seq(std::move(steps));
-  ASSERT_TRUE(sp::validate(*root).is_ok());
-
-  sp::KernelFusionRegistry reg =
-      mid_sink_registry(/*slice_preserving=*/true);
-  int lost = -1;
-  root = run_pipeline(std::move(root),
-                      fuse_kernels_only(reg,
-                                        [&](const sp::FusionCandidate& c) {
-                                          lost = c.lost_replicas;
-                                          return true;
-                                        }));
-  ASSERT_TRUE(root);
-  EXPECT_EQ(lost, 1);
-  ASSERT_EQ(root->children.size(), 2u);
-  const sp::Node& par = *root->children[1];
-  ASSERT_EQ(par.kind(), NodeKind::kPar);
-  EXPECT_EQ(par.shape, ParShape::kSlice);
-  EXPECT_EQ(par.replicas, 3);
-  EXPECT_EQ(leaf_names(par), std::vector<std::string>{"mid+sink"});
-  EXPECT_TRUE(sp::validate(*root).is_ok())
-      << sp::validate(*root).to_string();
 }
 
 TEST(FuseKernelsPass, NullRegistryIsANoOp) {
@@ -496,8 +457,8 @@ TEST(KernelFusionModel, SerializationLossDeclinesOnManyCores) {
   model.cores = 4;
   EXPECT_FALSE(perf::kernel_fusion_wins(model, 1 << 20, 4));
   EXPECT_FALSE(perf::kernel_fusion_wins(model, 4 << 20, 4));
-  // A slice-preserving rewrite (lost_parallelism == 1) forfeits nothing
-  // and wins regardless of core count.
+  // A chain with no slicing to lose (lost_replicas == 1) forfeits
+  // nothing and wins regardless of core count.
   EXPECT_TRUE(perf::kernel_fusion_wins(model, 4 << 20, 1));
 }
 

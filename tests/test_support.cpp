@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "support/cpu.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
@@ -303,28 +302,6 @@ TEST(Json, AcceptsDeeplyNestedArrays) {
   std::string too_deep;
   for (int i = 0; i < 2000; ++i) too_deep += '[';
   EXPECT_FALSE(support::json::parse(too_deep).is_ok());
-}
-
-TEST(Cpu, ProbeIsConsistent) {
-  support::CpuFeatures f = support::probe_cpu_features();
-#if defined(__x86_64__) || defined(_M_X64)
-  EXPECT_FALSE(f.neon);
-#elif defined(__aarch64__)
-  EXPECT_TRUE(f.neon);
-  EXPECT_FALSE(f.avx2);
-#endif
-}
-
-TEST(Cpu, ForceScalarZeroesCachedFeatures) {
-  const support::CpuFeatures& f = support::cpu_features();
-  if (support::force_scalar_env()) {
-    EXPECT_FALSE(f.avx2);
-    EXPECT_FALSE(f.neon);
-  } else {
-    support::CpuFeatures raw = support::probe_cpu_features();
-    EXPECT_EQ(f.avx2, raw.avx2);
-    EXPECT_EQ(f.neon, raw.neon);
-  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // One process, one SessionExecutor (shared work-stealing pool), many
 // tenants: each `open` names a built-in application (apps::catalog) and
 // compiles its spec through the SpecCache (once per distinct spec; a
-// spec the front end rejects is an error at open), and each `feed` runs a
+// spec that does not build is an error at open), and each `feed` runs a
 // batch of iterations as a hinch::Session on the shared pool. Closing a
 // tenant cancels and drains only its jobs; everyone else keeps
 // streaming. This is the server the session-scoped runtime refactor
@@ -194,11 +194,15 @@ int serve(const ServeOptions& opts) {
         err(spec.status().message());
         continue;
       }
-      // Compile now, under the key feed's build_program uses, so a spec
-      // the front end rejects fails here rather than at the first feed.
-      auto compiled = cache.load(spec.value(), sp::PassOptions{});
-      if (!compiled.is_ok()) {
-        err(compiled.status().message());
+      // Build once now, as feed will, so a spec the front end or
+      // Program::build rejects fails here rather than at the first feed;
+      // the Program is dropped and feed's build is a cache hit.
+      hinch::Program::BuildConfig build;
+      build.stream_depth = static_cast<int>(depth);
+      auto built = cache.build_program(
+          spec.value(), hinch::ComponentRegistry::global(), build);
+      if (!built.is_ok()) {
+        err(built.status().message());
         continue;
       }
       Tenant t;

@@ -1,7 +1,7 @@
 // xspclc — the XSPCL processing tool (the paper's "conversion tool from
 // XSPCL to an executable that uses the run time system", §3).
 //
-//   xspclc validate <spec.xml>            check the specification
+//   xspclc validate <spec.xml>            check the specification builds
 //   xspclc dot      <spec.xml> [-o f]     Graphviz of the source tree
 //   xspclc taskdot  <spec.xml> [-o f]     Graphviz of the compiled task
 //                                         DAG (slices expanded, groups
@@ -283,15 +283,6 @@ int main(int argc, char** argv) {
   owned = std::move(transformed).take();
   const sp::Node& root = *owned;
 
-  if (args.command == "validate") {
-    sp::GraphStats stats = sp::stats(root);
-    std::printf(
-        "OK: %d components (%d after data-parallel expansion), %d parallel "
-        "regions, %d options, %d managers, %s form\n",
-        stats.leaves, stats.expanded_leaves, stats.par_nodes, stats.options,
-        stats.managers, sp::is_sp_form(root) ? "SP" : "non-SP (crossdep)");
-    return 0;
-  }
   if (args.command == "dot") {
     return write_output(args, sp::to_dot(root, args.name));
   }
@@ -308,6 +299,18 @@ int main(int argc, char** argv) {
   auto prog = hinch::Program::build(root, hinch::ComponentRegistry::global(),
                                     build_config);
   if (!prog.is_ok()) return fail(prog.status());
+  // validate checks the spec the way run builds it: a build-time error
+  // (an unknown class, an unbound port, an unsafe reentrant opt-in) is
+  // reported here, not at the first run.
+  if (args.command == "validate") {
+    sp::GraphStats stats = sp::stats(root);
+    std::printf(
+        "OK: %d components (%d after data-parallel expansion), %d parallel "
+        "regions, %d options, %d managers, %s form\n",
+        stats.leaves, stats.expanded_leaves, stats.par_nodes, stats.options,
+        stats.managers, sp::is_sp_form(root) ? "SP" : "non-SP (crossdep)");
+    return 0;
+  }
   hinch::RunConfig run;
   run.iterations = args.iterations;
 
