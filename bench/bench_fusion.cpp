@@ -31,7 +31,6 @@
 #include "bench_util.hpp"
 #include "components/sinks.hpp"
 #include "media/kernels.hpp"
-#include "perf/fusion.hpp"
 #include "support/strings.hpp"
 
 namespace {
@@ -83,13 +82,6 @@ int main(int argc, char** argv) {
                  graph.status().to_string().c_str());
     return 1;
   }
-  auto bytes = perf::measure_stream_slot_bytes(
-      *graph.value(), hinch::ComponentRegistry::global());
-  if (!bytes.is_ok()) {
-    std::fprintf(stderr, "bench_fusion: %s\n",
-                 bytes.status().to_string().c_str());
-    return 1;
-  }
 
   const std::vector<Leg> legs = {
       {"plain", 5, false},
@@ -107,9 +99,6 @@ int main(int argc, char** argv) {
           return Meas{seq.cycles, seq.mem.mem_fetches, seq.checksum, 0};
         }
         const Leg& leg = legs[static_cast<size_t>(idx - 1)];
-        perf::FusionModel model;
-        model.cores = 1;
-        model.window = leg.window;
         hinch::BuildConfig config;
         // The parked footprint is window slots per stream; build the
         // stream rings to match so the cache sees what the schedule
@@ -118,8 +107,6 @@ int main(int argc, char** argv) {
         if (leg.fuse) {
           config.passes.fuse_kernels = true;
           config.passes.kernel_patterns = &components::standard_fusions();
-          config.passes.kernel_advisor =
-              perf::make_kernel_fusion_advisor(bytes.value(), model);
         }
         auto prog = hinch::Program::build(
             *graph.value(), hinch::ComponentRegistry::global(), config);

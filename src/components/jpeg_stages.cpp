@@ -69,7 +69,7 @@ class JpegDecodeComponent : public hinch::Component {
     ctx.touch_write(out_, 0, out_bytes);
     ctx.charge_compute(
         media::jpeg::entropy_decode_cycles(bytes->size(), blocks));
-    slot = hinch::Packet::of(std::move(img), out_bytes);
+    slot = hinch::Packet::of(std::move(img));
     ctx.commit(out_);
   }
 
@@ -164,7 +164,7 @@ class JpegEncodeComponent : public hinch::Component {
     ctx.touch_read(in_, 0, frame->bytes());
     ctx.touch_write(out_, 0, size);
     ctx.charge_compute(media::jpeg::encode_cycles(blocks, size));
-    ctx.write(out_, hinch::Packet::of(std::move(bytes), size));
+    ctx.write(out_, hinch::Packet::of(std::move(bytes)));
   }
 
  private:

@@ -119,7 +119,7 @@ class MjpegSource : public hinch::Component {
     std::shared_ptr<const std::vector<uint8_t>> bytes(
         clip_, &clip_->frame(t));
     uint64_t size = bytes->size();
-    ctx.write(out_, hinch::Packet::of_const(std::move(bytes), size));
+    ctx.write(out_, hinch::Packet::of_const(std::move(bytes)));
     ctx.touch_write(out_, 0, size);
     ctx.charge_compute(media::io_cycles(size));
   }

@@ -92,8 +92,13 @@ class ProgramBuilder {
                                        "' on '" + config.instance + "'");
       config.params[p.name] = p.value;
     }
-    SUP_ASSIGN_OR_RETURN(std::unique_ptr<Component> comp,
-                         registry_.create(n.leaf.klass, config));
+    auto created = registry_.create(n.leaf.klass, config);
+    if (!created.is_ok())
+      return support::Status(
+          created.status().code(),
+          "component '" + config.instance + "' (class " + n.leaf.klass +
+              "): " + created.status().message() + sp::loc_suffix(n.loc));
+    std::unique_ptr<Component> comp = std::move(created).take();
     if (!n.leaf.initial_reconfig.empty())
       comp->reconfigure(n.leaf.initial_reconfig);
     if (ctx.sliced) comp->assign_slice(ctx.slice_index, ctx.slice_count);

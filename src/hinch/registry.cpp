@@ -31,8 +31,7 @@ support::Result<std::unique_ptr<Component>> ComponentRegistry::create(
     const std::string& klass, const ComponentConfig& config) const {
   auto it = factories_.find(klass);
   if (it == factories_.end())
-    return support::not_found("unknown component class '" + klass +
-                              "' (instance '" + config.instance + "')");
+    return support::not_found("unknown component class '" + klass + "'");
   auto result = it->second.factory(config);
   if (result.is_ok()) result.value()->set_instance(config.instance);
   return result;

@@ -4,12 +4,7 @@ namespace hinch {
 
 Packet Packet::of_frame(media::FramePtr frame) {
   SUP_CHECK(frame != nullptr);
-  uint64_t bytes = frame->bytes();
-  Packet p;
-  p.size_bytes_ = bytes;
-  p.type_ = &typeid(media::Frame);
-  p.data_ = std::static_pointer_cast<void>(std::move(frame));
-  return p;
+  return of(std::move(frame));
 }
 
 Stream::Stream(std::string name, int depth)
@@ -22,8 +17,6 @@ Stream::Stream(std::string name, int depth)
 void Stream::write(int64_t iter, Packet packet) {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t s = slot_of(iter);
-  max_packet_bytes_ =
-      std::max(max_packet_bytes_, packet.size_bytes());
   slots_[s] = std::move(packet);
   written_iter_[s] = iter;
 }
@@ -59,8 +52,6 @@ Packet& Stream::acquire_slot(int64_t iter) {
 void Stream::commit_slot(int64_t iter) {
   std::lock_guard<std::mutex> lock(mutex_);
   size_t s = slot_of(iter);
-  max_packet_bytes_ =
-      std::max(max_packet_bytes_, slots_[s].size_bytes());
   written_iter_[s] = iter;
 }
 
@@ -74,14 +65,12 @@ media::FramePtr Stream::get_or_alloc_frame(int64_t iter,
     media::FramePtr f = p.frame();
     if (f->format() == fmt && f->width() == width && f->height() == height) {
       written_iter_[s] = iter;
-      max_packet_bytes_ = std::max(max_packet_bytes_, p.size_bytes());
       return f;
     }
   }
   media::FramePtr f = media::make_frame(fmt, width, height);
   p = Packet::of_frame(f);
   written_iter_[s] = iter;
-  max_packet_bytes_ = std::max(max_packet_bytes_, p.size_bytes());
   return f;
 }
 

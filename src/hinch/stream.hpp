@@ -24,10 +24,10 @@
 
 namespace hinch {
 
-// The unit of stream communication: a shared payload plus its size for
-// memory-traffic accounting. Payloads are usually media::Frame, but any
-// shared_ptr'd type works (the JPiP graph streams JPEG coefficient
-// images between the decode and IDCT components).
+// The unit of stream communication: a shared, typed payload. Payloads
+// are usually media::Frame, but any shared_ptr'd type works (the JPiP
+// graph streams JPEG coefficient images between the decode and IDCT
+// components).
 class Packet {
  public:
   Packet() = default;
@@ -35,11 +35,10 @@ class Packet {
   static Packet of_frame(media::FramePtr frame);
 
   template <typename T>
-  static Packet of(std::shared_ptr<T> value, uint64_t size_bytes) {
+  static Packet of(std::shared_ptr<T> value) {
     Packet p;
     p.data_ = std::static_pointer_cast<void>(std::move(value));
     p.type_ = &typeid(T);
-    p.size_bytes_ = size_bytes;
     return p;
   }
 
@@ -47,13 +46,11 @@ class Packet {
   // with a clip). Consumers receive them through get<T>() and must treat
   // them as read-only.
   template <typename T>
-  static Packet of_const(std::shared_ptr<const T> value,
-                         uint64_t size_bytes) {
-    return of(std::const_pointer_cast<T>(std::move(value)), size_bytes);
+  static Packet of_const(std::shared_ptr<const T> value) {
+    return of(std::const_pointer_cast<T>(std::move(value)));
   }
 
   bool empty() const { return data_ == nullptr; }
-  uint64_t size_bytes() const { return size_bytes_; }
 
   // Typed access; aborts on type mismatch (a wiring bug, not user error).
   template <typename T>
@@ -68,7 +65,6 @@ class Packet {
  private:
   std::shared_ptr<void> data_;
   const std::type_info* type_ = nullptr;
-  uint64_t size_bytes_ = 0;
 };
 
 class Stream {
@@ -121,14 +117,6 @@ class Stream {
   int index() const { return index_; }
   void set_index(int idx) { index_ = idx; }
 
-  // High-water packet size ever published on this stream (bytes).
-  // perf::measure_stream_slot_bytes profiles this to size the footprint
-  // a link parks in the cache hierarchy.
-  uint64_t max_packet_bytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return max_packet_bytes_;
-  }
-
  private:
   size_t slot_of(int64_t iter) const {
     SUP_DCHECK(iter >= 0);
@@ -141,7 +129,6 @@ class Stream {
   mutable std::mutex mutex_;
   std::vector<Packet> slots_;
   std::vector<int64_t> written_iter_;  // -1 = never written
-  uint64_t max_packet_bytes_ = 0;
 };
 
 }  // namespace hinch

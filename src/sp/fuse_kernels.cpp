@@ -129,15 +129,6 @@ bool chain_ok(const std::vector<const Node*>& leaves, const Node& root,
   return true;
 }
 
-FusionCandidate make_candidate(const Match& match, int lost_replicas) {
-  FusionCandidate cand;
-  cand.run_leaves.assign(match.leaves.begin(), match.leaves.end() - 1);
-  cand.step_leaves.push_back(match.leaves.back());
-  cand.link_streams = match.links;
-  cand.lost_replicas = lost_replicas;
-  return cand;
-}
-
 // Runs the pattern's rewrite and annotates the result. A rewrite error
 // declines the candidate (nullptr) — it is the pattern's way of saying
 // "this parameter combination has no fused kernel".
@@ -164,8 +155,8 @@ NodePtr build_fused_leaf(const KernelFusionPattern& pattern,
 
 class Rewriter {
  public:
-  Rewriter(const KernelFusionRegistry& registry, const FusionAdvisor& advisor)
-      : registry_(registry), advisor_(advisor) {}
+  Rewriter(const KernelFusionRegistry& registry, int cores)
+      : registry_(registry), cores_(cores) {}
 
   void run(NodePtr& root) {
     root_ = root.get();
@@ -179,15 +170,11 @@ class Rewriter {
     if (n->kind() == NodeKind::kGroup) rewrite_group(n);
   }
 
-  bool approved(const Match& match, int lost_replicas) const {
-    return !advisor_ || advisor_(make_candidate(match, lost_replicas));
-  }
-
   // --- inside a group: members are leaves in schedule order ---
   //
   // A contiguous member subsequence whose classes equal a pattern chain
   // collapses into one synthesized member. The group is already one
-  // task, so the rewrite loses no parallelism (lost_replicas = 1); what
+  // task, so the rewrite loses no parallelism and is always taken; what
   // it removes is the intermediate packet round-trip.
   void rewrite_group(NodePtr& group) {
     Node* g = group.get();
@@ -224,7 +211,6 @@ class Rewriter {
         leaves.push_back(g.children[start + k].get());
       Match match;
       if (!chain_ok(leaves, *root_, &match)) continue;
-      if (!approved(match, /*lost_replicas=*/1)) continue;
       NodePtr fused = build_fused_leaf(pattern, match);
       if (!fused) continue;
       g.children.erase(
@@ -238,8 +224,10 @@ class Rewriter {
   // --- across seq steps ---
   //
   // A run of consecutive fusible steps whose concatenated depth-first
-  // leaf classes equal a pattern chain collapses into one leaf; the
-  // chain's slice replication is forfeit, which the advisor prices.
+  // leaf classes equal a pattern chain collapses into one leaf. The
+  // fused leaf is one task, sequential with itself, so a chain with a
+  // sliced step or a reentrant leaf forfeits parallelism: it is fused
+  // only for one core.
   void rewrite_seq(Node* seq) {
     size_t i = 0;
     while (i < seq->children.size()) {
@@ -250,7 +238,7 @@ class Rewriter {
   bool match_steps(Node* seq, size_t start) {
     for (const KernelFusionPattern& pattern : registry_.patterns()) {
       std::vector<const Node*> leaves;
-      std::vector<StepIo> ios;
+      bool forfeits = false;
       size_t consumed = 0;
       size_t end = start;
       bool viable = true;
@@ -268,19 +256,17 @@ class Rewriter {
           }
           ++consumed;
           leaves.push_back(leaf);
+          forfeits |= leaf->leaf.reentrant;
         }
         if (!viable) break;
-        ios.push_back(std::move(io));
+        forfeits |= io.max_replicas > 1;
         ++end;
       }
       if (!viable || consumed != pattern.klasses.size()) continue;
+      if (forfeits && cores_ > 1) continue;
 
       Match match;
       if (!chain_ok(leaves, *root_, &match)) continue;
-
-      int lost = 1;
-      for (const StepIo& io : ios) lost = std::max(lost, io.max_replicas);
-      if (!approved(match, lost)) continue;
       NodePtr fused = build_fused_leaf(pattern, match);
       if (!fused) continue;
       seq->children.erase(
@@ -295,23 +281,21 @@ class Rewriter {
   }
 
   const KernelFusionRegistry& registry_;
-  const FusionAdvisor& advisor_;
+  const int cores_;
   const Node* root_ = nullptr;
 };
 
 }  // namespace
 
-Pass fuse_kernels_pass(const KernelFusionRegistry* patterns,
-                       FusionAdvisor advisor) {
+Pass fuse_kernels_pass(const KernelFusionRegistry* patterns, int cores) {
   Pass p;
   p.name = "fuse-kernels";
   p.description =
       "rewrite registered component chains into single fused-loop "
       "components; the linking streams' packets never materialize";
-  p.run = [patterns, advisor = std::move(advisor)](
-              NodePtr g) -> support::Result<NodePtr> {
+  p.run = [patterns, cores](NodePtr g) -> support::Result<NodePtr> {
     if (patterns == nullptr || patterns->patterns().empty()) return g;
-    Rewriter rewriter(*patterns, advisor);
+    Rewriter rewriter(*patterns, cores);
     rewriter.run(g);
     return g;
   };

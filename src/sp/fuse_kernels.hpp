@@ -21,14 +21,18 @@
 //     inside the match — if any other consumer reads the link, the
 //     packet must still park for it and the rewrite is declined (see
 //     the multiple-readers test in tests/test_passes.cpp).
-// What a rewrite costs is the chain's parallelism (the fused leaf is
-// one task), so each candidate is additionally arbitrated by a
-// FusionAdvisor; the cost-model-backed one is
-// perf::make_kernel_fusion_advisor.
+// What a rewrite costs is the chain's parallelism: the fused leaf is
+// one task, sequential with itself. A seq-step rewrite forfeits
+// parallelism when a matched step is sliced or a matched leaf is
+// reentrant (its iterations could overlap); it is then taken only when
+// the program is fused for one core, where there is no parallelism to
+// lose. A rewrite inside a group forfeits nothing (the group is already
+// one task). This is the whole decision. No run of the program enters
+// it, so compiling never executes a component.
 //
 // The registry of patterns lives with the fused components
 // (components::standard_fusions()); the sp layer only defines the
-// contract, mirroring the FusionAdvisor split.
+// contract.
 #pragma once
 
 #include <functional>
@@ -40,21 +44,6 @@
 #include "support/status.hpp"
 
 namespace sp {
-
-// One proposed rewrite, as the advisor sees it: which streams would stop
-// parking between tasks and how much replication the fused task gives
-// up.
-struct FusionCandidate {
-  // The chain's producers, in schedule order.
-  std::vector<const Node*> run_leaves;
-  // The chain's final consumer.
-  std::vector<const Node*> step_leaves;
-  // Streams internal to the chain — the links whose packets never
-  // materialize if the rewrite is taken.
-  std::vector<std::string> link_streams;
-  // Slice replication the fused task gives up (1 when none is lost).
-  int lost_replicas = 1;
-};
 
 // One fusible chain: an ordered list of component classes plus the
 // rewrite that synthesizes the fused leaf from the matched specs.
@@ -89,11 +78,9 @@ class KernelFusionRegistry {
 // The pass. `patterns` may be null (the pass is then a no-op — the
 // pipeline stays well-formed even when no fused components are linked
 // in); when non-null it must outlive every run of the returned pass.
-// An empty advisor approves every structurally-safe candidate. The
-// FusionCandidate handed to the advisor maps the chain as run =
-// producers, step = final consumer, link_streams = every internalized
-// stream, lost_replicas = the slice replication the fused task gives up.
-Pass fuse_kernels_pass(const KernelFusionRegistry* patterns,
-                       FusionAdvisor advisor);
+// `cores` is the core count the program is fused for: at 1 every
+// structurally-safe candidate is taken, above 1 only those that forfeit
+// no parallelism.
+Pass fuse_kernels_pass(const KernelFusionRegistry* patterns, int cores);
 
 }  // namespace sp

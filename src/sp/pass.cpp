@@ -167,7 +167,7 @@ const std::vector<PassInfo>& registered_passes() {
       {"normalize", normalize_pass().description, true},
       {"strip-dead-options", strip_dead_options_pass().description, true},
       {"to-sp-form", to_sp_form_pass().description, false},
-      {"fuse-kernels", fuse_kernels_pass(nullptr, {}).description, false},
+      {"fuse-kernels", fuse_kernels_pass(nullptr, 1).description, false},
   };
   return kPasses;
 }
@@ -178,8 +178,7 @@ support::Result<Pass> pass_by_name(const std::string& name,
   if (name == "strip-dead-options") return strip_dead_options_pass();
   if (name == "to-sp-form") return to_sp_form_pass();
   if (name == "fuse-kernels")
-    return fuse_kernels_pass(options.kernel_patterns,
-                             options.kernel_advisor);
+    return fuse_kernels_pass(options.kernel_patterns, options.kernel_cores);
   std::string known;
   for (const PassInfo& p : registered_passes()) {
     if (!known.empty()) known += ", ";
@@ -196,8 +195,7 @@ PassManager make_pipeline(const PassOptions& options) {
   if (options.strip_dead_options) pm.add(strip_dead_options_pass());
   if (options.to_sp_form) pm.add(to_sp_form_pass());
   if (options.fuse_kernels)
-    pm.add(fuse_kernels_pass(options.kernel_patterns,
-                             options.kernel_advisor));
+    pm.add(fuse_kernels_pass(options.kernel_patterns, options.kernel_cores));
   return pm;
 }
 
@@ -213,7 +211,7 @@ std::string pass_fingerprint(const PassOptions& options) {
   if (options.fuse_kernels) {
     mark("fuse-kernels");
     if (options.kernel_patterns != nullptr) out += "+patterns";
-    if (options.kernel_advisor) out += "+kernel-advisor";
+    out += "@" + std::to_string(options.kernel_cores);
   }
   return out.empty() ? "none" : out;
 }

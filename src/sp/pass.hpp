@@ -33,14 +33,7 @@ struct Pass {
 using DumpHook =
     std::function<void(const std::string& pass, const Node& graph)>;
 
-struct FusionCandidate;       // sp/fuse_kernels.hpp
-class KernelFusionRegistry;   // sp/fuse_kernels.hpp
-
-// Decides whether a fusion candidate is worth taking. The sp layer only
-// defines the contract; the cost-model-backed implementation lives in
-// perf::make_kernel_fusion_advisor (it sees the simulated cache
-// hierarchy).
-using FusionAdvisor = std::function<bool(const FusionCandidate&)>;
+class KernelFusionRegistry;  // sp/fuse_kernels.hpp
 
 // Verification between passes defaults to on in debug builds (§ the
 // acceptance contract: a buggy pass is caught at the pass boundary, not
@@ -70,12 +63,12 @@ struct PassOptions {
   // hand-written groups). `kernel_patterns` names the chains and
   // their rewrites — typically components::standard_fusions(); it must
   // outlive the pipeline run, and null makes the pass a no-op.
-  // `kernel_advisor` arbitrates each rewrite (empty = take every
-  // structurally-safe candidate); the cost-model-backed one is
-  // perf::make_kernel_fusion_advisor.
+  // `kernel_cores` is the core count the program is fused for: at 1
+  // every structurally-safe rewrite is taken, above 1 only those that
+  // forfeit no parallelism (no sliced step, no reentrant leaf).
   bool fuse_kernels = false;
   const KernelFusionRegistry* kernel_patterns = nullptr;
-  FusionAdvisor kernel_advisor;
+  int kernel_cores = 1;
   // Run sp::validate after every pass (error names the failing pass).
   bool verify = kVerifyPassesDefault;
 
@@ -114,8 +107,7 @@ Pass normalize_pass();
 Pass strip_dead_options_pass();
 Pass to_sp_form_pass();
 // Defined in sp/fuse_kernels.cpp (see that header for the contract).
-Pass fuse_kernels_pass(const KernelFusionRegistry* patterns,
-                       FusionAdvisor advisor);
+Pass fuse_kernels_pass(const KernelFusionRegistry* patterns, int cores);
 
 // Descriptor for `xspclc passes` and --dump-after=all.
 struct PassInfo {
@@ -128,7 +120,7 @@ struct PassInfo {
 const std::vector<PassInfo>& registered_passes();
 
 // Look up a single pass by registered name, drawing its configuration
-// (kernel patterns and advisor) from `options`. Not-found lists the
+// (kernel patterns and core count) from `options`. Not-found lists the
 // valid names.
 support::Result<Pass> pass_by_name(const std::string& name,
                                    const PassOptions& options);
@@ -139,12 +131,12 @@ support::Result<Pass> pass_by_name(const std::string& name,
 PassManager make_pipeline(const PassOptions& options);
 
 // A short stable string identifying *which rewrites* a PassOptions runs:
-// the enabled pass names in canonical order, plus markers for attached
-// patterns/advisor ("+patterns", "+kernel-advisor") since an advisor
-// changes what the same flags produce. The verify flag is
-// excluded — it never changes the output graph. Two option sets with
-// equal fingerprints produce the same graph from the same input *unless*
-// their advisor callables differ behind the marker.
+// the enabled pass names in canonical order, plus fuse-kernels'
+// configuration ("+patterns" when patterns are attached, "@N" for the
+// core count it fuses for). The verify flag is excluded — it never
+// changes the output graph. Two option sets with equal fingerprints
+// produce the same graph from the same input (given the same pattern
+// registry).
 std::string pass_fingerprint(const PassOptions& options);
 
 }  // namespace sp

@@ -8,7 +8,6 @@
 #include "components/components.hpp"
 #include "components/sinks.hpp"
 #include "hinch/runtime.hpp"
-#include "perf/fusion.hpp"
 #include "xspcl/loader.hpp"
 
 namespace {
@@ -175,57 +174,78 @@ TEST(JpipApp, GroupedVariantProducesIdenticalOutput) {
   EXPECT_EQ(run_sim_checksum(*prog, config.frames, 3), seq.checksum);
 }
 
-TEST(JpipApp, CostModelAdvisorPreservesOutput) {
-  // End-to-end through the measuring advisor (profiling run + cost
-  // model) driving fuse-kernels. At one core no slicing is forfeited,
-  // so the model takes every measured chain; the checksum must not
-  // move.
-  JpipConfig config = small_jpip(1);
-  apps::SeqResult seq = apps::run_jpip_sequential(config);
-  components::register_standard_globally();
-  auto graph = xspcl::load_string(apps::jpip_xspcl(config));
-  ASSERT_TRUE(graph.is_ok()) << graph.status().to_string();
-  auto bytes = perf::measure_stream_slot_bytes(
-      *graph.value(), hinch::ComponentRegistry::global());
-  ASSERT_TRUE(bytes.is_ok()) << bytes.status().to_string();
-  perf::FusionModel model;
-  model.cores = 1;
-  hinch::Program::BuildConfig build_config;
-  build_config.passes.fuse_kernels = true;
-  build_config.passes.kernel_patterns = &components::standard_fusions();
-  build_config.passes.kernel_advisor =
-      perf::make_kernel_fusion_advisor(std::move(bytes).take(), model);
-  auto prog = hinch::Program::build(
-      *graph.value(), hinch::ComponentRegistry::global(), build_config);
-  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
-  EXPECT_GE(fused_tasks(*prog.value()), 1);
-  EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 1), seq.checksum);
-}
-
 TEST(JpipApp, FuseKernelsVariantProducesIdenticalOutput) {
-  // The loop-level fusion pass on the PLAIN spec, every candidate
-  // forced: the decode chain collapses to jpeg_decode_planes and each
-  // downscale->blend pair to a downscale_blend, and the output must
-  // stay bit-identical to the hand-written decoder — fused loops that
-  // move a pixel are bugs, not wins.
+  // The loop-level fusion pass on the PLAIN spec, fused for one core
+  // so every structurally-safe candidate is taken: the decode chain
+  // collapses to jpeg_decode_planes and each downscale->blend pair to
+  // a downscale_blend, and the output must stay bit-identical to the
+  // hand-written decoder — fused loops that move a pixel are bugs, not
+  // wins. Fused for four cores, every chain keeps its slices (each has
+  // a sliced step) and the output must agree too.
   JpipConfig config = small_jpip(1);
   apps::SeqResult seq = apps::run_jpip_sequential(config);
   components::register_standard_globally();
   hinch::Program::BuildConfig build_config;
   build_config.passes.fuse_kernels = true;
   build_config.passes.kernel_patterns = &components::standard_fusions();
-  build_config.passes.kernel_advisor = [](const sp::FusionCandidate&) {
-    return true;
-  };
   auto prog = xspcl::build_program(apps::jpip_xspcl(config),
                                    hinch::ComponentRegistry::global(),
                                    build_config);
   ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
-  // At least the decode chain and the PiP's plane pipelines must have
+  // The decode chain and the PiP's three plane pipelines must have
   // been rewritten into synthesized components ("a+b" instance names).
-  EXPECT_GE(fused_tasks(*prog.value()), 2);
+  EXPECT_EQ(fused_tasks(*prog.value()), 5);
   EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 1), seq.checksum);
   EXPECT_EQ(run_sim_checksum(*prog.value(), config.frames, 3), seq.checksum);
+
+  build_config.passes.kernel_cores = 4;
+  auto four = xspcl::build_program(apps::jpip_xspcl(config),
+                                   hinch::ComponentRegistry::global(),
+                                   build_config);
+  ASSERT_TRUE(four.is_ok()) << four.status().to_string();
+  EXPECT_EQ(fused_tasks(*four.value()), 0);
+  EXPECT_EQ(run_sim_checksum(*four.value(), config.frames, 4), seq.checksum);
+}
+
+TEST(JpipApp, FuseKernelsFusesDisabledOptionChains) {
+  // The fusion rule reads the composition, not a run: the chains inside
+  // the second PiP's option fuse for one core like the first PiP's,
+  // although that option starts disabled. Fused or not, the output must
+  // be the same while the manager toggles the option. Window 1 keeps
+  // iterations from overlapping, so each toggle lands on the same
+  // iteration in both programs; with overlap, when the manager sees the
+  // ticker's event depends on the schedule, fused or not.
+  JpipConfig config = small_jpip(2);
+  config.reconfigurable = true;
+  config.toggle_period = 2;
+  auto unfused = build(apps::jpip_xspcl(config));
+  ASSERT_TRUE(unfused);
+  hinch::Program::BuildConfig build_config;
+  build_config.passes.fuse_kernels = true;
+  build_config.passes.kernel_patterns = &components::standard_fusions();
+  auto fused = xspcl::build_program(apps::jpip_xspcl(config),
+                                    hinch::ComponentRegistry::global(),
+                                    build_config);
+  ASSERT_TRUE(fused.is_ok()) << fused.status().to_string();
+  int pip2_fused = 0;
+  for (const hinch::Task& t : fused.value()->tasks())
+    if (t.label.rfind("pip2", 0) == 0 &&
+        t.label.find('+') != std::string::npos)
+      ++pip2_fused;
+  // The decode chain and the three plane pipelines of the second PiP.
+  EXPECT_EQ(pip2_fused, 4);
+  for (int cores : {1, 3}) {
+    hinch::RunConfig run;
+    run.iterations = config.frames;
+    run.window = 1;
+    hinch::SimParams sim;
+    sim.cores = cores;
+    hinch::SimResult r = hinch::run_on_sim(*fused.value(), run, sim);
+    EXPECT_GE(r.sched.reconfigurations, 2u) << cores << " cores";
+    const uint64_t want = sink_checksum(*fused.value());
+    hinch::run_on_sim(*unfused, run, sim);
+    EXPECT_EQ(want, sink_checksum(*unfused)) << cores << " cores";
+  }
 }
 
 TEST(FusedOverlay, WholeFrameChainMatchesUnfused) {

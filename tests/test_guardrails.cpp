@@ -25,7 +25,7 @@ TEST(GuardrailDeathTest, StreamReadBeforeWriteAborts) {
 
 TEST(GuardrailDeathTest, StaleSlotReadAborts) {
   Stream s("bench", 2);
-  s.write(0, Packet::of(std::make_shared<int>(1), 4));
+  s.write(0, Packet::of(std::make_shared<int>(1)));
   // Slot 0 is shared by iterations 0 and 2; reading iteration 2 before
   // its producer ran must abort, not hand out iteration 0's data.
   EXPECT_DEATH(s.read(2), "read before write");
@@ -37,7 +37,7 @@ TEST(GuardrailDeathTest, InPlaceAccessBeforeWriteAborts) {
   // stale data for every later reader.
   Stream s("bench", 3);
   EXPECT_DEATH(s.slot(0), "in-place access before write");
-  s.write(0, Packet::of(std::make_shared<int>(1), 4));
+  s.write(0, Packet::of(std::make_shared<int>(1)));
   EXPECT_DEATH(s.slot(3), "in-place access before write");  // stale tenant
 }
 
@@ -47,7 +47,7 @@ TEST(GuardrailStreamTest, AcquireCommitPublishesSlot) {
   Stream s("bench", 3);
   Packet& p = s.acquire_slot(0);
   EXPECT_FALSE(s.has(0));
-  p = Packet::of(std::make_shared<int>(42), 4);
+  p = Packet::of(std::make_shared<int>(42));
   s.commit_slot(0);
   EXPECT_TRUE(s.has(0));
   EXPECT_EQ(*s.read(0).get<int>(), 42);
@@ -63,7 +63,7 @@ TEST(GuardrailDeathTest, DoubleAcquireAborts) {
 }
 
 TEST(GuardrailDeathTest, PacketTypeMismatchAborts) {
-  Packet p = Packet::of(std::make_shared<int>(7), 4);
+  Packet p = Packet::of(std::make_shared<int>(7));
   EXPECT_DEATH(p.get<double>(), "type mismatch");
 }
 

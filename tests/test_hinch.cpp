@@ -65,8 +65,7 @@ class Producer : public Component {
 
   void run(ExecContext& ctx) override {
     ctx.charge_compute(static_cast<uint64_t>(cost_));
-    ctx.write(out_, Packet::of(std::make_shared<int64_t>(ctx.iteration()),
-                               sizeof(int64_t)));
+    ctx.write(out_, Packet::of(std::make_shared<int64_t>(ctx.iteration())));
     ProbeState& s = ProbeBoard::get().state(instance());
     ++s.runs;
     s.last_iteration = ctx.iteration();
@@ -92,8 +91,7 @@ class Worker : public Component {
   void run(ExecContext& ctx) override {
     ctx.charge_compute(static_cast<uint64_t>(cost_));
     auto v = ctx.read(in_).get<int64_t>();
-    ctx.write(out_, Packet::of(std::make_shared<int64_t>(*v + add_),
-                               sizeof(int64_t)));
+    ctx.write(out_, Packet::of(std::make_shared<int64_t>(*v + add_)));
     ProbeState& s = ProbeBoard::get().state(instance());
     ++s.runs;
     s.slice_index = slice_index();

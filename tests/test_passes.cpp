@@ -1,11 +1,11 @@
 // The SP-IR pass pipeline: normalize / strip-dead-options semantics,
-// PassManager verification and dump hooks, pass registry lookup, the
-// fuse-kernels pass, and the perf cost model arbitrating it.
+// PassManager verification and dump hooks, pass registry lookup and the
+// fuse-kernels pass, including its one-core rule for chains that would
+// forfeit parallelism.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "perf/fusion.hpp"
 #include "sp/fuse_kernels.hpp"
 #include "sp/graph.hpp"
 #include "sp/pass.hpp"
@@ -299,11 +299,11 @@ sp::KernelFusionRegistry mid_sink_registry(bool rewrite_fails = false) {
 }
 
 sp::PassOptions fuse_kernels_only(const sp::KernelFusionRegistry& reg,
-                                  sp::FusionAdvisor advisor = {}) {
+                                  int cores = 1) {
   sp::PassOptions o = sp::PassOptions::none();
   o.fuse_kernels = true;
   o.kernel_patterns = &reg;
-  o.kernel_advisor = std::move(advisor);
+  o.kernel_cores = cores;
   return o;
 }
 
@@ -399,15 +399,55 @@ TEST(FuseKernelsPass, MultipleReadersOnLinkStreamDecline) {
             (std::vector<std::string>{"src", "mid", "sink", "spy"}));
 }
 
-TEST(FuseKernelsPass, DecliningAdvisorLeavesChain) {
+// seq(src, slice(4){mid}, sink): fusing mid into sink gives up mid's
+// four slices, so the chain is fused for one core and kept for four.
+NodePtr sliced_chain() {
+  std::vector<NodePtr> parblock;
+  parblock.push_back(sp::make_leaf(leaf("mid", "a", "b")));
+  std::vector<NodePtr> steps;
+  steps.push_back(sp::make_leaf(leaf("src", "", "a")));
+  steps.push_back(sp::make_par(ParShape::kSlice, 4, std::move(parblock)));
+  steps.push_back(sp::make_leaf(leaf("sink", "b", "")));
+  return sp::make_seq(std::move(steps));
+}
+
+TEST(FuseKernelsPass, SlicedChainKeptForManyCores) {
   sp::KernelFusionRegistry reg = mid_sink_registry();
-  NodePtr root = run_pipeline(
-      simple_chain(),
-      fuse_kernels_only(reg,
-                        [](const sp::FusionCandidate&) { return false; }));
+  NodePtr kept = run_pipeline(sliced_chain(), fuse_kernels_only(reg, 4));
+  ASSERT_TRUE(kept);
+  EXPECT_EQ(leaf_names(*kept),
+            (std::vector<std::string>{"src", "mid", "sink"}));
+  NodePtr fused = run_pipeline(sliced_chain(), fuse_kernels_only(reg, 1));
+  ASSERT_TRUE(fused);
+  EXPECT_EQ(leaf_names(*fused),
+            (std::vector<std::string>{"src", "mid+sink"}));
+}
+
+// An unsliced chain forfeits nothing, so it fuses for any core count.
+TEST(FuseKernelsPass, UnslicedChainFusesForManyCores) {
+  sp::KernelFusionRegistry reg = mid_sink_registry();
+  NodePtr root = run_pipeline(simple_chain(), fuse_kernels_only(reg, 4));
   ASSERT_TRUE(root);
   EXPECT_EQ(leaf_names(*root),
+            (std::vector<std::string>{"src", "mid+sink"}));
+}
+
+// A reentrant leaf overlaps its iterations; the fused leaf cannot, so
+// the chain is kept for four cores like a sliced one, and fused for one.
+TEST(FuseKernelsPass, ReentrantChainKeptForManyCores) {
+  sp::KernelFusionRegistry reg = mid_sink_registry();
+  NodePtr g = simple_chain();
+  g->children[1]->leaf.reentrant = true;  // mid
+  NodePtr kept = run_pipeline(std::move(g), fuse_kernels_only(reg, 4));
+  ASSERT_TRUE(kept);
+  EXPECT_EQ(leaf_names(*kept),
             (std::vector<std::string>{"src", "mid", "sink"}));
+  g = simple_chain();
+  g->children[1]->leaf.reentrant = true;
+  NodePtr fused = run_pipeline(std::move(g), fuse_kernels_only(reg, 1));
+  ASSERT_TRUE(fused);
+  EXPECT_EQ(leaf_names(*fused),
+            (std::vector<std::string>{"src", "mid+sink"}));
 }
 
 TEST(FuseKernelsPass, RewriteErrorDeclinesSilently) {
@@ -428,53 +468,6 @@ TEST(FuseKernelsPass, NullRegistryIsANoOp) {
   ASSERT_TRUE(root);
   EXPECT_EQ(leaf_names(*root),
             (std::vector<std::string>{"src", "mid", "sink"}));
-}
-
-// --- the loop-level (fuse-kernels) cost model ---------------------------------
-
-TEST(KernelFusionModel, DeclinesEmptyLink) {
-  perf::FusionModel model;
-  model.cores = 1;
-  EXPECT_FALSE(perf::kernel_fusion_wins(model, 0, 1));
-}
-
-TEST(KernelFusionModel, ElidedPassesWinAtOneCoreEvenWithinL2) {
-  // Eliding the link saves even when the parked packets fit the L2
-  // budget: the store+load passes were still L2 traffic, and at one core
-  // nothing is forfeited. 1 MiB link, window 5: parked 5 MiB < 8 MiB
-  // budget, saving 2*1024 chunks * 192 cyc beats the 8 cyc/chunk
-  // register-pressure charge.
-  perf::FusionModel model;
-  model.cores = 1;
-  EXPECT_TRUE(perf::kernel_fusion_wins(model, 1 << 20, 1));
-}
-
-TEST(KernelFusionModel, SerializationLossDeclinesOnManyCores) {
-  // Forfeiting a 4-way slice on 4 cores prices in 3/4 of the chain's
-  // compute (4 cyc/byte scalar) — far more than the elided passes save,
-  // thrashing or not.
-  perf::FusionModel model;
-  model.cores = 4;
-  EXPECT_FALSE(perf::kernel_fusion_wins(model, 1 << 20, 4));
-  EXPECT_FALSE(perf::kernel_fusion_wins(model, 4 << 20, 4));
-  // A chain with no slicing to lose (lost_replicas == 1) forfeits
-  // nothing and wins regardless of core count.
-  EXPECT_TRUE(perf::kernel_fusion_wins(model, 4 << 20, 1));
-}
-
-TEST(KernelFusionModel, AdvisorDeclinesUnmeasuredStreams) {
-  perf::StreamBytes bytes;
-  bytes["hot"] = 1 << 20;
-  perf::FusionModel model;
-  model.cores = 1;
-  sp::FusionAdvisor advisor =
-      perf::make_kernel_fusion_advisor(bytes, model);
-  sp::FusionCandidate hot;
-  hot.link_streams = {"hot"};
-  EXPECT_TRUE(advisor(hot));
-  sp::FusionCandidate unknown;
-  unknown.link_streams = {"never_measured"};
-  EXPECT_FALSE(advisor(unknown));
 }
 
 }  // namespace

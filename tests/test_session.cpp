@@ -357,10 +357,13 @@ TEST(SpecCacheTest, DistinctPassPipelinesAreDistinctEntries) {
   sp::PassOptions defaults;
   sp::PassOptions fused = defaults;
   fused.fuse_kernels = true;
+  sp::PassOptions fused_for_four = fused;
+  fused_for_four.kernel_cores = 4;
   ASSERT_TRUE(cache.load(spec, defaults).is_ok());
   ASSERT_TRUE(cache.load(spec, fused).is_ok());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  ASSERT_TRUE(cache.load(spec, fused_for_four).is_ok());
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().misses, 3u);
 }
 
 TEST(SpecCacheTest, BuildProgramInstantiatesFreshState) {
@@ -413,6 +416,11 @@ TEST(PassFingerprint, DistinguishesPipelinesAndIgnoresVerify) {
   sp::PassOptions fused = defaults;
   fused.fuse_kernels = true;
   EXPECT_NE(sp::pass_fingerprint(defaults), sp::pass_fingerprint(fused));
+  // The core count changes what fuse-kernels takes, so it is keyed too.
+  sp::PassOptions fused_for_four = fused;
+  fused_for_four.kernel_cores = 4;
+  EXPECT_NE(sp::pass_fingerprint(fused),
+            sp::pass_fingerprint(fused_for_four));
 
   sp::PassOptions verifying = defaults;
   verifying.verify = !verifying.verify;

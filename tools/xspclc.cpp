@@ -32,8 +32,8 @@
 // SP-IR pipeline (normalize, strip-dead-options) and --dump-after=
 // <pass|all> to write after-<pass>.dot for the named pass(es). The
 // fuse-kernels pass rewrites chains registered in
-// components::standard_fusions(), each priced with the perf cost model
-// at --cores=N.
+// components::standard_fusions() for --cores=N: at 1 core every safe
+// chain, above 1 only chains that give up no slicing or reentrancy.
 //
 // --cores takes 1..sim::kMaxCores and --iterations a positive count; a
 // bad number, an unknown --backend or --platform with the threads
@@ -53,7 +53,6 @@
 #include "obs/chrome_export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "perf/fusion.hpp"
 #include "perf/predict.hpp"
 #include "sp/dot.hpp"
 #include "sp/pass.hpp"
@@ -236,22 +235,10 @@ int main(int argc, char** argv) {
   if (!args.passes_given) {
     pipeline = sp::make_pipeline(sp::PassOptions{});
   } else {
-    std::vector<std::string> names = split_passes(args.passes);
-    // fuse-kernels prices its rewrites with the cost model; measure the
-    // stream sizes only when it is requested.
     sp::PassOptions options = sp::PassOptions::none();
-    if (std::find(names.begin(), names.end(), "fuse-kernels") !=
-        names.end()) {
-      auto bytes = perf::measure_stream_slot_bytes(
-          *owned, hinch::ComponentRegistry::global());
-      if (!bytes.is_ok()) return fail(bytes.status());
-      perf::FusionModel model;
-      model.cores = args.cores;
-      options.kernel_patterns = &components::standard_fusions();
-      options.kernel_advisor =
-          perf::make_kernel_fusion_advisor(std::move(bytes).take(), model);
-    }
-    for (const std::string& name : names) {
+    options.kernel_patterns = &components::standard_fusions();
+    options.kernel_cores = args.cores;
+    for (const std::string& name : split_passes(args.passes)) {
       auto pass = sp::pass_by_name(name, options);
       if (!pass.is_ok()) return fail(pass.status());
       pipeline.add(std::move(pass).value());
