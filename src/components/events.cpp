@@ -14,16 +14,12 @@ namespace {
 class EventTicker : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<EventTicker>(new EventTicker());
-    SUP_ASSIGN_OR_RETURN(comp->event_,
-                         hinch::param_string(config.params, "event"));
-    SUP_ASSIGN_OR_RETURN(comp->queue_,
-                         hinch::param_string(config.params, "queue"));
-    comp->period_ = hinch::param_int_or(config.params, "period", 0);
-    comp->payload_ = hinch::param_string_or(config.params, "payload", "");
-    if (comp->period_ < 1)
-      return support::invalid_argument("event_ticker: period must be >= 1");
+    comp->event_ = params.get_string("event");
+    comp->queue_ = params.get_string("queue");
+    comp->period_ = params.get_int("period");
+    comp->payload_ = params.get_string("payload");
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::move(comp));
   }
@@ -49,13 +45,11 @@ class EventTicker : public hinch::Component {
 class EventScript : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<EventScript>(new EventScript());
-    SUP_ASSIGN_OR_RETURN(comp->queue_,
-                         hinch::param_string(config.params, "queue"));
-    SUP_ASSIGN_OR_RETURN(std::string script,
-                         hinch::param_string(config.params, "script"));
-    for (const std::string& entry : support::split(script, ';')) {
+    comp->queue_ = params.get_string("queue");
+    for (const std::string& entry :
+         support::split(params.get_string("script"), ';')) {
       if (support::trim(entry).empty()) continue;
       auto parts = support::split(entry, ':');
       if (parts.size() < 2 || parts.size() > 3)
@@ -95,27 +89,19 @@ class EventScript : public hinch::Component {
 class SceneChange : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<SceneChange>(new SceneChange());
-    SUP_ASSIGN_OR_RETURN(comp->event_,
-                         hinch::param_string(config.params, "event"));
-    SUP_ASSIGN_OR_RETURN(comp->queue_,
-                         hinch::param_string(config.params, "queue"));
-    comp->threshold_x100_ =
-        hinch::param_int_or(config.params, "threshold", 800);
-    if (comp->threshold_x100_ < 0)
-      return support::invalid_argument(
-          "scene_change: threshold must be >= 0");
+    comp->event_ = params.get_string("event");
+    comp->queue_ = params.get_string("queue");
+    comp->threshold_x100_ = params.get_int("threshold");
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::move(comp));
   }
 
-  SceneChange() : in_(declare_input("in")), out_(declare_output("out")) {}
-
   void reset() override { prev_.reset(); }
 
   void run(hinch::ExecContext& ctx) override {
-    media::FramePtr frame = ctx.read(in_).frame();
+    media::FramePtr frame = ctx.read(kIn).frame();
     media::ConstPlaneView y = frame->plane(0);
     if (prev_) {
       uint64_t sad = 0;
@@ -133,7 +119,7 @@ class SceneChange : public hinch::Component {
                        hinch::Event{event_, std::to_string(mean_x100)});
       }
       ctx.charge_compute(2 * y.bytes());  // SAD over both lumas
-      ctx.touch_read(in_, 0, y.bytes());
+      ctx.touch_read(kIn, 0, y.bytes());
       ctx.touch_scratch(y.bytes());
     }
     // Keep a private copy of the luma for the next iteration.
@@ -141,12 +127,10 @@ class SceneChange : public hinch::Component {
         media::make_frame(media::PixelFormat::kGray, y.width, y.height);
     media::copy_plane(y, keep->plane(0), 0, y.height);
     prev_ = std::move(keep);
-    ctx.write(out_, hinch::Packet::of_frame(frame));
+    ctx.write(kOut, hinch::Packet::of_frame(frame));
   }
 
  private:
-  int in_;
-  int out_;
   std::string event_;
   std::string queue_;
   int64_t threshold_x100_ = 800;
@@ -156,9 +140,21 @@ class SceneChange : public hinch::Component {
 }  // namespace
 
 void register_events(hinch::ComponentRegistry& registry) {
-  registry.register_class("event_ticker", &EventTicker::create);
-  registry.register_class("event_script", &EventScript::create);
-  registry.register_class("scene_change", &SceneChange::create);
+  using hinch::int_param;
+  using hinch::string_param;
+  constexpr auto kRequired = hinch::ParamSpec::Presence::kRequired;
+  registry.register_class(
+      {"event_ticker", &EventTicker::create, {}, {},
+       {string_param("event", kRequired), string_param("queue", kRequired),
+        int_param("period", 1, INT64_MAX, kRequired),
+        string_param("payload", "")}});
+  registry.register_class(
+      {"event_script", &EventScript::create, {}, {},
+       {string_param("queue", kRequired), string_param("script", kRequired)}});
+  registry.register_class(
+      {"scene_change", &SceneChange::create, {"in"}, {"out"},
+       {string_param("event", kRequired), string_param("queue", kRequired),
+        int_param("threshold", 0, INT64_MAX, 800)}});
 }
 
 }  // namespace components

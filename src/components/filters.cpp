@@ -14,25 +14,6 @@ using hinch::Packet;
 using media::Frame;
 using media::FramePtr;
 
-// Charge a touch for rows [row0, row1) of plane `plane` of the frame in
-// the given port's slot.
-void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
-                       const Frame& f, int plane, int row0, int row1,
-                       bool write) {
-  media::ConstPlaneView v = f.plane(plane);
-  if (row1 <= row0) return;
-  uint64_t offset = f.plane_offset(plane) +
-                    static_cast<uint64_t>(row0) * static_cast<uint64_t>(v.width);
-  uint64_t len = static_cast<uint64_t>(row1 - row0) *
-                 static_cast<uint64_t>(v.width);
-  if (is_input) {
-    ctx.touch_read(port, offset, len);
-  } else {
-    ctx.touch_write(port, offset, len);
-  }
-  (void)write;
-}
-
 // --- copy --------------------------------------------------------------------
 
 // Full-frame copy; the "background video is simply copied" component of
@@ -40,15 +21,13 @@ void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
 class CopyComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig&) {
+      const hinch::Params&) {
     return std::unique_ptr<hinch::Component>(new CopyComponent());
   }
 
-  CopyComponent() : in_(declare_input("in")), out_(declare_output("out")) {}
-
   void run(ExecContext& ctx) override {
-    FramePtr src = ctx.read(in_).frame();
-    FramePtr dst = output_stream(out_)->get_or_alloc_frame(
+    FramePtr src = ctx.read(kIn).frame();
+    FramePtr dst = output_stream(kOut)->get_or_alloc_frame(
         ctx.iteration(), src->format(), src->width(), src->height());
     for (int p = 0; p < src->planes(); ++p) {
       media::ConstPlaneView sp = src->plane(p);
@@ -56,14 +35,10 @@ class CopyComponent : public hinch::Component {
       hinch::slice_rows(sp.height, slice_index(), slice_count(), &r0, &r1);
       media::copy_plane(sp, dst->plane(p), r0, r1);
       ctx.charge_compute(media::copy_cycles(sp.width, r1 - r0));
-      charge_touch_rows(ctx, true, in_, *src, p, r0, r1, false);
-      charge_touch_rows(ctx, false, out_, *dst, p, r0, r1, true);
+      charge_touch_rows(ctx, true, kIn, *src, p, r0, r1);
+      charge_touch_rows(ctx, false, kOut, *dst, p, r0, r1);
     }
   }
-
- private:
-  int in_;
-  int out_;
 };
 
 // --- downscale ---------------------------------------------------------------
@@ -73,34 +48,25 @@ class CopyComponent : public hinch::Component {
 class DownscaleComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    SUP_ASSIGN_OR_RETURN(int64_t factor,
-                         hinch::param_int(config.params, "factor"));
-    if (factor < 1 || factor > 256)
-      return support::invalid_argument("downscale: factor must be in [1,256]");
-    int plane = static_cast<int>(
-        hinch::param_int_or(config.params, "plane", -1));
-    return std::unique_ptr<hinch::Component>(
-        new DownscaleComponent(static_cast<int>(factor), plane));
+      const hinch::Params& params) {
+    return std::unique_ptr<hinch::Component>(new DownscaleComponent(
+        static_cast<int>(params.get_int("factor")),
+        static_cast<int>(params.get_int("plane"))));
   }
 
-  DownscaleComponent(int factor, int plane)
-      : in_(declare_input("in")),
-        out_(declare_output("out")),
-        factor_(factor),
-        plane_(plane) {}
+  DownscaleComponent(int factor, int plane) : factor_(factor), plane_(plane) {}
 
   void run(ExecContext& ctx) override {
-    FramePtr src = ctx.read(in_).frame();
+    FramePtr src = ctx.read(kIn).frame();
     if (plane_ >= 0) {
       SUP_CHECK_MSG(plane_ < src->planes(), "downscale: no such plane");
       media::ConstPlaneView sp = src->plane(plane_);
-      FramePtr dst = output_stream(out_)->get_or_alloc_frame(
+      FramePtr dst = output_stream(kOut)->get_or_alloc_frame(
           ctx.iteration(), media::PixelFormat::kGray, sp.width / factor_,
           sp.height / factor_);
       scale_plane(ctx, *src, plane_, sp, *dst, dst->plane(0));
     } else {
-      FramePtr dst = output_stream(out_)->get_or_alloc_frame(
+      FramePtr dst = output_stream(kOut)->get_or_alloc_frame(
           ctx.iteration(), src->format(), src->width() / factor_,
           src->height() / factor_);
       for (int p = 0; p < src->planes(); ++p)
@@ -116,15 +82,12 @@ class DownscaleComponent : public hinch::Component {
     hinch::slice_rows(dp.height, slice_index(), slice_count(), &r0, &r1);
     media::downscale_box(sp, dp, factor_, r0, r1);
     ctx.charge_compute(media::downscale_cycles(dp.width, r1 - r0, factor_));
-    charge_touch_rows(ctx, true, in_, src_frame, src_plane, r0 * factor_,
-                      r1 * factor_, false);
+    charge_touch_rows(ctx, true, kIn, src_frame, src_plane, r0 * factor_,
+                      r1 * factor_);
     int dst_plane_idx = dst_frame.planes() == 1 ? 0 : src_plane;
-    charge_touch_rows(ctx, false, out_, dst_frame, dst_plane_idx, r0, r1,
-                      true);
+    charge_touch_rows(ctx, false, kOut, dst_frame, dst_plane_idx, r0, r1);
   }
 
-  int in_;
-  int out_;
   int factor_;
   int plane_;
 };
@@ -138,41 +101,23 @@ class DownscaleComponent : public hinch::Component {
 class BlendComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<BlendComponent>(new BlendComponent());
-    comp->x_ = static_cast<int>(hinch::param_int_or(config.params, "x", 0));
-    comp->y_ = static_cast<int>(hinch::param_int_or(config.params, "y", 0));
-    comp->alpha_ = static_cast<int>(
-        hinch::param_int_or(config.params, "alpha", 256));
-    comp->plane_ = static_cast<int>(
-        hinch::param_int_or(config.params, "plane", -1));
-    if (comp->alpha_ < 0 || comp->alpha_ > 256)
-      return support::invalid_argument("blend: alpha must be in [0,256]");
+    comp->x_ = static_cast<int>(params.get_int("x"));
+    comp->y_ = static_cast<int>(params.get_int("y"));
+    comp->alpha_ = static_cast<int>(params.get_int("alpha"));
+    comp->plane_ = static_cast<int>(params.get_int("plane"));
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::move(comp));
   }
 
-  BlendComponent()
-      : fg_(declare_input("fg")), canvas_(declare_output("canvas")) {}
-
   void reconfigure(std::string_view request) override {
-    auto req = std::string(request);
-    if (support::starts_with(req, "pos=")) {
-      auto parts = support::split(req.substr(4), ',');
-      if (parts.size() == 2) {
-        auto x = support::parse_int(parts[0]);
-        auto y = support::parse_int(parts[1]);
-        if (x.is_ok() && y.is_ok()) {
-          x_ = static_cast<int>(x.value());
-          y_ = static_cast<int>(y.value());
-        }
-      }
-    }
+    parse_pos(request, &x_, &y_);
   }
 
   void run(ExecContext& ctx) override {
-    FramePtr fg = ctx.read(fg_).frame();
-    Packet& slot = ctx.inout(canvas_);
+    FramePtr fg = ctx.read(kFg).frame();
+    Packet& slot = ctx.inout(kCanvas);
     FramePtr canvas = slot.frame();
 
     if (fg->planes() > 1 && plane_ < 0) {
@@ -200,14 +145,14 @@ class BlendComponent : public hinch::Component {
     hinch::slice_rows(f.height, slice_index(), slice_count(), &r0, &r1);
     media::blend(f, c, px, py, alpha_, py + r0, py + r1);
     ctx.charge_compute(media::blend_cycles(f.width, r1 - r0));
-    charge_touch_rows(ctx, true, fg_, fg, fp, r0, r1, false);
+    charge_touch_rows(ctx, true, kFg, fg, fp, r0, r1);
     int c0 = std::clamp(py + r0, 0, c.height);
     int c1 = std::clamp(py + r1, 0, c.height);
-    charge_touch_rows(ctx, false, canvas_, canvas, cp, c0, c1, true);
+    charge_touch_rows(ctx, false, kCanvas, canvas, cp, c0, c1);
   }
 
-  int fg_;
-  int canvas_;
+  static constexpr int kFg = 0;
+  static constexpr int kCanvas = 0;
   int x_ = 0;
   int y_ = 0;
   int alpha_ = 256;
@@ -221,33 +166,17 @@ class BlendComponent : public hinch::Component {
 // plane as a gray frame.
 class BlurComponent : public hinch::Component {
  public:
-  static support::Result<std::unique_ptr<hinch::Component>> create_pass(
-      const hinch::ComponentConfig& config, bool horizontal) {
-    int kernel =
-        static_cast<int>(hinch::param_int_or(config.params, "kernel", 3));
+  static support::Result<std::unique_ptr<hinch::Component>> create(
+      const hinch::Params& params, bool horizontal) {
+    int kernel = static_cast<int>(params.get_int("kernel"));
     if (kernel != 3 && kernel != 5)
       return support::invalid_argument("blur: kernel must be 3 or 5");
-    int plane =
-        static_cast<int>(hinch::param_int_or(config.params, "plane", 0));
-    return std::unique_ptr<hinch::Component>(
-        new BlurComponent(horizontal, kernel, plane));
-  }
-
-  static support::Result<std::unique_ptr<hinch::Component>> create_h(
-      const hinch::ComponentConfig& config) {
-    return create_pass(config, /*horizontal=*/true);
-  }
-  static support::Result<std::unique_ptr<hinch::Component>> create_v(
-      const hinch::ComponentConfig& config) {
-    return create_pass(config, /*horizontal=*/false);
+    return std::unique_ptr<hinch::Component>(new BlurComponent(
+        horizontal, kernel, static_cast<int>(params.get_int("plane"))));
   }
 
   BlurComponent(bool horizontal, int kernel, int plane)
-      : in_(declare_input("in")),
-        out_(declare_output("out")),
-        horizontal_(horizontal),
-        kernel_(kernel),
-        plane_(plane) {}
+      : horizontal_(horizontal), kernel_(kernel), plane_(plane) {}
 
   void reconfigure(std::string_view request) override {
     auto req = std::string(request);
@@ -261,34 +190,31 @@ class BlurComponent : public hinch::Component {
   int kernel() const { return kernel_; }
 
   void run(ExecContext& ctx) override {
-    FramePtr src = ctx.read(in_).frame();
+    FramePtr src = ctx.read(kIn).frame();
     int plane = src->planes() == 1 ? 0 : plane_;
     SUP_CHECK_MSG(plane < src->planes(), "blur: no such plane");
     media::ConstPlaneView sp = src->plane(plane);
-    FramePtr dst = output_stream(out_)->get_or_alloc_frame(
+    FramePtr dst = output_stream(kOut)->get_or_alloc_frame(
         ctx.iteration(), media::PixelFormat::kGray, sp.width, sp.height);
     int r0 = 0, r1 = 0;
     hinch::slice_rows(sp.height, slice_index(), slice_count(), &r0, &r1);
     if (horizontal_) {
       media::blur_h(sp, dst->plane(0), kernel_, r0, r1);
-      charge_touch_rows(ctx, true, in_, *src, plane, r0, r1, false);
+      charge_touch_rows(ctx, true, kIn, *src, plane, r0, r1);
     } else {
       media::blur_v(sp, dst->plane(0), kernel_, r0, r1);
       // The vertical pass reads a halo of kernel_/2 rows above and below
       // its band — the cross dependencies of Fig. 5 exist exactly to
       // make the neighbouring slices' data available.
       int halo = kernel_ / 2;
-      charge_touch_rows(ctx, true, in_, *src, plane,
-                 std::max(0, r0 - halo), std::min(sp.height, r1 + halo),
-                 false);
+      charge_touch_rows(ctx, true, kIn, *src, plane,
+                 std::max(0, r0 - halo), std::min(sp.height, r1 + halo));
     }
     ctx.charge_compute(media::blur_cycles(sp.width, r1 - r0, kernel_));
-    charge_touch_rows(ctx, false, out_, *dst, 0, r0, r1, true);
+    charge_touch_rows(ctx, false, kOut, *dst, 0, r0, r1);
   }
 
  private:
-  int in_;
-  int out_;
   bool horizontal_;
   int kernel_;
   int plane_;
@@ -297,11 +223,35 @@ class BlurComponent : public hinch::Component {
 }  // namespace
 
 void register_filters(hinch::ComponentRegistry& registry) {
-  registry.register_class("copy", &CopyComponent::create);
-  registry.register_class("downscale", &DownscaleComponent::create);
-  registry.register_class("blend", &BlendComponent::create);
-  registry.register_class("blur_h", &BlurComponent::create_h);
-  registry.register_class("blur_v", &BlurComponent::create_v);
+  using hinch::int_param;
+  registry.register_class(
+      {"copy", &CopyComponent::create, {"in"}, {"out"}, {}});
+  registry.register_class({"downscale", &DownscaleComponent::create, {"in"},
+                           {"out"}, downscale_params()});
+  registry.register_class({"blend", &BlendComponent::create, {"fg"},
+                           {"canvas"}, blend_params()});
+  for (bool horizontal : {true, false})
+    registry.register_class(
+        {horizontal ? "blur_h" : "blur_v",
+         [horizontal](const hinch::Params& params) {
+           return BlurComponent::create(params, horizontal);
+         },
+         {"in"},
+         {"out"},
+         {int_param("kernel", 3, 5, 3), int_param("plane", 0, 2, 0)}});
+}
+
+std::vector<hinch::ParamSpec> downscale_params() {
+  return {hinch::int_param("factor", 1, 256,
+                           hinch::ParamSpec::Presence::kRequired),
+          hinch::int_param("plane", -1, 2, -1)};
+}
+
+std::vector<hinch::ParamSpec> blend_params() {
+  using hinch::int_param;
+  return {int_param("x", -kMaxSide, kMaxSide, 0),
+          int_param("y", -kMaxSide, kMaxSide, 0),
+          int_param("alpha", 0, 256, 256), int_param("plane", -1, 2, -1)};
 }
 
 }  // namespace components

@@ -31,30 +31,6 @@ using media::FramePtr;
 using media::jpeg::CoeffImage;
 using media::jpeg::CoeffPlane;
 
-// Same accounting helpers as jpeg_stages.cpp / filters.cpp.
-uint64_t coeff_bytes(const CoeffImage& img) {
-  uint64_t total = 0;
-  for (const auto& c : img.comps)
-    total += c.blocks.size() * sizeof(std::array<int16_t, 64>);
-  return total;
-}
-
-void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
-                       const Frame& f, int plane, int row0, int row1) {
-  media::ConstPlaneView v = f.plane(plane);
-  if (row1 <= row0) return;
-  uint64_t offset =
-      f.plane_offset(plane) +
-      static_cast<uint64_t>(row0) * static_cast<uint64_t>(v.width);
-  uint64_t len =
-      static_cast<uint64_t>(row1 - row0) * static_cast<uint64_t>(v.width);
-  if (is_input) {
-    ctx.touch_read(port, offset, len);
-  } else {
-    ctx.touch_write(port, offset, len);
-  }
-}
-
 // --- jpeg_decode_planes ------------------------------------------------------
 //
 // jpeg_decode + the three per-plane IDCTs as ONE component: the
@@ -66,16 +42,12 @@ void charge_touch_rows(ExecContext& ctx, bool is_input, int port,
 class JpegDecodePlanesComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig&) {
+      const hinch::Params&) {
     return std::unique_ptr<hinch::Component>(new JpegDecodePlanesComponent());
   }
 
-  JpegDecodePlanesComponent()
-      : in_(declare_input("jpeg")),
-        outs_{declare_output("y"), declare_output("u"), declare_output("v")} {}
-
   void run(ExecContext& ctx) override {
-    auto bytes = ctx.read(in_).get<std::vector<uint8_t>>();
+    auto bytes = ctx.read(kIn).get<std::vector<uint8_t>>();
     // Same buffer reuse as JpegDecodeComponent — and since the image
     // never leaves this component, the spare is always reusable.
     if (!spare_ || spare_.use_count() != 1)
@@ -92,14 +64,14 @@ class JpegDecodePlanesComponent : public hinch::Component {
         media::jpeg::entropy_decode_cycles(bytes->size(), blocks);
     for (int p = 0; p < 3; ++p) {
       const CoeffPlane& comp = img->comps[static_cast<size_t>(p)];
-      FramePtr dst = output_stream(outs_[p])->get_or_alloc_frame(
+      FramePtr dst = output_stream(p)->get_or_alloc_frame(
           ctx.iteration(), media::PixelFormat::kGray, comp.width,
           comp.height);
       media::jpeg::idct_component(comp, dst->plane(0), 0, comp.blocks_h);
       cycles += media::jpeg::idct_cycles(comp.blocks.size());
-      ctx.touch_write(outs_[p], 0, dst->plane(0).bytes());
+      ctx.touch_write(p, 0, dst->plane(0).bytes());
     }
-    ctx.touch_read(in_, 0, bytes->size());
+    ctx.touch_read(kIn, 0, bytes->size());
     // The coefficient store: written by the entropy decode, read back by
     // the IDCTs — still warm, and never a stream packet.
     uint64_t cb = coeff_bytes(*img);
@@ -109,8 +81,6 @@ class JpegDecodePlanesComponent : public hinch::Component {
   }
 
  private:
-  int in_;
-  int outs_[3];
   std::shared_ptr<CoeffImage> spare_;
 };
 
@@ -123,54 +93,28 @@ class JpegDecodePlanesComponent : public hinch::Component {
 class DownscaleBlendComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    SUP_ASSIGN_OR_RETURN(int64_t factor,
-                         hinch::param_int(config.params, "factor"));
-    if (factor < 1 || factor > 256)
-      return support::invalid_argument(
-          "downscale_blend: factor must be in [1,256]");
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<DownscaleBlendComponent>(
-        new DownscaleBlendComponent(static_cast<int>(factor)));
-    comp->src_plane_ = static_cast<int>(
-        hinch::param_int_or(config.params, "src_plane", -1));
-    comp->x_ = static_cast<int>(hinch::param_int_or(config.params, "x", 0));
-    comp->y_ = static_cast<int>(hinch::param_int_or(config.params, "y", 0));
-    comp->alpha_ =
-        static_cast<int>(hinch::param_int_or(config.params, "alpha", 256));
-    comp->plane_ =
-        static_cast<int>(hinch::param_int_or(config.params, "plane", -1));
-    if (comp->alpha_ < 0 || comp->alpha_ > 256)
-      return support::invalid_argument(
-          "downscale_blend: alpha must be in [0,256]");
+        new DownscaleBlendComponent());
+    comp->factor_ = static_cast<int>(params.get_int("factor"));
+    comp->src_plane_ = static_cast<int>(params.get_int("src_plane"));
+    comp->x_ = static_cast<int>(params.get_int("x"));
+    comp->y_ = static_cast<int>(params.get_int("y"));
+    comp->alpha_ = static_cast<int>(params.get_int("alpha"));
+    comp->plane_ = static_cast<int>(params.get_int("plane"));
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::move(comp));
   }
 
-  explicit DownscaleBlendComponent(int factor)
-      : in_(declare_input("in")),
-        canvas_(declare_output("canvas")),
-        factor_(factor) {}
-
   // Same request the unfused blend honours, so reconfiguration keeps
   // working across the rewrite.
   void reconfigure(std::string_view request) override {
-    auto req = std::string(request);
-    if (support::starts_with(req, "pos=")) {
-      auto parts = support::split(req.substr(4), ',');
-      if (parts.size() == 2) {
-        auto x = support::parse_int(parts[0]);
-        auto y = support::parse_int(parts[1]);
-        if (x.is_ok() && y.is_ok()) {
-          x_ = static_cast<int>(x.value());
-          y_ = static_cast<int>(y.value());
-        }
-      }
-    }
+    parse_pos(request, &x_, &y_);
   }
 
   void run(ExecContext& ctx) override {
-    FramePtr src = ctx.read(in_).frame();
-    Packet& slot = ctx.inout(canvas_);
+    FramePtr src = ctx.read(kIn).frame();
+    Packet& slot = ctx.inout(kCanvas);
     FramePtr canvas = slot.frame();
     SUP_CHECK_MSG(src_plane_ < src->planes(),
                   "downscale_blend: no such plane");
@@ -203,16 +147,15 @@ class DownscaleBlendComponent : public hinch::Component {
     hinch::slice_rows(sh, slice_index(), slice_count(), &r0, &r1);
     media::downscale_blend(sp, c, factor_, px, py, alpha_, py + r0, py + r1);
     ctx.charge_compute(media::downscale_blend_cycles(sw, r1 - r0, factor_));
-    charge_touch_rows(ctx, true, in_, src, sp_idx, r0 * factor_,
+    charge_touch_rows(ctx, true, kIn, src, sp_idx, r0 * factor_,
                       r1 * factor_);
     int c0 = std::clamp(py + r0, 0, c.height);
     int c1 = std::clamp(py + r1, 0, c.height);
-    charge_touch_rows(ctx, false, canvas_, canvas, target, c0, c1);
+    charge_touch_rows(ctx, false, kCanvas, canvas, target, c0, c1);
   }
 
-  int in_;
-  int canvas_;
-  int factor_;
+  static constexpr int kCanvas = 0;
+  int factor_ = 1;
   int src_plane_ = -1;
   int x_ = 0;
   int y_ = 0;
@@ -229,11 +172,12 @@ const std::string* binding(const std::vector<sp::PortBinding>& bindings,
   return nullptr;
 }
 
-std::string param_or(const sp::LeafSpec& leaf, const std::string& name,
-                     const std::string& fallback) {
+// The value the spec set for `name`, or nullptr.
+const std::string* param_value(const sp::LeafSpec& leaf,
+                               const std::string& name) {
   for (const sp::Param& p : leaf.params)
-    if (p.name == name) return p.value;
-  return fallback;
+    if (p.name == name) return &p.value;
+  return nullptr;
 }
 
 std::string joined_instance(const std::vector<const sp::LeafSpec*>& specs) {
@@ -263,12 +207,24 @@ support::Result<sp::LeafSpec> rewrite_downscale_blend(
   sp::LeafSpec fused;
   fused.instance = joined_instance(specs);
   fused.klass = "downscale_blend";
-  fused.params = {{"factor", param_or(ds, "factor", "1")},
-                  {"src_plane", param_or(ds, "plane", "-1")},
-                  {"x", param_or(bl, "x", "0")},
-                  {"y", param_or(bl, "y", "0")},
-                  {"alpha", param_or(bl, "alpha", "256")},
-                  {"plane", param_or(bl, "plane", "-1")}};
+  // Only the params the spec set: downscale_blend's ClassInfo defaults
+  // the rest as downscale's and blend's do.
+  struct Copy {
+    const sp::LeafSpec* leaf;
+    const char* from;
+    const char* to;
+  };
+  for (const Copy& c : {Copy{&ds, "factor", "factor"},
+                        Copy{&ds, "plane", "src_plane"}, Copy{&bl, "x", "x"},
+                        Copy{&bl, "y", "y"}, Copy{&bl, "alpha", "alpha"},
+                        Copy{&bl, "plane", "plane"}}) {
+    if (const std::string* v = param_value(*c.leaf, c.from))
+      fused.params.push_back({c.to, *v});
+  }
+  // A param with no counterpart (a typo, a repeat) keeps the chain
+  // unfused, where Program::build reports it.
+  if (fused.params.size() != ds.params.size() + bl.params.size())
+    return unsupported("downscale_blend fusion: a param has no counterpart");
   fused.inputs = {{"in", *in}};
   fused.outputs = {{"canvas", *canvas}};
   fused.initial_reconfig = bl.initial_reconfig;
@@ -282,14 +238,19 @@ support::Result<sp::LeafSpec> rewrite_jpeg_decode_planes(
   const std::string* jpeg = binding(dec.inputs, "jpeg");
   if (!jpeg)
     return unsupported("jpeg_decode_planes fusion: missing port binding");
+  if (!dec.params.empty())
+    return unsupported("jpeg_decode_planes fusion: decode has a param");
   // The fused decode emits y/u/v in plane order; any other plane
   // assignment has no fused kernel.
   const char* ports[3] = {"y", "u", "v"};
   std::vector<sp::PortBinding> outs;
   for (int p = 0; p < 3; ++p) {
     const sp::LeafSpec& idct = *specs[static_cast<size_t>(p) + 1];
-    if (param_or(idct, "plane", "0") != std::to_string(p))
+    const std::string* plane = param_value(idct, "plane");
+    if ((plane ? *plane : "0") != std::to_string(p))
       return unsupported("jpeg_decode_planes fusion: planes not 0,1,2");
+    if (idct.params.size() != (plane ? 1u : 0u))
+      return unsupported("jpeg_decode_planes fusion: decode has a param");
     const std::string* out = binding(idct.outputs, "out");
     if (!out)
       return unsupported("jpeg_decode_planes fusion: missing port binding");
@@ -306,10 +267,17 @@ support::Result<sp::LeafSpec> rewrite_jpeg_decode_planes(
 }  // namespace
 
 void register_fused(hinch::ComponentRegistry& registry) {
-  registry.register_class("jpeg_decode_planes",
-                          &JpegDecodePlanesComponent::create);
-  registry.register_class("downscale_blend",
-                          &DownscaleBlendComponent::create);
+  registry.register_class({"jpeg_decode_planes",
+                           &JpegDecodePlanesComponent::create,
+                           {"jpeg"},
+                           {"y", "u", "v"},
+                           {}});
+  // downscale's params, its plane renamed src_plane, then blend's.
+  std::vector<hinch::ParamSpec> params = downscale_params();
+  params[1].name = "src_plane";
+  for (hinch::ParamSpec& p : blend_params()) params.push_back(std::move(p));
+  registry.register_class({"downscale_blend", &DownscaleBlendComponent::create,
+                           {"in"}, {"canvas"}, std::move(params)});
 }
 
 const sp::KernelFusionRegistry& standard_fusions() {

@@ -38,20 +38,14 @@ namespace {
 class PolicyComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<PolicyComponent>(new PolicyComponent());
-    SUP_ASSIGN_OR_RETURN(comp->queue_,
-                         hinch::param_string(config.params, "queue"));
-    SUP_ASSIGN_OR_RETURN(std::string rules,
-                         hinch::param_string(config.params, "rules"));
-    comp->period_ = hinch::param_int_or(config.params, "period", 1);
-    comp->hold_ = hinch::param_int_or(config.params, "hold", 0);
-    comp->warmup_ = hinch::param_int_or(config.params, "warmup", 0);
-    if (comp->period_ < 1)
-      return support::invalid_argument("policy: period must be >= 1");
-    if (comp->hold_ < 0 || comp->warmup_ < 0)
-      return support::invalid_argument("policy: hold/warmup must be >= 0");
-    for (const std::string& entry : support::split(rules, ';')) {
+    comp->queue_ = params.get_string("queue");
+    comp->period_ = params.get_int("period");
+    comp->hold_ = params.get_int("hold");
+    comp->warmup_ = params.get_int("warmup");
+    for (const std::string& entry :
+         support::split(params.get_string("rules"), ';')) {
       if (support::trim(entry).empty()) continue;
       auto parts = support::split(entry, ':');
       if (parts.size() != 5)
@@ -136,16 +130,14 @@ class PolicyComponent : public hinch::Component {
 class VarLoad : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
+      const hinch::Params& params) {
     auto comp = std::unique_ptr<VarLoad>(new VarLoad());
-    SUP_ASSIGN_OR_RETURN(comp->cycles_,
-                         hinch::param_int(config.params, "cycles"));
-    comp->step_at_ = hinch::param_int_or(config.params, "step_at", -1);
-    comp->step_cycles_ =
-        hinch::param_int_or(config.params, "step_cycles", comp->cycles_);
-    comp->restore_at_ = hinch::param_int_or(config.params, "restore_at", -1);
-    if (comp->cycles_ < 0 || comp->step_cycles_ < 0)
-      return support::invalid_argument("var_load: cycles must be >= 0");
+    comp->cycles_ = params.get_int("cycles");
+    comp->step_at_ = params.get_int("step_at");
+    comp->step_cycles_ = params.has("step_cycles")
+                             ? params.get_int("step_cycles")
+                             : comp->cycles_;
+    comp->restore_at_ = params.get_int("restore_at");
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::move(comp));
   }
@@ -168,8 +160,22 @@ class VarLoad : public hinch::Component {
 }  // namespace
 
 void register_adaptive(hinch::ComponentRegistry& registry) {
-  registry.register_class("policy", &PolicyComponent::create);
-  registry.register_class("var_load", &VarLoad::create);
+  using hinch::int_param;
+  using hinch::string_param;
+  using Presence = hinch::ParamSpec::Presence;
+  registry.register_class(
+      {"policy", &PolicyComponent::create, {}, {},
+       {string_param("queue", Presence::kRequired),
+        string_param("rules", Presence::kRequired),
+        int_param("period", 1, INT64_MAX, 1),
+        int_param("hold", 0, INT64_MAX, 0),
+        int_param("warmup", 0, INT64_MAX, 0)}});
+  registry.register_class(
+      {"var_load", &VarLoad::create, {}, {},
+       {int_param("cycles", 0, INT64_MAX, Presence::kRequired),
+        int_param("step_at", -1, INT64_MAX, -1),
+        int_param("step_cycles", 0, INT64_MAX, Presence::kOptional),
+        int_param("restore_at", -1, INT64_MAX, -1)}});
 }
 
 }  // namespace components

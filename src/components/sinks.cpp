@@ -42,21 +42,21 @@ namespace {
 class FrameSink : public hinch::Component, public SinkAccess {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    bool store = hinch::param_int_or(config.params, "store", 0) != 0;
-    return std::unique_ptr<hinch::Component>(new FrameSink(store));
+      const hinch::Params& params) {
+    return std::unique_ptr<hinch::Component>(
+        new FrameSink(params.get_int("store") != 0));
   }
 
-  explicit FrameSink(bool store) : in_(declare_input("in")), store_(store) {}
+  explicit FrameSink(bool store) : store_(store) {}
 
   void run(hinch::ExecContext& ctx) override {
-    media::FramePtr f = ctx.read(in_).frame();
+    media::FramePtr f = ctx.read(kIn).frame();
     uint64_t digests[3] = {};
     for (int p = 0; p < f->planes(); ++p)
       digests[p] = media::plane_digest(f->plane(p));
     state_.record({digests, static_cast<size_t>(f->planes())},
                   store_ ? f->clone() : nullptr);
-    ctx.touch_read(in_, 0, f->bytes());
+    ctx.touch_read(kIn, 0, f->bytes());
     // DMA the composed frame out (display / file).
     ctx.charge_compute(media::io_cycles(f->bytes()));
   }
@@ -65,7 +65,6 @@ class FrameSink : public hinch::Component, public SinkAccess {
   const SinkState& sink() const override { return state_; }
 
  private:
-  int in_;
   bool store_;
   SinkState state_;
 };
@@ -76,20 +75,16 @@ class FrameSink : public hinch::Component, public SinkAccess {
 class YuvSink : public hinch::Component, public SinkAccess {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    bool store = hinch::param_int_or(config.params, "store", 0) != 0;
-    return std::unique_ptr<hinch::Component>(new YuvSink(store));
+      const hinch::Params& params) {
+    return std::unique_ptr<hinch::Component>(
+        new YuvSink(params.get_int("store") != 0));
   }
 
-  explicit YuvSink(bool store)
-      : y_(declare_input("y")),
-        u_(declare_input("u")),
-        v_(declare_input("v")),
-        store_(store) {}
+  explicit YuvSink(bool store) : store_(store) {}
 
   void run(hinch::ExecContext& ctx) override {
-    const media::FramePtr in[3] = {ctx.read(y_).frame(), ctx.read(u_).frame(),
-                                   ctx.read(v_).frame()};
+    const media::FramePtr in[3] = {ctx.read(0).frame(), ctx.read(1).frame(),
+                                   ctx.read(2).frame()};
     uint64_t digests[3] = {};
     size_t bytes = 0;
     for (int p = 0; p < 3; ++p) {
@@ -118,9 +113,6 @@ class YuvSink : public hinch::Component, public SinkAccess {
     return frame;
   }
 
-  int y_;
-  int u_;
-  int v_;
   bool store_;
   SinkState state_;
 };
@@ -128,8 +120,11 @@ class YuvSink : public hinch::Component, public SinkAccess {
 }  // namespace
 
 void register_sinks(hinch::ComponentRegistry& registry) {
-  registry.register_class("frame_sink", &FrameSink::create);
-  registry.register_class("yuv_sink", &YuvSink::create);
+  const hinch::ParamSpec store = hinch::int_param("store", 0, 1, 0);
+  registry.register_class({"frame_sink", &FrameSink::create, {"in"}, {},
+                           {store}});
+  registry.register_class({"yuv_sink", &YuvSink::create, {"y", "u", "v"}, {},
+                           {store}});
 }
 
 }  // namespace components

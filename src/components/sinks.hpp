@@ -10,7 +10,6 @@
 
 #include "media/frame.hpp"
 #include "media/metrics.hpp"
-#include "media/mjpeg.hpp"
 
 namespace components {
 
@@ -44,13 +43,6 @@ class SinkAccess {
  public:
   virtual ~SinkAccess() = default;
   virtual const SinkState& sink() const = 0;
-};
-
-// Implemented by mjpeg_sink: access the collected compressed clip.
-class MjpegSinkAccess {
- public:
-  virtual ~MjpegSinkAccess() = default;
-  virtual media::MjpegClip clip() const = 0;
 };
 
 }  // namespace components

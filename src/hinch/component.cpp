@@ -4,35 +4,6 @@
 
 namespace hinch {
 
-support::Result<std::string> param_string(const ParamMap& params,
-                                          const std::string& name) {
-  auto it = params.find(name);
-  if (it == params.end())
-    return support::not_found("missing parameter '" + name + "'");
-  return it->second;
-}
-
-support::Result<int64_t> param_int(const ParamMap& params,
-                                   const std::string& name) {
-  SUP_ASSIGN_OR_RETURN(std::string s, param_string(params, name));
-  return support::parse_int(s);
-}
-
-std::string param_string_or(const ParamMap& params, const std::string& name,
-                            std::string_view fallback) {
-  auto it = params.find(name);
-  return it == params.end() ? std::string(fallback) : it->second;
-}
-
-int64_t param_int_or(const ParamMap& params, const std::string& name,
-                     int64_t fallback) {
-  auto it = params.find(name);
-  if (it == params.end()) return fallback;
-  auto r = support::parse_int(it->second);
-  SUP_CHECK_MSG(r.is_ok(), ("parameter '" + name + "' is not an integer").c_str());
-  return r.value();
-}
-
 void Component::assign_slice(int index, int count) {
   SUP_CHECK(count >= 1 && index >= 0 && index < count);
   slice_index_ = index;
@@ -41,28 +12,6 @@ void Component::assign_slice(int index, int count) {
   // reconfiguration interface (§3.1); do the same so components that
   // override reconfigure() can react.
   reconfigure(support::format("slice=%d/%d", index, count));
-}
-
-int Component::find_input(std::string_view name) const {
-  for (size_t i = 0; i < inputs_.size(); ++i)
-    if (inputs_[i].name == name) return static_cast<int>(i);
-  return -1;
-}
-
-int Component::find_output(std::string_view name) const {
-  for (size_t i = 0; i < outputs_.size(); ++i)
-    if (outputs_[i].name == name) return static_cast<int>(i);
-  return -1;
-}
-
-int Component::declare_input(std::string name) {
-  inputs_.push_back({std::move(name), nullptr});
-  return static_cast<int>(inputs_.size()) - 1;
-}
-
-int Component::declare_output(std::string name) {
-  outputs_.push_back({std::move(name), nullptr});
-  return static_cast<int>(outputs_.size()) - 1;
 }
 
 void slice_rows(int rows, int index, int count, int* row0, int* row1) {

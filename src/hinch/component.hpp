@@ -8,7 +8,6 @@
 // thread executor).
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,26 +23,6 @@ class MetricsRegistry;
 namespace hinch {
 
 class ExecContext;
-
-// Sorted so iteration order (and thus generated code, hashing, etc.) is
-// deterministic.
-using ParamMap = std::map<std::string, std::string>;
-
-// Construction-time configuration of a component instance.
-struct ComponentConfig {
-  std::string instance;
-  ParamMap params;
-};
-
-// Typed parameter lookup helpers.
-support::Result<std::string> param_string(const ParamMap& params,
-                                          const std::string& name);
-support::Result<int64_t> param_int(const ParamMap& params,
-                                   const std::string& name);
-std::string param_string_or(const ParamMap& params, const std::string& name,
-                            std::string_view fallback);
-int64_t param_int_or(const ParamMap& params, const std::string& name,
-                     int64_t fallback);
 
 class Component {
  public:
@@ -73,37 +52,24 @@ class Component {
   void assign_slice(int index, int count);
 
   // --- ports ---
+  // Streams bound to the class's ports, in the order its ClassInfo
+  // declares them (§2 item 3a: "each component has a fixed number of i/o
+  // ports"); components address their ports by that index.
   int input_count() const { return static_cast<int>(inputs_.size()); }
   int output_count() const { return static_cast<int>(outputs_.size()); }
-  const std::string& input_name(int i) const { return inputs_[static_cast<size_t>(i)].name; }
-  const std::string& output_name(int i) const { return outputs_[static_cast<size_t>(i)].name; }
-
-  // Port-index lookup by name; -1 when absent.
-  int find_input(std::string_view name) const;
-  int find_output(std::string_view name) const;
-
-  Stream* input_stream(int i) const { return inputs_[static_cast<size_t>(i)].stream; }
-  Stream* output_stream(int i) const { return outputs_[static_cast<size_t>(i)].stream; }
-  void bind_input(int i, Stream* s) { inputs_[static_cast<size_t>(i)].stream = s; }
-  void bind_output(int i, Stream* s) { outputs_[static_cast<size_t>(i)].stream = s; }
-
- protected:
-  // Subclass constructors declare their fixed set of ports (§2 item 3a:
-  // "each component has a fixed number of i/o ports").
-  int declare_input(std::string name);
-  int declare_output(std::string name);
+  Stream* input_stream(int i) const { return inputs_[static_cast<size_t>(i)]; }
+  Stream* output_stream(int i) const { return outputs_[static_cast<size_t>(i)]; }
+  void bind_ports(std::vector<Stream*> inputs, std::vector<Stream*> outputs) {
+    inputs_ = std::move(inputs);
+    outputs_ = std::move(outputs);
+  }
 
  private:
-  struct Port {
-    std::string name;
-    Stream* stream = nullptr;
-  };
-
   std::string instance_;
   int slice_index_ = 0;
   int slice_count_ = 1;
-  std::vector<Port> inputs_;
-  std::vector<Port> outputs_;
+  std::vector<Stream*> inputs_;
+  std::vector<Stream*> outputs_;
 };
 
 // Helper: the [row0, row1) band of `rows` total rows that slice

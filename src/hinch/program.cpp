@@ -14,6 +14,14 @@ struct Span {
   bool empty() const { return entries.empty() && exits.empty(); }
 };
 
+// `st` as an error of leaf `n`: it names the instance, its class and its
+// position.
+support::Status leaf_error(const sp::Node& n, const support::Status& st) {
+  return support::Status(st.code(), "component '" + n.leaf.instance +
+                                        "' (class " + n.leaf.klass + "): " +
+                                        st.message() + sp::loc_suffix(n.loc));
+}
+
 }  // namespace
 
 class ProgramBuilder {
@@ -22,6 +30,7 @@ class ProgramBuilder {
       : prog_(prog), registry_(registry) {}
 
   support::Status build(const sp::Node& root) {
+    SUP_RETURN_IF_ERROR(check(root));
     Span span;
     Ctx ctx;
     SUP_RETURN_IF_ERROR(compile(root, ctx, &span));
@@ -82,57 +91,87 @@ class ProgramBuilder {
     return prog_->streams_.back().get();
   }
 
-  // Create and wire one component instance; returns its index.
-  support::Result<int> instantiate(const sp::Node& n, const Ctx& ctx) {
-    ComponentConfig config;
-    config.instance = n.leaf.instance + ctx.suffix;
-    for (const sp::Param& p : n.leaf.params) {
-      if (config.params.count(p.name))
-        return support::already_exists("duplicate parameter '" + p.name +
-                                       "' on '" + config.instance + "'");
-      config.params[p.name] = p.value;
+  // Checks every leaf of the tree against its ClassInfo, once per leaf
+  // rather than once per slice replica, before any factory runs.
+  support::Status check(const sp::Node& n) {
+    if (n.kind() == sp::NodeKind::kLeaf) {
+      SUP_ASSIGN_OR_RETURN(CheckedLeaf leaf, check_leaf(n));
+      checked_.emplace(&n, std::move(leaf));
     }
-    auto created = registry_.create(n.leaf.klass, config);
-    if (!created.is_ok())
-      return support::Status(
-          created.status().code(),
-          "component '" + config.instance + "' (class " + n.leaf.klass +
-              "): " + created.status().message() + sp::loc_suffix(n.loc));
+    for (const sp::NodePtr& c : n.children) SUP_RETURN_IF_ERROR(check(*c));
+    return support::Status::ok();
+  }
+
+  // A leaf as its class declares it: the class, its typed params and, per
+  // declared port, the stream bound to it.
+  struct CheckedLeaf {
+    const ClassInfo* info = nullptr;
+    Params params;
+    std::vector<const std::string*> inputs;
+    std::vector<const std::string*> outputs;
+  };
+
+  support::Result<CheckedLeaf> check_leaf(const sp::Node& n) {
+    const sp::LeafSpec& leaf = n.leaf;
+    CheckedLeaf out;
+    out.info = registry_.find(leaf.klass);
+    if (!out.info)
+      return leaf_error(n, support::not_found("class is not registered"));
+    if (leaf.reentrant && !out.info->reentrant)
+      return support::failed_precondition(
+          "component '" + leaf.instance + "' cannot be reentrant: class " +
+          leaf.klass + " is not registered reentrant" + sp::loc_suffix(n.loc));
+    auto params = out.info->check_params(leaf.params);
+    if (!params.is_ok()) return leaf_error(n, params.status());
+    out.params = std::move(params).take();
+    // Every binding names a declared port once, and every declared port
+    // is bound.
+    auto bind = [&](const char* dir, const std::vector<std::string>& ports,
+                    const std::vector<sp::PortBinding>& bindings,
+                    std::vector<const std::string*>* streams)
+        -> support::Status {
+      streams->assign(ports.size(), nullptr);
+      for (const sp::PortBinding& b : bindings) {
+        auto it = std::find(ports.begin(), ports.end(), b.port);
+        if (it == ports.end())
+          return leaf_error(n, support::not_found(std::string("no ") + dir +
+                                                  " port '" + b.port + "'"));
+        const std::string*& slot = (*streams)[it - ports.begin()];
+        if (slot)
+          return leaf_error(n, support::already_exists(
+                                   std::string(dir) + " port '" + b.port +
+                                   "' is bound twice"));
+        slot = &b.stream;
+      }
+      for (size_t i = 0; i < ports.size(); ++i)
+        if (!(*streams)[i])
+          return leaf_error(n, support::failed_precondition(
+              std::string(dir) + " port '" + ports[i] +
+              "' is not connected to a stream"));
+      return support::Status::ok();
+    };
+    SUP_RETURN_IF_ERROR(
+        bind("input", out.info->inputs, leaf.inputs, &out.inputs));
+    SUP_RETURN_IF_ERROR(
+        bind("output", out.info->outputs, leaf.outputs, &out.outputs));
+    return out;
+  }
+
+  // Create and wire one component instance of a checked leaf; returns
+  // its index.
+  support::Result<int> instantiate(const sp::Node& n, const Ctx& ctx) {
+    const CheckedLeaf& leaf = checked_.at(&n);
+    auto created = leaf.info->factory(leaf.params);
+    if (!created.is_ok()) return leaf_error(n, created.status());
     std::unique_ptr<Component> comp = std::move(created).take();
+    comp->set_instance(n.leaf.instance + ctx.suffix);
     if (!n.leaf.initial_reconfig.empty())
       comp->reconfigure(n.leaf.initial_reconfig);
     if (ctx.sliced) comp->assign_slice(ctx.slice_index, ctx.slice_count);
-
-    // Bind ports. Every binding must name a declared port and every
-    // declared port must end up bound.
-    for (const sp::PortBinding& b : n.leaf.inputs) {
-      int port = comp->find_input(b.port);
-      if (port < 0)
-        return support::not_found("component '" + config.instance +
-                                  "' (class " + n.leaf.klass +
-                                  ") has no input port '" + b.port + "'");
-      comp->bind_input(port, stream(b.stream));
-    }
-    for (const sp::PortBinding& b : n.leaf.outputs) {
-      int port = comp->find_output(b.port);
-      if (port < 0)
-        return support::not_found("component '" + config.instance +
-                                  "' (class " + n.leaf.klass +
-                                  ") has no output port '" + b.port + "'");
-      comp->bind_output(port, stream(b.stream));
-    }
-    for (int i = 0; i < comp->input_count(); ++i) {
-      if (!comp->input_stream(i))
-        return support::failed_precondition(
-            "input port '" + comp->input_name(i) + "' of '" +
-            config.instance + "' is not connected to a stream");
-    }
-    for (int i = 0; i < comp->output_count(); ++i) {
-      if (!comp->output_stream(i))
-        return support::failed_precondition(
-            "output port '" + comp->output_name(i) + "' of '" +
-            config.instance + "' is not connected to a stream");
-    }
+    std::vector<Stream*> ins, outs;
+    for (const std::string* s : leaf.inputs) ins.push_back(stream(*s));
+    for (const std::string* s : leaf.outputs) outs.push_back(stream(*s));
+    comp->bind_ports(std::move(ins), std::move(outs));
 
     int comp_idx = static_cast<int>(prog_->components_.size());
     prog_->components_.push_back(std::move(comp));
@@ -147,11 +186,6 @@ class ProgramBuilder {
 
   support::Status compile_leaf(const sp::Node& n, const Ctx& ctx,
                                Span* out) {
-    if (n.leaf.reentrant && !registry_.is_reentrant(n.leaf.klass))
-      return support::failed_precondition(
-          "component '" + n.leaf.instance + "' cannot be reentrant: class " +
-          n.leaf.klass + " is not registered reentrant" +
-          sp::loc_suffix(n.loc));
     SUP_ASSIGN_OR_RETURN(int comp_idx, instantiate(n, ctx));
     int task =
         add_task(TaskKind::kComponent, ctx, n.leaf.instance + ctx.suffix);
@@ -340,6 +374,7 @@ class ProgramBuilder {
 
   Program* prog_;
   const ComponentRegistry& registry_;
+  std::unordered_map<const sp::Node*, CheckedLeaf> checked_;
   // (task, leaf) of every reentrant opt-in, checked once the DAG is wired.
   std::vector<std::pair<int, const sp::Node*>> reentrant_leaves_;
 };

@@ -104,7 +104,5 @@ support::Result<FramePtr> decode(const uint8_t* data, size_t size);
 uint64_t entropy_decode_cycles(size_t compressed_bytes, size_t total_blocks);
 // IDCT cost for `blocks` 8x8 blocks.
 uint64_t idct_cycles(uint64_t blocks);
-// FDCT + quantization + entropy coding cost.
-uint64_t encode_cycles(uint64_t blocks, size_t compressed_bytes);
 
 }  // namespace media::jpeg

@@ -338,10 +338,4 @@ support::Result<std::vector<uint8_t>> encode(const Frame& frame, int quality,
   return out;
 }
 
-uint64_t encode_cycles(uint64_t blocks, size_t compressed_bytes) {
-  // FDCT (~same arithmetic as the IDCT) + quantization per block, plus
-  // bit-serial entropy coding per output byte.
-  return blocks * 600 + static_cast<uint64_t>(compressed_bytes) * 10;
-}
-
 }  // namespace media::jpeg

@@ -19,42 +19,44 @@ std::string make_key(std::string_view text, const sp::PassOptions& passes) {
 
 }  // namespace
 
-support::Result<const sp::Node*> SpecCache::load(std::string_view text,
-                                                 const sp::PassOptions& passes) {
+support::Result<std::shared_ptr<const sp::Node>> SpecCache::load(
+    std::string_view text, const sp::PassOptions& passes) {
   std::string key = make_key(text, passes);
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
-      return it->second.get();
+      return it->second;
     }
     ++stats_.misses;
   }
   // Compile outside the lock: a slow front-end must not serialize hits
-  // on other specs. Two racing misses both compile; the FIRST insert
+  // on other specs. Two racing misses both compile; the first insert
   // wins and the loser drops its own graph (both are equal by
-  // construction). First-wins is load-bearing: pointers already handed
-  // out must stay valid until clear(), so an entry is never replaced.
+  // construction).
   SUP_ASSIGN_OR_RETURN(sp::NodePtr graph, load_string(text));
   sp::PassManager pipeline = sp::make_pipeline(passes);
   if (!pipeline.empty()) {
     SUP_ASSIGN_OR_RETURN(graph, pipeline.run(std::move(graph)));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(std::move(key),
-                                             std::move(graph));
-  (void)inserted;
-  return it->second.get();
+  return entries_.try_emplace(std::move(key), std::move(graph)).first->second;
 }
 
 support::Result<std::unique_ptr<hinch::Program>> SpecCache::build_program(
     std::string_view text, const hinch::ComponentRegistry& registry,
     const hinch::Program::BuildConfig& config) {
-  SUP_ASSIGN_OR_RETURN(const sp::Node* graph, load(text, config.passes));
+  SUP_ASSIGN_OR_RETURN(std::shared_ptr<const sp::Node> graph,
+                       load(text, config.passes));
   hinch::Program::BuildConfig compiled = config;
   compiled.passes = sp::PassOptions::none();
-  return hinch::Program::build(*graph, registry, compiled);
+  auto prog = hinch::Program::build(*graph, registry, compiled);
+  if (!prog.is_ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.erase(make_key(text, config.passes));
+  }
+  return prog;
 }
 
 SpecCache::Stats SpecCache::stats() const {

@@ -13,11 +13,14 @@
 // without cloning. Programs stay per-session (they hold live components
 // and streams); only the immutable front-end product is shared.
 //
+// A spec whose graph fails Program::build leaves the cache again, so
+// the cache holds only specs some tenant can run.
+//
 // Thread-safety: all methods lock; concurrent load() of the same key may
-// both compile, last insert wins (the graphs are equal). Cached graphs
-// are only read after insertion, so handed-out pointers stay valid —
-// and Program::build from one cached graph is concurrency-safe — until
-// clear() or destruction, which must not race live users.
+// both compile, first insert wins (the graphs are equal). Cached graphs
+// are only read after insertion and handed out shared, so
+// Program::build from one cached graph is concurrency-safe and a graph
+// outlives its entry's erase or clear().
 #pragma once
 
 #include <cstdint>
@@ -46,27 +49,27 @@ class SpecCache {
   SpecCache& operator=(const SpecCache&) = delete;
 
   // The cached post-pipeline graph for (text, passes); compiled on first
-  // use. The pointer is owned by the cache (valid until clear()).
-  support::Result<const sp::Node*> load(std::string_view text,
-                                        const sp::PassOptions& passes);
+  // use.
+  support::Result<std::shared_ptr<const sp::Node>> load(
+      std::string_view text, const sp::PassOptions& passes);
 
   // Instantiate a fresh Program from the cached graph: front-end and
   // pipeline amortized, components/streams newly created. config.passes
   // selects the cache entry; the returned Program is built with
-  // PassOptions::none() (the pipeline already ran).
+  // PassOptions::none() (the pipeline already ran). A build error erases
+  // the entry.
   support::Result<std::unique_ptr<hinch::Program>> build_program(
       std::string_view text, const hinch::ComponentRegistry& registry,
       const hinch::Program::BuildConfig& config = {});
 
   Stats stats() const;
   size_t size() const;
-  // Drops every entry. Invalidates pointers returned by load(); callers
-  // must ensure no session is still building from them.
+  // Drops every entry.
   void clear();
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, sp::NodePtr> entries_;
+  std::unordered_map<std::string, std::shared_ptr<const sp::Node>> entries_;
   Stats stats_;
 };
 

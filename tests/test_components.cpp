@@ -3,6 +3,9 @@
 // sources, plane modes, reconfiguration requests, sink retention.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+
 #include "components/clip_cache.hpp"
 #include "components/components.hpp"
 #include "components/sinks.hpp"
@@ -41,10 +44,13 @@ void run(hinch::Program& prog, int64_t iterations, int cores = 1) {
   hinch::run_on_sim(prog, config, sim);
 }
 
-// Build errors surface as Status, not crashes.
+// Build errors surface as Status, not crashes: each names the instance,
+// its class and why. Every case reads stream `v`, which a valid source
+// writes, so the spec gets past validation to Program::build.
 struct BadComponent {
   const char* name;
-  const char* spec;
+  const char* component;
+  const char* why;
 };
 
 class ComponentCreateErrorTest
@@ -52,78 +58,122 @@ class ComponentCreateErrorTest
 
 TEST_P(ComponentCreateErrorTest, RejectedAtBuildTime) {
   components::register_standard_globally();
-  auto prog = xspcl::build_program(GetParam().spec,
-                                   hinch::ComponentRegistry::global());
-  EXPECT_FALSE(prog.is_ok()) << GetParam().name;
+  const std::string spec =
+      std::string(R"(<xspcl><procedure name="main"><body>
+        <component name="src" class="video_source">
+          <outport name="out" stream="v"/>
+        </component>)") +
+      GetParam().component + "</body></procedure></xspcl>";
+  auto prog =
+      xspcl::build_program(spec, hinch::ComponentRegistry::global());
+  ASSERT_FALSE(prog.is_ok()) << GetParam().name;
+  EXPECT_EQ(prog.status().message().rfind("component '", 0), 0u)
+      << prog.status().to_string();
+  EXPECT_NE(prog.status().message().find(GetParam().why), std::string::npos)
+      << prog.status().to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ComponentCreateErrorTest,
     ::testing::Values(
-        BadComponent{"tiny_source",
-                     R"(<xspcl><procedure name="main"><body>
+        BadComponent{"tiny_source", R"(
           <component name="s" class="video_source">
             <param name="width" value="4"/>
-            <outport name="out" stream="v"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"bad_source_kind",
-                     R"(<xspcl><procedure name="main"><body>
+            <outport name="out" stream="x"/>
+          </component>)",
+                     "param 'width': 4 is outside [8, 16384]"},
+        BadComponent{"source_param_typo", R"(
+          <component name="s" class="video_source">
+            <param name="seed_typo" value="4"/>
+            <outport name="out" stream="x"/>
+          </component>)",
+                     "unknown param 'seed_typo'"},
+        BadComponent{"bad_source_kind", R"(
           <component name="s" class="video_source">
             <param name="source" value="webcam"/>
-            <outport name="out" stream="v"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"downscale_no_factor",
-                     R"(<xspcl><procedure name="main"><body>
+            <outport name="out" stream="x"/>
+          </component>)",
+                     "source must be 'synth' or 'file'"},
+        BadComponent{"file_source_without_path", R"(
+          <component name="s" class="mjpeg_source">
+            <param name="source" value="file"/>
+            <outport name="out" stream="x"/>
+          </component>)",
+                     "source=file needs a path"},
+        BadComponent{"mjpeg_quality_zero", R"(
+          <component name="s" class="mjpeg_source">
+            <param name="quality" value="0"/>
+            <outport name="out" stream="x"/>
+          </component>)",
+                     "param 'quality': 0 is outside [1, 100]"},
+        BadComponent{"downscale_no_factor", R"(
           <component name="d" class="downscale">
             <inport name="in" stream="v"/>
             <outport name="out" stream="w"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"downscale_bad_factor",
-                     R"(<xspcl><procedure name="main"><body>
+          </component>)",
+                     "param 'factor' is required"},
+        BadComponent{"downscale_bad_factor", R"(
           <component name="d" class="downscale">
             <param name="factor" value="0"/>
             <inport name="in" stream="v"/>
             <outport name="out" stream="w"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"blend_bad_alpha",
-                     R"(<xspcl><procedure name="main"><body>
+          </component>)",
+                     "param 'factor': 0 is outside [1, 256]"},
+        BadComponent{"downscale_factor_twice", R"(
+          <component name="d" class="downscale">
+            <param name="factor" value="2"/>
+            <param name="factor" value="4"/>
+            <inport name="in" stream="v"/>
+            <outport name="out" stream="w"/>
+          </component>)",
+                     "param 'factor' is given twice"},
+        BadComponent{"downscale_undeclared_port", R"(
+          <component name="d" class="downscale">
+            <param name="factor" value="2"/>
+            <inport name="src" stream="v"/>
+            <outport name="out" stream="w"/>
+          </component>)",
+                     "no input port 'src'"},
+        BadComponent{"blend_bad_alpha", R"(
           <component name="b" class="blend">
             <param name="alpha" value="999"/>
             <inport name="fg" stream="v"/>
             <outport name="canvas" stream="w"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"blur_bad_kernel",
-                     R"(<xspcl><procedure name="main"><body>
+          </component>)",
+                     "param 'alpha': 999 is outside [0, 256]"},
+        BadComponent{"blur_bad_kernel", R"(
           <component name="b" class="blur_h">
-            <param name="kernel" value="7"/>
+            <param name="kernel" value="4"/>
             <inport name="in" stream="v"/>
             <outport name="out" stream="w"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"idct_bad_plane",
-                     R"(<xspcl><procedure name="main"><body>
+          </component>)",
+                     "blur: kernel must be 3 or 5"},
+        BadComponent{"idct_bad_plane", R"(
           <component name="i" class="idct">
             <param name="plane" value="5"/>
             <inport name="coeffs" stream="v"/>
             <outport name="out" stream="w"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"ticker_without_event",
-                     R"(<xspcl><procedure name="main"><body>
+          </component>)",
+                     "param 'plane': 5 is outside [0, 2]"},
+        BadComponent{"ticker_without_event", R"(
           <component name="t" class="event_ticker">
             <param name="queue" value="q"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"ticker_bad_period",
-                     R"(<xspcl><procedure name="main"><body>
+            <param name="period" value="2"/>
+          </component>)",
+                     "param 'event' is required"},
+        BadComponent{"ticker_bad_period", R"(
           <component name="t" class="event_ticker">
             <param name="event" value="e"/>
             <param name="queue" value="q"/>
             <param name="period" value="0"/>
-          </component></body></procedure></xspcl>)"},
-        BadComponent{"script_bad_entry",
-                     R"(<xspcl><procedure name="main"><body>
+          </component>)",
+                     "param 'period': 0 is outside [1, "},
+        BadComponent{"script_bad_entry", R"(
           <component name="t" class="event_script">
             <param name="queue" value="q"/>
             <param name="script" value="nonsense"/>
-          </component></body></procedure></xspcl>)"}),
+          </component>)",
+                     "event_script: entries are iteration:event[:payload]"}),
     [](const ::testing::TestParamInfo<BadComponent>& info) {
       return info.param.name;
     });
@@ -376,44 +426,72 @@ TEST(SceneChange, FiresOnContentJumpsOnly) {
   }
 }
 
-TEST(Transcode, EncodeSinkRoundTrips) {
-  auto prog = build(R"(<xspcl><procedure name="main"><body>
-    <component name="s" class="video_source">
-      <param name="seed" value="44"/>
+// A downscale -> blend chain over `canvas`; `extra` goes into the
+// downscale's params.
+std::string downscale_blend_spec(const std::string& extra) {
+  return R"(<xspcl><procedure name="main"><body>
+    <component name="bg" class="video_source">
       <param name="width" value="64"/><param name="height" value="48"/>
-      <param name="frames" value="3"/>
-      <outport name="out" stream="v"/>
+      <outport name="out" stream="bg"/>
     </component>
-    <component name="e" class="jpeg_encode">
-      <param name="quality" value="90"/>
-      <param name="restart" value="4"/>
-      <inport name="in" stream="v"/>
-      <outport name="jpeg" stream="j"/>
+    <component name="fg" class="video_source">
+      <param name="seed" value="2"/>
+      <param name="width" value="64"/><param name="height" value="48"/>
+      <outport name="out" stream="fg"/>
     </component>
-    <component name="k" class="mjpeg_sink">
-      <inport name="in" stream="j"/>
+    <component name="copy" class="copy">
+      <inport name="in" stream="bg"/><outport name="out" stream="canvas"/>
     </component>
-  </body></procedure></xspcl>)");
-  ASSERT_TRUE(prog);
-  run(*prog, 3, 2);
-  const components::MjpegSinkAccess* sink = nullptr;
-  for (int i = 0; i < prog->component_count(); ++i) {
-    auto* s = dynamic_cast<const components::MjpegSinkAccess*>(
-        &prog->component(i));
-    if (s) sink = s;
-  }
-  ASSERT_TRUE(sink);
-  media::MjpegClip clip = sink->clip();
-  ASSERT_EQ(clip.frame_count(), 3);
-  // Each compressed frame decodes back near the source content.
-  media::SynthSpec spec{.seed = 44, .width = 64, .height = 48};
-  for (int i = 0; i < 3; ++i) {
-    auto decoded = media::jpeg::decode(clip.frame(i).data(),
-                                       clip.frame(i).size());
-    ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
-    media::FramePtr original = media::make_synth_frame(spec, i);
-    EXPECT_GT(media::psnr(*original, *decoded.value()), 30.0) << i;
-  }
+    <component name="ds" class="downscale">
+      <param name="factor" value="2"/>)" +
+         extra + R"(
+      <inport name="in" stream="fg"/><outport name="out" stream="small"/>
+    </component>
+    <component name="bl" class="blend">
+      <param name="x" value="8"/>
+      <inport name="fg" stream="small"/>
+      <outport name="canvas" stream="canvas"/>
+    </component>
+    <component name="sink" class="frame_sink">
+      <inport name="in" stream="canvas"/>
+    </component>
+  </body></procedure></xspcl>)";
+}
+
+support::Result<std::unique_ptr<hinch::Program>> build_fused(
+    const std::string& spec) {
+  components::register_standard_globally();
+  hinch::Program::BuildConfig config;
+  config.passes.fuse_kernels = true;
+  config.passes.kernel_patterns = &components::standard_fusions();
+  return xspcl::build_program(spec, hinch::ComponentRegistry::global(),
+                              config);
+}
+
+// The fused downscale_blend gets only the params the spec set and takes
+// the rest from its ClassInfo: its output equals the unfused pair's. A
+// param the rewrite has no counterpart for keeps the chain unfused, so
+// Program::build still reports it.
+TEST(Fusion, DownscaleBlendKeepsTheUnfusedDefaultsAndChecks) {
+  auto unfused = build(downscale_blend_spec(""));
+  auto fused = build_fused(downscale_blend_spec(""));
+  ASSERT_TRUE(unfused && fused.is_ok()) << fused.status().to_string();
+  int fused_tasks = 0;
+  for (const hinch::Task& t : fused.value()->tasks())
+    fused_tasks += t.label == "ds+bl";
+  EXPECT_EQ(fused_tasks, 1);
+  run(*unfused, 4);
+  run(*fused.value(), 4);
+  EXPECT_EQ(find_sink(*fused.value())->sink().checksum(),
+            find_sink(*unfused)->sink().checksum());
+
+  auto typo = build_fused(
+      downscale_blend_spec(R"(<param name="plane_typo" value="0"/>)"));
+  ASSERT_FALSE(typo.is_ok());
+  EXPECT_NE(typo.status().message().find(
+                "component 'ds' (class downscale): unknown param 'plane_typo'"),
+            std::string::npos)
+      << typo.status().to_string();
 }
 
 TEST(ClipCache, InsertSurvivesBudgetSmallerThanOneClip) {
@@ -441,17 +519,95 @@ TEST(ClipCache, InsertSurvivesBudgetSmallerThanOneClip) {
   components::clear_clip_caches();
 }
 
-TEST(Registry, ListsAllStandardClasses) {
+// The ### headings of docs/COMPONENTS.md: each backticked class name
+// before the heading's dash maps to the heading line and its section.
+std::map<std::string, std::string> documented_classes() {
+  std::ifstream in(COMPONENTS_DOC);
+  EXPECT_TRUE(in.good()) << COMPONENTS_DOC;
+  std::map<std::string, std::string> out;
+  std::vector<std::string> current;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind('#', 0) == 0) {
+      current.clear();
+      if (line.rfind("### `", 0) != 0) continue;
+      const std::string names = line.substr(0, line.find(" \u2014 "));
+      size_t open = names.find('`');
+      while (open != std::string::npos) {
+        const size_t close = names.find('`', open + 1);
+        if (close == std::string::npos) break;
+        current.push_back(names.substr(open + 1, close - open - 1));
+        open = names.find('`', close + 1);
+      }
+    }
+    for (const std::string& name : current) out[name] += line + "\n";
+  }
+  return out;
+}
+
+// docs/COMPONENTS.md documents every registered class, its ports and its
+// params, and no class that is not registered.
+TEST(Registry, ComponentsDocMatchesTheRegistry) {
   hinch::ComponentRegistry reg;
   components::register_standard(reg);
-  for (const char* name :
-       {"video_source", "mjpeg_source", "copy", "downscale", "blend",
-        "blur_h", "blur_v", "jpeg_decode", "idct", "frame_sink", "yuv_sink",
-        "event_ticker", "event_script", "scene_change", "jpeg_encode",
-        "mjpeg_sink"}) {
-    EXPECT_TRUE(reg.has_class(name)) << name;
+  const std::map<std::string, std::string> doc = documented_classes();
+  for (const auto& [name, info] : reg.classes()) {
+    auto it = doc.find(name);
+    if (it == doc.end()) {
+      ADD_FAILURE() << "no ### `" << name << "` heading";
+      continue;
+    }
+    const std::string heading = it->second.substr(0, it->second.find('\n'));
+    for (const auto* ports : {&info.inputs, &info.outputs})
+      for (const std::string& port : *ports)
+        EXPECT_NE(heading.find("`" + port + "`"), std::string::npos)
+            << name << "'s heading does not name port " << port;
+    for (const hinch::ParamSpec& p : info.params)
+      EXPECT_NE(it->second.find("`" + p.name + "`"), std::string::npos)
+          << name << "'s section does not name param " << p.name;
   }
-  EXPECT_GE(reg.class_names().size(), 13u);
+  for (const auto& [name, text] : doc)
+    EXPECT_NE(reg.find(name), nullptr) << "documented class " << name
+                                       << " is not registered";
+}
+
+const hinch::ParamSpec& declared(const hinch::ComponentRegistry& reg,
+                                 const std::string& klass,
+                                 const std::string& param) {
+  const hinch::ClassInfo* info = reg.find(klass);
+  SUP_CHECK(info != nullptr);
+  for (const hinch::ParamSpec& p : info->params)
+    if (p.name == param) return p;
+  SUP_CHECK_MSG(false, "param not declared");
+  return info->params.front();
+}
+
+// The fuse-kernels rewrite copies only the params a spec set onto
+// downscale_blend, so its declared defaults and ranges must be those of
+// downscale and blend.
+TEST(Registry, DownscaleBlendDeclaresTheUnfusedPairsParams) {
+  hinch::ComponentRegistry reg;
+  components::register_standard(reg);
+  const struct {
+    const char* klass;
+    const char* param;
+    const char* fused;
+  } pairs[] = {{"downscale", "factor", "factor"},
+               {"downscale", "plane", "src_plane"},
+               {"blend", "x", "x"},
+               {"blend", "y", "y"},
+               {"blend", "alpha", "alpha"},
+               {"blend", "plane", "plane"}};
+  ASSERT_EQ(reg.find("downscale_blend")->params.size(), std::size(pairs));
+  for (const auto& pair : pairs) {
+    const hinch::ParamSpec& a = declared(reg, pair.klass, pair.param);
+    const hinch::ParamSpec& b = declared(reg, "downscale_blend", pair.fused);
+    EXPECT_EQ(a.kind, b.kind) << pair.fused;
+    EXPECT_EQ(a.lo, b.lo) << pair.fused;
+    EXPECT_EQ(a.hi, b.hi) << pair.fused;
+    EXPECT_EQ(a.presence, b.presence) << pair.fused;
+    EXPECT_EQ(a.fallback, b.fallback) << pair.fused;
+  }
 }
 
 }  // namespace

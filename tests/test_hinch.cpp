@@ -11,7 +11,6 @@
 namespace {
 
 using hinch::Component;
-using hinch::ComponentConfig;
 using hinch::ComponentRegistry;
 using hinch::ExecContext;
 using hinch::Packet;
@@ -52,27 +51,30 @@ class ProbeBoard {
   std::map<std::string, ProbeState> states_;
 };
 
+// Producer factory calls, to show that Program::build checks every leaf
+// before it creates any component.
+int g_producers_created = 0;
+
 // Emits the iteration number as payload; charges `cost` cycles.
 class Producer : public Component {
  public:
   static support::Result<std::unique_ptr<Component>> create(
-      const ComponentConfig& config) {
+      const hinch::Params& params) {
+    ++g_producers_created;
     auto c = std::make_unique<Producer>();
-    c->cost_ = hinch::param_int_or(config.params, "cost", 100);
+    c->cost_ = params.get_int("cost");
     return support::Result<std::unique_ptr<Component>>(std::move(c));
   }
-  Producer() : out_(declare_output("out")) {}
 
   void run(ExecContext& ctx) override {
     ctx.charge_compute(static_cast<uint64_t>(cost_));
-    ctx.write(out_, Packet::of(std::make_shared<int64_t>(ctx.iteration())));
+    ctx.write(0, Packet::of(std::make_shared<int64_t>(ctx.iteration())));
     ProbeState& s = ProbeBoard::get().state(instance());
     ++s.runs;
     s.last_iteration = ctx.iteration();
   }
 
  private:
-  int out_;
   int64_t cost_;
 };
 
@@ -80,18 +82,17 @@ class Producer : public Component {
 class Worker : public Component {
  public:
   static support::Result<std::unique_ptr<Component>> create(
-      const ComponentConfig& config) {
+      const hinch::Params& params) {
     auto c = std::make_unique<Worker>();
-    c->cost_ = hinch::param_int_or(config.params, "cost", 100);
-    c->add_ = hinch::param_int_or(config.params, "add", 0);
+    c->cost_ = params.get_int("cost");
+    c->add_ = params.get_int("add");
     return support::Result<std::unique_ptr<Component>>(std::move(c));
   }
-  Worker() : in_(declare_input("in")), out_(declare_output("out")) {}
 
   void run(ExecContext& ctx) override {
     ctx.charge_compute(static_cast<uint64_t>(cost_));
-    auto v = ctx.read(in_).get<int64_t>();
-    ctx.write(out_, Packet::of(std::make_shared<int64_t>(*v + add_)));
+    auto v = ctx.read(0).get<int64_t>();
+    ctx.write(0, Packet::of(std::make_shared<int64_t>(*v + add_)));
     ProbeState& s = ProbeBoard::get().state(instance());
     ++s.runs;
     s.slice_index = slice_index();
@@ -103,8 +104,6 @@ class Worker : public Component {
   }
 
  private:
-  int in_;
-  int out_;
   int64_t cost_;
   int64_t add_;
 };
@@ -113,35 +112,39 @@ class Worker : public Component {
 class Consumer : public Component {
  public:
   static support::Result<std::unique_ptr<Component>> create(
-      const ComponentConfig& config) {
+      const hinch::Params& params) {
     auto c = std::make_unique<Consumer>();
-    c->cost_ = hinch::param_int_or(config.params, "cost", 50);
+    c->cost_ = params.get_int("cost");
     return support::Result<std::unique_ptr<Component>>(std::move(c));
   }
-  Consumer() : in_(declare_input("in")) {}
 
   void run(ExecContext& ctx) override {
     ctx.charge_compute(static_cast<uint64_t>(cost_));
-    auto v = ctx.read(in_).get<int64_t>();
+    auto v = ctx.read(0).get<int64_t>();
     ProbeState& s = ProbeBoard::get().state(instance());
     ++s.runs;
     s.seen_values.push_back(*v);
   }
 
  private:
-  int in_;
   int64_t cost_ = 50;
 };
 
 ComponentRegistry make_registry() {
   ComponentRegistry reg;
   components::register_standard(reg);
-  reg.register_class("probe_producer", &Producer::create);
-  reg.register_class("probe_worker", &Worker::create);
+  using hinch::int_param;
+  reg.register_class({"probe_producer", &Producer::create, {}, {"out"},
+                      {int_param("cost", 0, 1 << 30, 100)}});
+  const std::vector<hinch::ParamSpec> worker_params = {
+      int_param("cost", 0, 1 << 30, 100), int_param("add", -1000, 1000, 0)};
+  reg.register_class({"probe_worker", &Worker::create, {"in"}, {"out"},
+                      worker_params});
   // The same worker, declared to keep no state between runs.
-  reg.register_class("probe_reentrant_worker", &Worker::create,
-                     /*reentrant=*/true);
-  reg.register_class("probe_consumer", &Consumer::create);
+  reg.register_class({"probe_reentrant_worker", &Worker::create, {"in"},
+                      {"out"}, worker_params, /*reentrant=*/true});
+  reg.register_class({"probe_consumer", &Consumer::create, {"in"}, {},
+                      {int_param("cost", 0, 1 << 30, 50)}});
   return reg;
 }
 
@@ -214,6 +217,51 @@ TEST_F(HinchTest, BuildRejectsDuplicateParam) {
   NodePtr g = sp::make_leaf(std::move(spec));
   auto prog = Program::build(*g, registry_);
   EXPECT_EQ(prog.status().code(), support::Code::kAlreadyExists);
+}
+
+// Every leaf is checked against its ClassInfo before any factory runs,
+// and each error names the instance, its class and the offending param.
+TEST_F(HinchTest, BuildChecksParamsBeforeAnyFactoryRuns) {
+  auto rejected = [&](std::vector<sp::Param> params) {
+    std::vector<NodePtr> steps;
+    steps.push_back(
+        sp::make_leaf(leaf("prod", "probe_producer", {}, {{"out", "a"}})));
+    steps.push_back(sp::make_leaf(leaf("cons", "probe_consumer",
+                                       {{"in", "a"}}, {}, std::move(params))));
+    const int created = g_producers_created;
+    auto prog = Program::build(*sp::make_seq(std::move(steps)), registry_);
+    EXPECT_EQ(g_producers_created, created);
+    EXPECT_FALSE(prog.is_ok());
+    return prog.is_ok() ? std::string() : prog.status().message();
+  };
+  EXPECT_EQ(rejected({{"cost_typo", "1"}}),
+            "component 'cons' (class probe_consumer): unknown param "
+            "'cost_typo'");
+  EXPECT_EQ(rejected({{"cost", "8x"}}),
+            "component 'cons' (class probe_consumer): param 'cost': not an "
+            "integer: '8x'");
+  EXPECT_EQ(rejected({{"cost", "-1"}}),
+            "component 'cons' (class probe_consumer): param 'cost': -1 is "
+            "outside [0, 1073741824]");
+}
+
+TEST_F(HinchTest, BuildFillsDeclaredDefaults) {
+  // probe_worker's cost and add are left out; the defaults run.
+  std::vector<NodePtr> steps;
+  steps.push_back(
+      sp::make_leaf(leaf("prod", "probe_producer", {}, {{"out", "a"}})));
+  steps.push_back(sp::make_leaf(
+      leaf("work", "probe_worker", {{"in", "a"}}, {{"out", "b"}})));
+  steps.push_back(
+      sp::make_leaf(leaf("cons", "probe_consumer", {{"in", "b"}}, {})));
+  auto prog = Program::build(*sp::make_seq(std::move(steps)), registry_);
+  ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+  RunConfig config;
+  config.iterations = 2;
+  hinch::run_on_sim(*prog.value(), config, SimParams());
+  // add defaults to 0: the consumer sees the iteration numbers.
+  EXPECT_EQ(ProbeBoard::get().state("cons").seen_values,
+            (std::vector<int64_t>{0, 1}));
 }
 
 TEST_F(HinchTest, BuildChainStructure) {

@@ -207,7 +207,7 @@ TEST(Metrics, EscapesNamesInJson) {
 class ChargeComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig&) {
+      const hinch::Params&) {
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::make_unique<ChargeComponent>());
   }
@@ -218,7 +218,7 @@ hinch::ComponentRegistry& test_registry() {
   static hinch::ComponentRegistry reg = [] {
     hinch::ComponentRegistry r;
     components::register_standard(r);
-    r.register_class("charge", &ChargeComponent::create);
+    r.register_class({"charge", &ChargeComponent::create, {}, {}, {}});
     return r;
   }();
   return reg;

@@ -40,7 +40,7 @@ RunBoard& board() {
   return b;
 }
 
-// Reads `ins` packets, writes their sum (plus the iteration) to `outs`
+// Reads its input packets, writes their sum (plus the iteration) to its
 // outputs, charges `cost` cycles. Packets are small gray frames, and a
 // replica of a sliced region reads and writes only its own band of rows,
 // in place, as real sliced components do: replicas never write the same
@@ -49,21 +49,12 @@ RunBoard& board() {
 class RandomComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig& config) {
-    int ins = static_cast<int>(hinch::param_int_or(config.params, "ins", 0));
-    int outs =
-        static_cast<int>(hinch::param_int_or(config.params, "outs", 0));
-    int64_t cost = hinch::param_int_or(config.params, "cost", 100);
+      const hinch::Params& params) {
     return support::Result<std::unique_ptr<hinch::Component>>(
-        std::make_unique<RandomComponent>(ins, outs, cost));
+        std::make_unique<RandomComponent>(params.get_int("cost")));
   }
 
-  RandomComponent(int ins, int outs, int64_t cost) : cost_(cost) {
-    for (int i = 0; i < ins; ++i)
-      declare_input("in" + std::to_string(i));
-    for (int i = 0; i < outs; ++i)
-      declare_output("out" + std::to_string(i));
-  }
+  explicit RandomComponent(int64_t cost) : cost_(cost) {}
 
   void run(hinch::ExecContext& ctx) override {
     constexpr int kWidth = 8;
@@ -95,6 +86,15 @@ class RandomComponent : public hinch::Component {
 
 // --- random program generation ------------------------------------------------------
 
+// A component has a fixed number of ports (paper §2), so each port shape
+// the generator draws is its own class.
+constexpr int kMaxIns = 3;
+constexpr int kMaxOuts = 2;
+
+std::string random_class(int ins, int outs) {
+  return "random_" + std::to_string(ins) + "_" + std::to_string(outs);
+}
+
 struct Gen {
   support::SplitMix64 rng;
   int next_id = 0;
@@ -112,14 +112,12 @@ struct Gen {
                          bool force_source) {
     sp::LeafSpec spec;
     spec.instance = "c" + std::to_string(next_id++);
-    spec.klass = "random";
     int ins = 0;
     if (!force_source && !available->empty())
       ins = static_cast<int>(rng.next_below(
-          std::min<uint64_t>(available->size(), 3) + 1));
-    int outs = 1 + static_cast<int>(rng.next_below(2));
-    spec.params.push_back({"ins", std::to_string(ins)});
-    spec.params.push_back({"outs", std::to_string(outs)});
+          std::min<uint64_t>(available->size(), kMaxIns) + 1));
+    int outs = 1 + static_cast<int>(rng.next_below(kMaxOuts));
+    spec.klass = random_class(ins, outs);
     spec.params.push_back(
         {"cost", std::to_string(50 + rng.next_below(500))});
     for (int i = 0; i < ins; ++i) {
@@ -244,7 +242,20 @@ GeneratedProgram generate(uint64_t seed) {
 hinch::ComponentRegistry& registry() {
   static hinch::ComponentRegistry reg = [] {
     hinch::ComponentRegistry r;
-    r.register_class("random", &RandomComponent::create);
+    for (int ins = 0; ins <= kMaxIns; ++ins) {
+      for (int outs = 1; outs <= kMaxOuts; ++outs) {
+        hinch::ClassInfo info{random_class(ins, outs),
+                              &RandomComponent::create,
+                              {},
+                              {},
+                              {hinch::int_param("cost", 0, 1000, 100)}};
+        for (int i = 0; i < ins; ++i)
+          info.inputs.push_back("in" + std::to_string(i));
+        for (int i = 0; i < outs; ++i)
+          info.outputs.push_back("out" + std::to_string(i));
+        r.register_class(std::move(info));
+      }
+    }
     return r;
   }();
   return reg;

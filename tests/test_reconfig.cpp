@@ -45,7 +45,7 @@ Counts& board() {
 class CountingComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::ComponentConfig&) {
+      const hinch::Params&) {
     return support::Result<std::unique_ptr<hinch::Component>>(
         std::make_unique<CountingComponent>());
   }
@@ -63,7 +63,7 @@ class CountingComponent : public hinch::Component {
 hinch::ComponentRegistry make_registry() {
   hinch::ComponentRegistry reg;
   components::register_standard(reg);
-  reg.register_class("counter", &CountingComponent::create);
+  reg.register_class({"counter", &CountingComponent::create, {}, {}, {}});
   return reg;
 }
 

@@ -406,6 +406,27 @@ TEST(SpecCacheTest, BadSpecReportsTheLoaderError) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// A spec that fails Program::build is not kept: nothing can run it, and
+// a server fed many such specs must not accumulate them.
+TEST(SpecCacheTest, SpecThatFailsToBuildIsNotKept) {
+  components::register_standard_globally();
+  xspcl::SpecCache cache;
+  std::string spec = blur_spec(8);
+  const size_t at = spec.find("name=\"seed\"");
+  ASSERT_NE(at, std::string::npos);
+  spec.replace(at, 11, "name=\"seed_typo\"");
+  for (uint64_t attempt = 1; attempt <= 2; ++attempt) {
+    auto prog = cache.build_program(spec, hinch::ComponentRegistry::global());
+    ASSERT_FALSE(prog.is_ok());
+    EXPECT_NE(prog.status().message().find("unknown param 'seed_typo'"),
+              std::string::npos)
+        << prog.status().to_string();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.stats().misses, attempt);  // building again is a miss
+    EXPECT_EQ(cache.stats().hits, 0u);
+  }
+}
+
 // --- pass fingerprint -------------------------------------------------------
 
 TEST(PassFingerprint, DistinguishesPipelinesAndIgnoresVerify) {
