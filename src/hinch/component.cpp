@@ -52,12 +52,6 @@ void ExecContext::commit(int out_port) {
   s->commit_slot(iteration_);
 }
 
-bool ExecContext::input_ready(int in_port) const {
-  Stream* s = comp_->input_stream(in_port);
-  SUP_CHECK_MSG(s != nullptr, "querying an unbound input port");
-  return s->has(iteration_);
-}
-
 void ExecContext::send_event(const std::string& queue, Event ev) {
   SUP_CHECK(queues_ != nullptr);
   queues_->get_or_create(queue).push(std::move(ev));

@@ -114,9 +114,6 @@ class ExecContext {
   // publishing it (readers still fault until commit() marks it written).
   Packet& acquire(int out_port);
   void commit(int out_port);
-  // True when the input stream already carries this iteration's data
-  // (used with in-place chains).
-  bool input_ready(int in_port) const;
 
   // --- events ---
   void send_event(const std::string& queue, Event ev);

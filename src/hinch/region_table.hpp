@@ -11,13 +11,9 @@
 // Depths, stream counts and stream indices are bounds-checked so a
 // regression aborts instead of aliasing.
 //
-// Multi-tenancy: the table itself is a per-owner namespace. A bare key
-// would alias across concurrent sessions (two sessions' stream 0 would
-// share a region), so each hinch::Session gets its own RegionTable over
-// the shared sim::MemorySystem, optionally labelled with the session id
-// ("session.<id>.stream:0:slot1") so per-region statistics stay
-// attributable. Single-session runs pass session_id = -1 and get the
-// unprefixed labels the figure benches snapshot.
+// Keys are per table: each table registers its own regions, so two
+// tables over one sim::MemorySystem never share a region for the same
+// (stream, slot).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +27,7 @@ namespace hinch {
 
 class RegionTable {
  public:
-  RegionTable(sim::MemorySystem* mem, int depth, int session_id = -1)
-      : mem_(mem), depth_(depth), session_id_(session_id) {
+  RegionTable(sim::MemorySystem* mem, int depth) : mem_(mem), depth_(depth) {
     SUP_CHECK(depth >= 1);
   }
 
@@ -42,8 +37,7 @@ class RegionTable {
     // size upgrade), so the per-access hot path stays allocation-free.
     return lookup(stream_regions_, stream_key(stream_index, iter), min_bytes,
                   [&] {
-                    return label_prefix() + "stream:" +
-                           std::to_string(stream_index) + ":slot" +
+                    return "stream:" + std::to_string(stream_index) + ":slot" +
                            std::to_string(iter % depth_);
                   });
   }
@@ -52,8 +46,7 @@ class RegionTable {
     SUP_CHECK(task >= 0);
     return lookup(scratch_regions_, static_cast<uint64_t>(task), min_bytes,
                   [&] {
-                    return label_prefix() + "scratch:task" +
-                           std::to_string(task);
+                    return "scratch:task" + std::to_string(task);
                   });
   }
 
@@ -73,19 +66,11 @@ class RegionTable {
     return (static_cast<uint64_t>(stream_index) << 32) | slot;
   }
 
-  int session_id() const { return session_id_; }
-
  private:
   struct Entry {
     sim::RegionId id;
     uint64_t bytes;
   };
-
-  std::string label_prefix() const {
-    return session_id_ < 0
-               ? std::string()
-               : "session." + std::to_string(session_id_) + ".";
-  }
 
   template <typename LabelFn>
   sim::RegionId lookup(std::unordered_map<uint64_t, Entry>& table,
@@ -103,7 +88,6 @@ class RegionTable {
 
   sim::MemorySystem* mem_;
   int depth_;
-  int session_id_;
   std::unordered_map<uint64_t, Entry> stream_regions_;
   std::unordered_map<uint64_t, Entry> scratch_regions_;
 };

@@ -60,8 +60,7 @@ struct alignas(64) SessionExecutor::Worker {
   std::atomic<uint64_t> parks{0};
 };
 
-SessionExecutor::SessionExecutor(const Config& config)
-    : metrics_(std::make_unique<obs::MetricsRegistry>()) {
+SessionExecutor::SessionExecutor(const Config& config) {
   SUP_CHECK(config.workers >= 1);
   active_cap_ = std::max(0, config.max_active_sessions);
   slots_.reserve(static_cast<size_t>(config.workers));
@@ -104,9 +103,8 @@ SessionPtr SessionExecutor::admit(SessionPtr s, const SessionConfig& cfg) {
     if (cfg.metrics != nullptr) {
       s->metrics_ = cfg.metrics;
     } else {
-      s->metrics_view_ = std::make_unique<obs::MetricsRegistry>(
-          metrics_.get(), "session." + std::to_string(s->id_) + ".");
-      s->metrics_ = s->metrics_view_.get();
+      s->owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+      s->metrics_ = s->owned_metrics_.get();
     }
     // The scheduler is built at admission: it resets the program's
     // components and streams, sizes the iteration ring, and clamps the
@@ -114,13 +112,11 @@ SessionPtr SessionExecutor::admit(SessionPtr s, const SessionConfig& cfg) {
     s->scheduler_ = std::make_unique<Scheduler>(*s->prog_, cfg.run);
     if (active_cap_ > 0 && active_ >= active_cap_) {
       queue_.push_back(s);
-      publish_server_gauges();
       return s;
     }
     ++active_;
     peak_active_ = std::max(peak_active_, active_);
     live_.push_back(s);
-    publish_server_gauges();
   }
   start_session(s);
   return s;
@@ -178,7 +174,6 @@ void SessionExecutor::cancel(const SessionPtr& session) {
     if (it != queue_.end()) {
       queue_.erase(it);
       session->cancelled_.store(true, std::memory_order_release);
-      publish_server_gauges();
     } else {
       // Running (or already finalized): flag it; workers drop its jobs
       // and the last retired unit finalizes it.
@@ -195,7 +190,6 @@ void SessionExecutor::set_active_cap(int cap) {
     std::lock_guard<std::mutex> lock(admission_mu_);
     active_cap_ = std::max(0, cap);
     to_start = admit_queued();
-    publish_server_gauges();
   }
   for (const SessionPtr& s : to_start) start_session(s);
 }
@@ -335,7 +329,7 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
         rec->instant(s.trace_reconfig_name_, obs::Category::kReconfig, t_end,
                      job.ref.iter, job.ref.task);
     }
-    if (s.config_.record_frame_times) note_frames(s);
+    note_frames(s);
     if (newly.empty()) break;
     if (newly.size() > 1) {
       // Count the extra children before continuing so the session's
@@ -347,10 +341,6 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
       if (rec != nullptr)
         rec->counter(s.trace_pending_name_, obs::Category::kSched,
                      session_now_ns(s), now_pending);
-      if (s.metrics_ != nullptr) {
-        s.metrics_->set("live.pending_jobs", now_pending);
-        s.metrics_->set("live.iterations_done", sched.iterations_done());
-      }
       {
         std::lock_guard<std::mutex> lock(self.mu);
         for (size_t i = 1; i < newly.size(); ++i)
@@ -366,11 +356,6 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
     rec->counter(s.trace_pending_name_, obs::Category::kSched,
                  session_now_ns(s),
                  s.pending_.load(std::memory_order_relaxed) - 1);
-  if (s.metrics_ != nullptr) {
-    s.metrics_->set("live.pending_jobs",
-                    s.pending_.load(std::memory_order_relaxed) - 1);
-    s.metrics_->set("live.iterations_done", sched.iterations_done());
-  }
   retire_unit(job.session);
 }
 
@@ -394,10 +379,6 @@ void SessionExecutor::finalize(const SessionPtr& s) {
   result.sched = s->scheduler_->stats();
   result.jobs = s->jobs_executed_.load(std::memory_order_relaxed);
   result.iterations_done = s->scheduler_->iterations_done();
-  // Retiring chains publish this gauge concurrently, so the last write
-  // may carry a stale count; every chain has retired by now.
-  if (s->metrics_ != nullptr && !cancelled)
-    s->metrics_->set("live.iterations_done", result.iterations_done);
   {
     std::lock_guard<std::mutex> lock(s->frame_mu_);
     result.frame_done_ns = s->frame_done_ns_;
@@ -406,7 +387,7 @@ void SessionExecutor::finalize(const SessionPtr& s) {
   // Free the admission slot and start the next queued session (if any)
   // BEFORE publishing the status: a thread returning from wait() — which
   // returns at once if it finds the status final — must observe the
-  // server gauges already updated (active down, completed up).
+  // admission counters already updated (active down, completed up).
   std::vector<SessionPtr> to_start;
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
@@ -417,7 +398,6 @@ void SessionExecutor::finalize(const SessionPtr& s) {
     }
     ++completed_;
     to_start = admit_queued();
-    publish_server_gauges();
     if (active_ == 0 && queue_.empty()) drained_cv_.notify_all();
   }
   {
@@ -446,25 +426,19 @@ std::vector<SessionPtr> SessionExecutor::admit_queued() {
   return started;
 }
 
-void SessionExecutor::publish_server_gauges() {
-  // Called with admission_mu_ held; the registry has its own lock, the
-  // admission lock only makes the three gauges mutually consistent.
-  metrics_->set("server.active_sessions", static_cast<int64_t>(active_));
-  metrics_->set("server.queued_sessions",
-                static_cast<int64_t>(queue_.size()));
-  metrics_->set("server.sessions_completed",
-                static_cast<int64_t>(completed_));
-}
-
 void SessionExecutor::note_frames(Session& s) {
   int64_t done = s.scheduler_->iterations_done();
   if (done <= s.frames_noted_.load(std::memory_order_relaxed)) return;
-  uint64_t now = session_now_ns(s);
   std::lock_guard<std::mutex> lock(s.frame_mu_);
+  // Re-checked under the lock: a racing chain may have noted a later
+  // count, and the gauge must never step back.
+  if (done <= s.frames_noted_.load(std::memory_order_relaxed)) return;
+  s.frames_noted_.store(done, std::memory_order_relaxed);
+  s.metrics_->set("live.iterations_done", done);
+  if (!s.config_.record_frame_times) return;
+  uint64_t now = session_now_ns(s);
   while (static_cast<int64_t>(s.frame_done_ns_.size()) < done)
     s.frame_done_ns_.push_back(now);
-  s.frames_noted_.store(static_cast<int64_t>(s.frame_done_ns_.size()),
-                        std::memory_order_relaxed);
 }
 
 bool SessionExecutor::pop_own(Worker& self, Job* out) {

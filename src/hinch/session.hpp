@@ -5,9 +5,9 @@
 // executor, exit — and every run owned its worker threads. A Session is
 // the unit of tenancy that replaces that singleton shape: it owns a
 // Program (and thus that program's streams and components), a Scheduler
-// tracking its iteration window, a session-prefixed metrics namespace
-// ("session.<id>.live.*" in the executor's registry), and optionally a
-// per-session TraceSession. The SessionExecutor runs any number of
+// tracking its iteration window, its own metrics registry (the "live.*"
+// gauges its components poll), and optionally a per-session
+// TraceSession. The SessionExecutor runs any number of
 // sessions at once on one work-stealing pool; every job is tagged with
 // its session (jobs carry a shared_ptr, so a Program can never die under
 // an in-flight job), teardown cancels and drains exactly one session's
@@ -60,16 +60,16 @@ const char* session_status_name(SessionStatus s);
 struct SessionConfig {
   RunConfig run;
   // Label used in diagnostics ("pip", "jpip-4k", ...); not required to
-  // be unique — the numeric session id is the namespace key.
+  // be unique — the numeric session id is (it is a merged trace's pid).
   std::string name;
   // Per-session trace (caller-owned, must outlive the session). Worker
   // w emits into lane w of this session's recorders; timestamps are
   // wall nanoseconds since *this session's* start.
   obs::TraceSession* trace = nullptr;
-  // Metrics destination. Null: publish into the executor's registry
-  // under "session.<id>." (the multi-tenant default). Non-null: publish
-  // unprefixed into this registry — the single-session compatibility
-  // path run_on_threads uses.
+  // Metrics destination (caller-owned, must outlive the session). Null:
+  // the session owns a fresh registry (the multi-tenant default). The
+  // executor publishes "live.iterations_done" once per retired
+  // iteration; components may publish and poll their own gauges.
   obs::MetricsRegistry* metrics = nullptr;
   // Record a wall-clock timestamp (ns since session start) as each
   // iteration completes — the frame-latency probe perfbench and
@@ -104,11 +104,10 @@ class Session {
 
   Program& program() { return *prog_; }
 
-  // The session's metrics surface: a "session.<id>."-prefixed view of
-  // the executor registry (or the caller's registry when one was passed
-  // in the config). Components inside the session see this through
-  // ExecContext::metrics(), so their "live.*" gauges land in the
-  // session's namespace without knowing about tenancy.
+  // The session's metrics surface: its own registry, or the caller's
+  // when one was passed in the config. Components inside the session
+  // see this through ExecContext::metrics(), so their "live.*" gauges
+  // stay the tenant's without knowing about tenancy.
   obs::MetricsRegistry* metrics() { return metrics_; }
 
   // Block until done or cancelled; returns the final result. May be
@@ -124,8 +123,8 @@ class Session {
   Program* prog_ = nullptr;               // owned_ or caller-owned
   std::unique_ptr<Program> owned_prog_;
   std::unique_ptr<Scheduler> scheduler_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> metrics_view_;
+  obs::MetricsRegistry* metrics_ = nullptr;  // owned_ or caller-owned
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
 
   // --- execution state (owned by the executor's workers) ---
   std::atomic<int64_t> pending_{0};  // queued or running chain units
@@ -139,7 +138,8 @@ class Session {
   uint16_t trace_reconfig_name_ = 0;
   uint16_t trace_pending_name_ = 0;
 
-  // Frame-completion probe (record_frame_times).
+  // Per-iteration probe: publishes live.iterations_done and, with
+  // record_frame_times, stamps each completed iteration.
   std::mutex frame_mu_;
   std::vector<uint64_t> frame_done_ns_;
   std::atomic<int64_t> frames_noted_{0};
@@ -205,11 +205,6 @@ class SessionExecutor {
   int peak_active_sessions() const;
   uint64_t sessions_completed() const;
 
-  // The shared registry per-session views prefix into; also carries
-  // pool gauges ("server.active_sessions", "server.queued_sessions",
-  // "server.sessions_completed").
-  obs::MetricsRegistry& metrics() { return *metrics_; }
-
   PoolStats pool_stats() const;
 
   // Cancel every session, drain, join the workers. Idempotent; the
@@ -243,11 +238,9 @@ class SessionExecutor {
   // was the last, finalize.
   void retire_unit(const SessionPtr& s);
   void finalize(const SessionPtr& s);
-  void publish_server_gauges();
   void note_frames(Session& s);
   static uint64_t session_now_ns(const Session& s);
 
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
   std::vector<std::unique_ptr<Worker>> slots_;
   std::vector<std::thread> pool_;
 

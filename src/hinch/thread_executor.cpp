@@ -9,9 +9,8 @@ namespace hinch {
 // one-session case of the SessionExecutor (session.hpp). A fresh pool is
 // built per call — same thread count, seeds and deque discipline as a
 // server pool — the borrowed program becomes session 0, metrics publish
-// unprefixed into the caller's registry (SessionConfig::metrics compat
-// path), and the pool's lifetime stats are the run's stats because the
-// pool ran nothing else.
+// into the caller's registry (SessionConfig::metrics), and the pool's
+// lifetime stats are the run's stats because the pool ran nothing else.
 ThreadResult run_on_threads(Program& prog, const RunConfig& config,
                             int workers, obs::TraceSession* trace,
                             obs::MetricsRegistry* metrics) {

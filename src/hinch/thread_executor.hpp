@@ -37,9 +37,9 @@ struct ThreadResult {
 // non-null (and tracing is compiled in), each worker records job spans,
 // steal/park markers and a pending-jobs counter into its own lane,
 // stamped in wall-clock nanoseconds since run start (obs/trace.hpp).
-// When `metrics` is non-null, workers refresh "live.*" gauges
-// (pending jobs, iterations done) as chains fan out and retire; the
-// registry is internally locked, so other threads — and policy
+// When `metrics` is non-null, the run publishes "live.iterations_done"
+// into it once per retired iteration (and components their own gauges);
+// the registry is internally locked, so other threads — and policy
 // components inside the run — may snapshot() it concurrently while the
 // run is in flight.
 ThreadResult run_on_threads(Program& prog, const RunConfig& config,

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "support/check.hpp"
 #include "support/strings.hpp"
 
 namespace obs {
@@ -33,11 +32,6 @@ void append_value(std::string* out, const MetricValue& m) {
     std::snprintf(buf, sizeof(buf), "%" PRId64, m.i);
     *out += buf;
   }
-}
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
 }
 
 }  // namespace
@@ -82,34 +76,17 @@ std::string MetricsRegistry::Snapshot::to_json() const {
   return out;
 }
 
-MetricsRegistry::MetricsRegistry(MetricsRegistry* parent, std::string prefix)
-    : parent_(parent), prefix_(std::move(prefix)) {
-  SUP_CHECK_MSG(parent != nullptr, "metrics view needs a parent registry");
-}
-
 void MetricsRegistry::set(const std::string& name, int64_t value) {
-  if (parent_ != nullptr) {
-    parent_->set(prefix_ + name, value);
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   metrics_[name] = MetricValue{false, value, 0};
 }
 
 void MetricsRegistry::set(const std::string& name, double value) {
-  if (parent_ != nullptr) {
-    parent_->set(prefix_ + name, value);
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   metrics_[name] = MetricValue{true, 0, value};
 }
 
 void MetricsRegistry::add(const std::string& name, int64_t delta) {
-  if (parent_ != nullptr) {
-    parent_->add(prefix_ + name, delta);
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   MetricValue& m = metrics_[name];
   // Accumulate into the active representation: a metric set() as a
@@ -123,10 +100,6 @@ void MetricsRegistry::add(const std::string& name, int64_t delta) {
 }
 
 void MetricsRegistry::add(const std::string& name, double delta) {
-  if (parent_ != nullptr) {
-    parent_->add(prefix_ + name, delta);
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   MetricValue& m = metrics_[name];
   if (!m.is_double) {
@@ -140,64 +113,33 @@ void MetricsRegistry::add(const std::string& name, double delta) {
 }
 
 int64_t MetricsRegistry::get_int(const std::string& name) const {
-  if (parent_ != nullptr) return parent_->get_int(prefix_ + name);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = metrics_.find(name);
   return it == metrics_.end() ? 0 : it->second.as_int();
 }
 
 double MetricsRegistry::get_double(const std::string& name) const {
-  if (parent_ != nullptr) return parent_->get_double(prefix_ + name);
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = metrics_.find(name);
   return it == metrics_.end() ? 0 : it->second.as_double();
 }
 
 bool MetricsRegistry::has(const std::string& name) const {
-  if (parent_ != nullptr) return parent_->has(prefix_ + name);
   std::lock_guard<std::mutex> lock(mutex_);
   return metrics_.count(name) != 0;
 }
 
 size_t MetricsRegistry::size() const {
-  if (parent_ != nullptr) return snapshot().size();
   std::lock_guard<std::mutex> lock(mutex_);
   return metrics_.size();
 }
 
 void MetricsRegistry::clear() {
-  if (parent_ != nullptr) {
-    parent_->erase_prefix(prefix_);
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   metrics_.clear();
 }
 
-void MetricsRegistry::erase_prefix(const std::string& prefix) {
-  if (parent_ != nullptr) {
-    parent_->erase_prefix(prefix_ + prefix);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = metrics_.lower_bound(prefix);
-  while (it != metrics_.end() && starts_with(it->first, prefix))
-    it = metrics_.erase(it);
-}
-
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
-  if (parent_ != nullptr) {
-    // Resolve inside the namespace: keep only prefixed entries, strip
-    // the prefix, so per-session code reads the names it published.
-    Snapshot all = parent_->snapshot();
-    Snapshot snap;
-    auto it = all.values_.lower_bound(prefix_);
-    while (it != all.values_.end() && starts_with(it->first, prefix_)) {
-      snap.values_.emplace(it->first.substr(prefix_.size()), it->second);
-      ++it;
-    }
-    return snap;
-  }
   Snapshot snap;
   std::lock_guard<std::mutex> lock(mutex_);
   snap.values_ = metrics_;

@@ -19,21 +19,16 @@
 // tear-free (it may interleave between two set() calls, which is the
 // documented snapshot semantics — same as Scheduler::stats()).
 //
+// Ownership: a registry is one run's or one session's namespace. Each
+// hinch::Session owns one (or publishes into its caller's), so a
+// tenant's gauges live and die with the tenant and a snapshot copies
+// only that tenant's handful of entries.
+//
 // Type model: a metric is either an int64 counter or a double gauge,
 // decided by the last set(). add() accumulates into whichever
 // representation the metric currently has (a delta on a double-typed
 // metric lands in the double; a double delta on an int-typed metric
 // promotes it to double). A metric created by add() starts as int64.
-//
-// Views: a registry constructed as MetricsRegistry(&parent, "session.3.")
-// is a *view* — it owns no storage and forwards every operation to the
-// parent with the prefix prepended, so an executor or component handed
-// the view publishes "live.x" and the parent records "session.3.live.x".
-// Reads are symmetric (get/has/snapshot resolve inside the namespace,
-// names stripped of the prefix), which lets per-session code — including
-// in-graph policy components polling snapshot() — run unchanged under a
-// multi-tenant server. Views compose (a view of a view concatenates
-// prefixes) and clear() erases only the view's namespace.
 #pragma once
 
 #include <cstdint>
@@ -80,15 +75,6 @@ class MetricsRegistry {
     std::map<std::string, MetricValue> values_;
   };
 
-  MetricsRegistry() = default;
-  // View constructor: every operation forwards to `parent` with
-  // `prefix` prepended to the metric name (see the header comment).
-  // `parent` must outlive the view.
-  MetricsRegistry(MetricsRegistry* parent, std::string prefix);
-
-  bool is_view() const { return parent_ != nullptr; }
-  const std::string& prefix() const { return prefix_; }
-
   void set(const std::string& name, int64_t value);
   void set(const std::string& name, double value);
   // Accumulate into the metric's current representation (see the type
@@ -111,9 +97,6 @@ class MetricsRegistry {
 
   size_t size() const;
   void clear();
-  // Remove every metric whose name starts with `prefix` (a view's
-  // clear() maps to this on the parent).
-  void erase_prefix(const std::string& prefix);
 
   // Copy of every metric under a single lock acquisition — the live
   // poll API (safe to call while executors are still publishing).
@@ -128,9 +111,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, MetricValue> metrics_;
-  // View state: non-null parent makes this registry storage-free.
-  MetricsRegistry* parent_ = nullptr;
-  std::string prefix_;
 };
 
 }  // namespace obs

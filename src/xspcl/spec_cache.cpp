@@ -24,10 +24,11 @@ support::Result<std::shared_ptr<const sp::Node>> SpecCache::load(
   std::string key = make_key(text, passes);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
       ++stats_.hits;
-      return it->second;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return it->second->second;
     }
     ++stats_.misses;
   }
@@ -41,7 +42,15 @@ support::Result<std::shared_ptr<const sp::Node>> SpecCache::load(
     SUP_ASSIGN_OR_RETURN(graph, pipeline.run(std::move(graph)));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.try_emplace(std::move(key), std::move(graph)).first->second;
+  auto it = index_.find(key);
+  if (it != index_.end()) return it->second->second;
+  lru_.emplace_front(std::move(key), std::move(graph));
+  index_.emplace(lru_.front().first, lru_.begin());
+  if (lru_.size() > kMaxEntries) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+  }
+  return lru_.front().second;
 }
 
 support::Result<std::unique_ptr<hinch::Program>> SpecCache::build_program(
@@ -54,7 +63,12 @@ support::Result<std::unique_ptr<hinch::Program>> SpecCache::build_program(
   auto prog = hinch::Program::build(*graph, registry, compiled);
   if (!prog.is_ok()) {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.erase(make_key(text, config.passes));
+    auto it = index_.find(make_key(text, config.passes));
+    if (it != index_.end()) {
+      auto node = it->second;
+      index_.erase(it);
+      lru_.erase(node);
+    }
   }
   return prog;
 }
@@ -66,12 +80,13 @@ SpecCache::Stats SpecCache::stats() const {
 
 size_t SpecCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return lru_.size();
 }
 
 void SpecCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
+  index_.clear();
+  lru_.clear();
 }
 
 }  // namespace xspcl

@@ -14,7 +14,9 @@
 // and streams); only the immutable front-end product is shared.
 //
 // A spec whose graph fails Program::build leaves the cache again, so
-// the cache holds only specs some tenant can run.
+// the cache holds only specs some tenant can run. At most kMaxEntries
+// specs are kept: a miss beyond that drops the least recently used one,
+// so a server fed ever-new specs stays bounded.
 //
 // Thread-safety: all methods lock; concurrent load() of the same key may
 // both compile, first insert wins (the graphs are equal). Cached graphs
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,6 +46,9 @@ class SpecCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
   };
+
+  // Entries kept before the least recently used is dropped.
+  static constexpr size_t kMaxEntries = 256;
 
   SpecCache() = default;
   SpecCache(const SpecCache&) = delete;
@@ -68,8 +74,12 @@ class SpecCache {
   void clear();
 
  private:
+  using Entry = std::pair<std::string, std::shared_ptr<const sp::Node>>;
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const sp::Node>> entries_;
+  // Most recently used first; the index's keys view the list's strings.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   Stats stats_;
 };
 

@@ -1,9 +1,9 @@
 // Session-scoped runtime tests: tenancy isolation on the shared
-// work-stealing pool (bit-identical outputs, metrics/trace/region
-// namespaces), admission control, cancellation/teardown ordering, the
-// compiled-spec cache, and the two multi-tenant server gates (concurrent
-// tenants beat sequential runs; closing a session never stalls a
-// neighbour). The churn test (concurrent Program build + submit + cancel
+// work-stealing pool (bit-identical outputs, per-session metrics,
+// traces and regions), admission control, cancellation/teardown
+// ordering, the compiled-spec cache, and the two multi-tenant server
+// gates (concurrent tenants beat sequential runs; closing a session
+// never stalls a neighbour). The churn test (concurrent Program build + submit + cancel
 // on a live executor) is a designated ThreadSanitizer workload — label
 // "tsan", same build recipe as test_thread_stress.
 #include <gtest/gtest.h>
@@ -143,32 +143,22 @@ TEST(SessionIsolation, OwnedProgramSurvivesUntilDrain) {
   EXPECT_NE(output_checksum(s->program()), 0u);
 }
 
-// --- metrics namespacing ----------------------------------------------------
+// --- per-session metrics ---------------------------------------------------
 
-TEST(SessionMetrics, LiveGaugesLandInSessionNamespace) {
+// Each session owns its registry: two concurrent sessions of different
+// lengths each read only their own live.iterations_done.
+TEST(SessionMetrics, EachSessionOwnsItsLiveGauges) {
   SessionExecutor::Config pool;
   pool.workers = 2;
   SessionExecutor exec(pool);
   SessionPtr a = open(exec, build(blur_spec(12)), 12);
-  SessionPtr b = open(exec, build(blur_spec(12)), 12);
+  SessionPtr b = open(exec, build(blur_spec(7)), 7);
   a->wait();
   b->wait();
-
-  obs::MetricsRegistry::Snapshot snap = exec.metrics().snapshot();
-  std::string pa = "session." + std::to_string(a->id()) + ".";
-  std::string pb = "session." + std::to_string(b->id()) + ".";
-  EXPECT_NE(a->id(), b->id());
-  EXPECT_TRUE(snap.has(pa + "live.iterations_done"));
-  EXPECT_TRUE(snap.has(pb + "live.iterations_done"));
-  EXPECT_EQ(snap.get_int(pa + "live.iterations_done"), 12);
-  EXPECT_EQ(snap.get_int(pb + "live.iterations_done"), 12);
-  // Server-level gauges live beside the per-session namespaces.
-  EXPECT_TRUE(snap.has("server.sessions_completed"));
-  EXPECT_EQ(snap.get_int("server.sessions_completed"), 2);
-
-  // A session's own metrics surface resolves unprefixed names through
-  // its view — components publish without knowing about tenancy.
+  EXPECT_NE(a->metrics(), b->metrics());
   EXPECT_EQ(a->metrics()->get_int("live.iterations_done"), 12);
+  EXPECT_EQ(b->metrics()->get_int("live.iterations_done"), 7);
+  EXPECT_EQ(exec.sessions_completed(), 2u);
   exec.shutdown();
 }
 
@@ -304,19 +294,17 @@ TEST(SessionCancel, ShutdownCancelsEverything) {
   EXPECT_TRUE(b->finished());
 }
 
-// --- RegionTable session namespace ------------------------------------------
+// --- RegionTable per-owner regions ------------------------------------------
 
-TEST(SessionRegions, LabelsCarryTheSessionPrefix) {
+TEST(SessionRegions, TwoTablesOverOneMemoryNeverAlias) {
   sim::MemorySystem mem(sim::CacheConfig{},
                         sim::PlatformConfig::homogeneous(1, 1));
-  hinch::RegionTable solo(&mem, 4);
-  EXPECT_EQ(solo.session_id(), -1);
-  hinch::RegionTable tenant(&mem, 4, /*session_id=*/7);
-  EXPECT_EQ(tenant.session_id(), 7);
-  // Same (stream, iter) in two tables must not alias: the session
-  // prefix keeps their region labels distinct.
-  sim::RegionId a = solo.stream_region(0, 0, 64);
-  sim::RegionId b = tenant.stream_region(0, 0, 64);
+  hinch::RegionTable first(&mem, 4);
+  hinch::RegionTable second(&mem, 4);
+  // Same (stream, iter) in two tables must not alias: each table
+  // registers its own region.
+  sim::RegionId a = first.stream_region(0, 0, 64);
+  sim::RegionId b = second.stream_region(0, 0, 64);
   EXPECT_NE(a, b);
 }
 
@@ -425,6 +413,35 @@ TEST(SpecCacheTest, SpecThatFailsToBuildIsNotKept) {
     EXPECT_EQ(cache.stats().misses, attempt);  // building again is a miss
     EXPECT_EQ(cache.stats().hits, 0u);
   }
+}
+
+// The cache is bounded: one spec beyond the budget drops the least
+// recently used one, and a spec touched in between survives.
+TEST(SpecCacheTest, EvictsLeastRecentlyUsedBeyondBudget) {
+  components::register_standard_globally();
+  xspcl::SpecCache cache;
+  const sp::PassOptions passes;
+  // Each source seed gives a distinct spec text.
+  auto spec = [](size_t seed) {
+    apps::BlurConfig c;
+    c.width = 64;
+    c.height = 48;
+    c.seed = seed;
+    return apps::blur_xspcl(c);
+  };
+  const size_t budget = xspcl::SpecCache::kMaxEntries;
+  for (size_t n = 1; n <= budget; ++n)
+    ASSERT_TRUE(cache.load(spec(n), passes).is_ok());
+  EXPECT_EQ(cache.size(), budget);
+  ASSERT_TRUE(cache.load(spec(1), passes).is_ok());  // touch the first
+  EXPECT_EQ(cache.stats().hits, 1u);
+  ASSERT_TRUE(cache.load(spec(budget + 1), passes).is_ok());
+  EXPECT_EQ(cache.size(), budget);
+  EXPECT_EQ(cache.stats().misses, budget + 1);
+  ASSERT_TRUE(cache.load(spec(1), passes).is_ok());
+  EXPECT_EQ(cache.stats().hits, 2u);  // the first spec is still cached
+  ASSERT_TRUE(cache.load(spec(2), passes).is_ok());
+  EXPECT_EQ(cache.stats().misses, budget + 2);  // the second was dropped
 }
 
 // --- pass fingerprint -------------------------------------------------------

@@ -24,7 +24,7 @@
 //   close <tid>                 cancel in-flight batches, drain, forget
 //                               -> ok close <tid>
 //   cap <n>                     set the active-session cap (0 = uncapped)
-//   stats                       server gauges + pool + spec-cache counters
+//   stats                       session counts + pool + spec-cache counters
 //   trace <tid> <path>          write the tenant's last batch as Chrome
 //                               JSON, pid = tid (hinchtrace --session=<tid>)
 //   quit                        close every tenant, shut the pool down

@@ -7,7 +7,8 @@
 //                                         DAG (slices expanded, groups
 //                                         fused, reentrant tasks dashed)
 //   xspclc codegen  <spec.xml> --name N [-o f] [--no-main]
-//                                         emit C++ glue code
+//                                         emit C++ glue (after the build
+//                                         check validate runs)
 //   xspclc run      <spec.xml> [--backend=sim|threads] [--cores=N]
 //                   [--iterations=N]      load and execute directly
 //                   [--platform=p.xml]    simulate on an XML platform spec
@@ -273,6 +274,15 @@ int main(int argc, char** argv) {
   if (args.command == "dot") {
     return write_output(args, sp::to_dot(root, args.name));
   }
+  // validate and codegen check the spec the way run builds it: a
+  // build-time error (an unknown class, a misspelt param, an unbound
+  // port, an unsafe reentrant opt-in) is reported here, not at the first
+  // run or in the generated program.
+  hinch::BuildConfig build_config;
+  build_config.passes = sp::PassOptions::none();  // pipeline already ran
+  auto prog = hinch::Program::build(root, hinch::ComponentRegistry::global(),
+                                    build_config);
+  if (!prog.is_ok()) return fail(prog.status());
   if (args.command == "codegen") {
     xspcl::CodegenOptions options;
     options.app_name = args.name;
@@ -280,15 +290,6 @@ int main(int argc, char** argv) {
     options.default_iterations = args.iterations;
     return write_output(args, xspcl::generate_cpp(root, options));
   }
-
-  hinch::BuildConfig build_config;
-  build_config.passes = sp::PassOptions::none();  // pipeline already ran
-  auto prog = hinch::Program::build(root, hinch::ComponentRegistry::global(),
-                                    build_config);
-  if (!prog.is_ok()) return fail(prog.status());
-  // validate checks the spec the way run builds it: a build-time error
-  // (an unknown class, an unbound port, an unsafe reentrant opt-in) is
-  // reported here, not at the first run.
   if (args.command == "validate") {
     sp::GraphStats stats = sp::stats(root);
     std::printf(
