@@ -69,7 +69,8 @@ MjpegDecodeResult run_mjpeg_decode(const MjpegDecodeConfig& config) {
                         &metrics);
 
   MjpegDecodeResult result;
-  result.frames_done_metric = metrics.get_int("live.iterations_done");
+  result.frames_done_metric =
+      metrics.snapshot().get_int("live.iterations_done");
   for (int i = 0; i < prog.value()->component_count(); ++i) {
     auto* sink = dynamic_cast<const components::SinkAccess*>(
         &prog.value()->component(i));

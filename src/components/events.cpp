@@ -3,7 +3,6 @@
 // 12 frames; an event_ticker drives exactly that.
 #include "components/detail.hpp"
 #include "hinch/component.hpp"
-#include "media/kernels.hpp"
 #include "support/strings.hpp"
 
 namespace components {
@@ -81,62 +80,6 @@ class EventScript : public hinch::Component {
   std::vector<Entry> entries_;
 };
 
-// Detects scene changes in its input video and reports them as events —
-// the §2 non-interactive use of events: "In non-interactive
-// applications, events can be used to respond to special input values."
-// Passes the frame through unchanged. Params: queue, event,
-// threshold (mean absolute luma difference x 100, default 800 = 8.0).
-class SceneChange : public hinch::Component {
- public:
-  static support::Result<std::unique_ptr<hinch::Component>> create(
-      const hinch::Params& params) {
-    auto comp = std::unique_ptr<SceneChange>(new SceneChange());
-    comp->event_ = params.get_string("event");
-    comp->queue_ = params.get_string("queue");
-    comp->threshold_x100_ = params.get_int("threshold");
-    return support::Result<std::unique_ptr<hinch::Component>>(
-        std::move(comp));
-  }
-
-  void reset() override { prev_.reset(); }
-
-  void run(hinch::ExecContext& ctx) override {
-    media::FramePtr frame = ctx.read(kIn).frame();
-    media::ConstPlaneView y = frame->plane(0);
-    if (prev_) {
-      uint64_t sad = 0;
-      media::ConstPlaneView p = prev_->plane(0);
-      for (int row = 0; row < y.height; ++row) {
-        const uint8_t* a = y.row(row);
-        const uint8_t* b = p.row(row);
-        for (int col = 0; col < y.width; ++col)
-          sad += static_cast<uint64_t>(a[col] > b[col] ? a[col] - b[col]
-                                                       : b[col] - a[col]);
-      }
-      uint64_t mean_x100 = sad * 100 / y.bytes();
-      if (mean_x100 >= static_cast<uint64_t>(threshold_x100_)) {
-        ctx.send_event(queue_,
-                       hinch::Event{event_, std::to_string(mean_x100)});
-      }
-      ctx.charge_compute(2 * y.bytes());  // SAD over both lumas
-      ctx.touch_read(kIn, 0, y.bytes());
-      ctx.touch_scratch(y.bytes());
-    }
-    // Keep a private copy of the luma for the next iteration.
-    media::FramePtr keep =
-        media::make_frame(media::PixelFormat::kGray, y.width, y.height);
-    media::copy_plane(y, keep->plane(0), 0, y.height);
-    prev_ = std::move(keep);
-    ctx.write(kOut, hinch::Packet::of_frame(frame));
-  }
-
- private:
-  std::string event_;
-  std::string queue_;
-  int64_t threshold_x100_ = 800;
-  media::FramePtr prev_;
-};
-
 }  // namespace
 
 void register_events(hinch::ComponentRegistry& registry) {
@@ -151,10 +94,6 @@ void register_events(hinch::ComponentRegistry& registry) {
   registry.register_class(
       {"event_script", &EventScript::create, {}, {},
        {string_param("queue", kRequired), string_param("script", kRequired)}});
-  registry.register_class(
-      {"scene_change", &SceneChange::create, {"in"}, {"out"},
-       {string_param("event", kRequired), string_param("queue", kRequired),
-        int_param("threshold", 0, INT64_MAX, 800)}});
 }
 
 }  // namespace components

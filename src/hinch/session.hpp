@@ -60,7 +60,7 @@ const char* session_status_name(SessionStatus s);
 struct SessionConfig {
   RunConfig run;
   // Label used in diagnostics ("pip", "jpip-4k", ...); not required to
-  // be unique — the numeric session id is (it is a merged trace's pid).
+  // be unique — the numeric session id is.
   std::string name;
   // Per-session trace (caller-owned, must outlive the session). Worker
   // w emits into lane w of this session's recorders; timestamps are

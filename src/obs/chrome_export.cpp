@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <functional>
 
 namespace obs {
 namespace {
@@ -48,15 +47,33 @@ void append_time(std::string* out, uint64_t t, ClockDomain clock) {
   *out += buf;
 }
 
-// One session's lane metadata and events, stamped with `pid` — the
-// process id is what keeps sessions apart in a merged export (each
-// session renders as its own process group in the UI).
-void emit_session(const TraceSession& session, int pid,
-                  const std::function<void(const std::string&)>& emit_line) {
+}  // namespace
+
+std::string to_chrome_json(const TraceSession& session) {
   const std::vector<std::string> names = session.names();
   const ClockDomain clock = session.clock();
   const char* lane_prefix = clock == ClockDomain::kCycles ? "core" : "worker";
+
+  std::string out;
+  out += "{\n";
+  out += "  \"displayTimeUnit\": \"ms\",\n";
+  out += "  \"otherData\": {\"clock\": \"";
+  out += clock == ClockDomain::kCycles ? "cycles" : "wall_ns";
   char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "\", \"lanes\": %d, \"emitted\": %" PRIu64
+                ", \"dropped\": %" PRIu64 "},\n",
+                session.lanes(), session.emitted(), session.dropped());
+  out += buf;
+  out += "  \"traceEvents\": [\n";
+
+  // Every event carries pid 0: one trace is one session.
+  bool first = true;
+  auto emit_line = [&](const std::string& line) {
+    if (!first) out += ",\n";
+    first = false;
+    out += line;
+  };
 
   // Lane-name metadata so the UI labels rows "core 0" / "worker 3" —
   // or a custom per-lane name when the session carries one (multi-tile
@@ -65,18 +82,17 @@ void emit_session(const TraceSession& session, int pid,
     const std::string& custom = session.lane_name(lane);
     if (!custom.empty()) {
       std::string line =
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-          std::to_string(pid) + ",\"tid\":" + std::to_string(lane) +
-          ",\"args\":{\"name\":\"";
+          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
+          std::to_string(lane) + ",\"args\":{\"name\":\"";
       append_escaped(&line, custom);
       line += "\"}}";
       emit_line(line);
       continue;
     }
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
+                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
                   "\"tid\":%d,\"args\":{\"name\":\"%s %d\"}}",
-                  pid, lane, lane_prefix, lane);
+                  lane, lane_prefix, lane);
     emit_line(buf);
   }
 
@@ -97,9 +113,9 @@ void emit_session(const TraceSession& session, int pid,
           line += ",\"dur\":";
           append_time(&line, ev.dur, clock);
           std::snprintf(buf, sizeof(buf),
-                        ",\"pid\":%d,\"tid\":%d,\"args\":{\"iter\":%" PRId64
+                        ",\"pid\":0,\"tid\":%d,\"args\":{\"iter\":%" PRId64
                         ",\"task\":%d}}",
-                        pid, lane, ev.value, ev.arg);
+                        lane, ev.value, ev.arg);
           line += buf;
           break;
         }
@@ -111,9 +127,9 @@ void emit_session(const TraceSession& session, int pid,
           line += "\",\"ts\":";
           append_time(&line, ev.ts, clock);
           std::snprintf(buf, sizeof(buf),
-                        ",\"pid\":%d,\"tid\":%d,\"args\":{\"iter\":%" PRId64
+                        ",\"pid\":0,\"tid\":%d,\"args\":{\"iter\":%" PRId64
                         ",\"task\":%d}}",
-                        pid, lane, ev.value, ev.arg);
+                        lane, ev.value, ev.arg);
           line += buf;
           break;
         }
@@ -121,9 +137,9 @@ void emit_session(const TraceSession& session, int pid,
           line += "C\",\"ts\":";
           append_time(&line, ev.ts, clock);
           std::snprintf(buf, sizeof(buf),
-                        ",\"pid\":%d,\"tid\":%d,\"args\":{\"value\":%" PRId64
+                        ",\"pid\":0,\"tid\":%d,\"args\":{\"value\":%" PRId64
                         "}}",
-                        pid, lane, ev.value);
+                        lane, ev.value);
           line += buf;
           break;
         }
@@ -131,90 +147,14 @@ void emit_session(const TraceSession& session, int pid,
       emit_line(line);
     }
   }
-}
-
-}  // namespace
-
-std::string to_chrome_json(const TraceSession& session) {
-  const ClockDomain clock = session.clock();
-
-  std::string out;
-  out += "{\n";
-  out += "  \"displayTimeUnit\": \"ms\",\n";
-  out += "  \"otherData\": {\"clock\": \"";
-  out += clock == ClockDomain::kCycles ? "cycles" : "wall_ns";
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "\", \"lanes\": %d, \"emitted\": %" PRIu64
-                ", \"dropped\": %" PRIu64 "},\n",
-                session.lanes(), session.emitted(), session.dropped());
-  out += buf;
-  out += "  \"traceEvents\": [\n";
-
-  bool first = true;
-  emit_session(session, /*pid=*/0, [&](const std::string& line) {
-    if (!first) out += ",\n";
-    first = false;
-    out += line;
-  });
 
   out += "\n  ]\n}\n";
   return out;
 }
 
-std::string to_chrome_json(const std::vector<TraceProcess>& processes) {
-  std::string out;
-  out += "{\n";
-  out += "  \"displayTimeUnit\": \"ms\",\n";
-  uint64_t emitted = 0, dropped = 0;
-  for (const TraceProcess& p : processes) {
-    emitted += p.session->emitted();
-    dropped += p.session->dropped();
-  }
-  // All sessions of one merged export share a clock domain (the server
-  // traces everything in wall ns); report the first's.
-  const char* clock_name =
-      !processes.empty() &&
-              processes.front().session->clock() == ClockDomain::kCycles
-          ? "cycles"
-          : "wall_ns";
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "  \"otherData\": {\"clock\": \"%s\", \"sessions\": %d, "
-                "\"emitted\": %" PRIu64 ", \"dropped\": %" PRIu64 "},\n",
-                clock_name, static_cast<int>(processes.size()), emitted,
-                dropped);
-  out += buf;
-  out += "  \"traceEvents\": [\n";
-
-  bool first = true;
-  auto emit_line = [&](const std::string& line) {
-    if (!first) out += ",\n";
-    first = false;
-    out += line;
-  };
-  for (const TraceProcess& p : processes) {
-    // Process metadata names the group "session <pid>: <name>". Note
-    // that timestamps stay session-relative (ns since *that* session's
-    // start): the merged view aligns session starts, which is the
-    // useful comparison for concurrently-admitted tenants.
-    std::string meta = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    std::snprintf(buf, sizeof(buf), "%d", p.pid);
-    meta += buf;
-    meta += ",\"args\":{\"name\":\"";
-    append_escaped(&meta, p.name);
-    meta += "\"}}";
-    emit_line(meta);
-    emit_session(*p.session, p.pid, emit_line);
-  }
-
-  out += "\n  ]\n}\n";
-  return out;
-}
-
-namespace {
-
-bool write_string(const std::string& json, const std::string& path) {
+bool write_chrome_trace(const TraceSession& session,
+                        const std::string& path) {
+  const std::string json = to_chrome_json(session);
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "obs: cannot open trace output '%s'\n",
@@ -227,18 +167,6 @@ bool write_string(const std::string& json, const std::string& path) {
     std::fprintf(stderr, "obs: short write to trace output '%s'\n",
                  path.c_str());
   return ok;
-}
-
-}  // namespace
-
-bool write_chrome_trace(const TraceSession& session,
-                        const std::string& path) {
-  return write_string(to_chrome_json(session), path);
-}
-
-bool write_chrome_trace(const std::vector<TraceProcess>& processes,
-                        const std::string& path) {
-  return write_string(to_chrome_json(processes), path);
 }
 
 }  // namespace obs

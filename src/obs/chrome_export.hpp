@@ -15,33 +15,18 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "obs/trace.hpp"
 
 namespace obs {
 
-// Serialize the whole session. Producers must be quiescent. Events carry
-// pid 0 (the single-process layout tools and golden tests expect).
+// Serialize the whole session. Producers must be quiescent. A trace is
+// one session: every event carries pid 0, and lanes are told apart by
+// tid alone (hinchtrace and the golden tests rely on this).
 std::string to_chrome_json(const TraceSession& session);
-
-// One tenant of a merged multi-session export. The pid becomes the
-// Chrome process id — sessions render as separate process groups, and
-// hinchtrace --session=<pid> filters on it.
-struct TraceProcess {
-  int pid = 0;
-  std::string name;  // process_name metadata ("pip", "jpip-4k", ...)
-  const TraceSession* session = nullptr;
-};
-
-// Merged export: every session's lanes under its own pid. Timestamps
-// stay session-relative (each session's t0 aligns at 0).
-std::string to_chrome_json(const std::vector<TraceProcess>& processes);
 
 // to_chrome_json + write to `path`. Returns false (with a message on
 // stderr) when the file cannot be written.
 bool write_chrome_trace(const TraceSession& session, const std::string& path);
-bool write_chrome_trace(const std::vector<TraceProcess>& processes,
-                        const std::string& path);
 
 }  // namespace obs

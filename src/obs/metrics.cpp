@@ -86,68 +86,11 @@ void MetricsRegistry::set(const std::string& name, double value) {
   metrics_[name] = MetricValue{true, 0, value};
 }
 
-void MetricsRegistry::add(const std::string& name, int64_t delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MetricValue& m = metrics_[name];
-  // Accumulate into the active representation: a metric set() as a
-  // double keeps its double identity (the old code updated m.i here,
-  // which to_text/to_json/get_int never read while is_double was set —
-  // the delta silently vanished).
-  if (m.is_double)
-    m.d += static_cast<double>(delta);
-  else
-    m.i += delta;
-}
-
-void MetricsRegistry::add(const std::string& name, double delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MetricValue& m = metrics_[name];
-  if (!m.is_double) {
-    // Promote: an int-typed metric receiving a fractional delta becomes
-    // a double gauge carrying its accumulated integer value forward.
-    m.d = static_cast<double>(m.i);
-    m.i = 0;
-    m.is_double = true;
-  }
-  m.d += delta;
-}
-
-int64_t MetricsRegistry::get_int(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = metrics_.find(name);
-  return it == metrics_.end() ? 0 : it->second.as_int();
-}
-
-double MetricsRegistry::get_double(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = metrics_.find(name);
-  return it == metrics_.end() ? 0 : it->second.as_double();
-}
-
-bool MetricsRegistry::has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return metrics_.count(name) != 0;
-}
-
-size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return metrics_.size();
-}
-
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  metrics_.clear();
-}
-
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   std::lock_guard<std::mutex> lock(mutex_);
   snap.values_ = metrics_;
   return snap;
 }
-
-std::string MetricsRegistry::to_text() const { return snapshot().to_text(); }
-
-std::string MetricsRegistry::to_json() const { return snapshot().to_json(); }
 
 }  // namespace obs

@@ -3,9 +3,9 @@
 // executor stats, cache/memory stats, per-region breakdowns, per-task
 // profiles. Each producer keeps its own native struct (SchedulerStats,
 // sim::MemStats, ...); collect_metrics overloads (hinch/runtime.hpp)
-// flatten them into the registry under dotted names, and a single
-// deterministic text or JSON dump replaces the three ad-hoc printing
-// paths that existed before (see docs/OBSERVABILITY.md).
+// flatten them into the registry under dotted names. Producers write
+// with set(); readers take a snapshot() and read or dump that
+// (deterministic text and JSON dumps; see docs/OBSERVABILITY.md).
 //
 // Live polling: both executors can publish in-run counters ("live.*"
 // names) into a registry handed to them via SimParams::metrics /
@@ -14,8 +14,8 @@
 // the policy components adapt on (docs/OBSERVABILITY.md, "Live polling
 // & adaptation").
 //
-// Thread-safety: every method takes the registry mutex, so a snapshot
-// or dump taken while another thread is still filling counters is
+// Thread-safety: set() and snapshot() take the registry mutex, so a
+// snapshot taken while another thread is still filling counters is
 // tear-free (it may interleave between two set() calls, which is the
 // documented snapshot semantics — same as Scheduler::stats()).
 //
@@ -25,10 +25,7 @@
 // only that tenant's handful of entries.
 //
 // Type model: a metric is either an int64 counter or a double gauge,
-// decided by the last set(). add() accumulates into whichever
-// representation the metric currently has (a delta on a double-typed
-// metric lands in the double; a double delta on an int-typed metric
-// promotes it to double). A metric created by add() starts as int64.
+// decided by the last set().
 #pragma once
 
 #include <cstdint>
@@ -65,9 +62,10 @@ class MetricsRegistry {
       return values_;
     }
 
-    // "name value\n" lines / flat JSON object, keys sorted; the same
-    // deterministic formats the registry dumps (it delegates here).
+    // "name value\n" lines, sorted by name; doubles print with 6
+    // significant digits (locale-independent, always '.').
     std::string to_text() const;
+    // One flat JSON object, keys sorted.
     std::string to_json() const;
 
    private:
@@ -77,36 +75,15 @@ class MetricsRegistry {
 
   void set(const std::string& name, int64_t value);
   void set(const std::string& name, double value);
-  // Accumulate into the metric's current representation (see the type
-  // model above).
-  void add(const std::string& name, int64_t delta);
-  void add(const std::string& name, double delta);
   // Smaller integer types would otherwise be ambiguous between the
   // int64 and double overloads; they are counters, route accordingly.
   void set(const std::string& name, int value) {
     set(name, static_cast<int64_t>(value));
   }
-  void add(const std::string& name, int delta) {
-    add(name, static_cast<int64_t>(delta));
-  }
 
-  // Value lookups (0 when absent). has() distinguishes absent from 0.
-  int64_t get_int(const std::string& name) const;
-  double get_double(const std::string& name) const;
-  bool has(const std::string& name) const;
-
-  size_t size() const;
-  void clear();
-
-  // Copy of every metric under a single lock acquisition — the live
-  // poll API (safe to call while executors are still publishing).
+  // Copy of every metric under a single lock acquisition — the one read
+  // API (safe to call while executors are still publishing).
   Snapshot snapshot() const;
-
-  // "name value\n" lines, sorted by name; doubles print with 6
-  // significant digits (locale-independent, always '.').
-  std::string to_text() const;
-  // One flat JSON object, keys sorted.
-  std::string to_json() const;
 
  private:
   mutable std::mutex mutex_;

@@ -17,8 +17,7 @@ struct WorkSpan {
   int max_task = -1;  // its task id (profile evaluation only)
 };
 
-WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count,
-                  bool include_disabled = false) {
+WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count) {
   switch (n.kind()) {
     case sp::NodeKind::kLeaf: {
       double c = cost(n.leaf, slice_count);
@@ -28,7 +27,7 @@ WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count,
     case sp::NodeKind::kSeq: {
       WorkSpan total;
       for (const sp::NodePtr& c : n.children) {
-        WorkSpan child = evaluate(*c, cost, slice_count, include_disabled);
+        WorkSpan child = evaluate(*c, cost, slice_count);
         total.work += child.work;
         total.span += child.span;
         total.max_leaf = std::max(total.max_leaf, child.max_leaf);
@@ -39,7 +38,7 @@ WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count,
       if (n.shape == sp::ParShape::kTask) {
         WorkSpan total;
         for (const sp::NodePtr& c : n.children) {
-          WorkSpan child = evaluate(*c, cost, slice_count, include_disabled);
+          WorkSpan child = evaluate(*c, cost, slice_count);
           total.work += child.work;
           total.span = std::max(total.span, child.span);
           total.max_leaf = std::max(total.max_leaf, child.max_leaf);
@@ -48,24 +47,21 @@ WorkSpan evaluate(const sp::Node& n, const LeafCost& cost, int slice_count,
       }
       // Slice: n identical copies, each processing 1/n of the data.
       SUP_CHECK(n.shape == sp::ParShape::kSlice);
-      WorkSpan body =
-          evaluate(*n.children[0], cost, n.replicas, include_disabled);
+      WorkSpan body = evaluate(*n.children[0], cost, n.replicas);
       return {body.work * n.replicas, body.span, body.max_leaf};
     }
     case sp::NodeKind::kOption:
-      // Predict the enabled configuration (disabled subgraphs cost 0),
-      // unless the caller asked for the worst case.
-      if (!n.initially_enabled && !include_disabled) return {};
-      return evaluate(*n.children[0], cost, slice_count, include_disabled);
+      // Predict the enabled configuration (disabled subgraphs cost 0).
+      if (!n.initially_enabled) return {};
+      return evaluate(*n.children[0], cost, slice_count);
     case sp::NodeKind::kManager:
-      return evaluate(*n.children[0], cost, slice_count, include_disabled);
+      return evaluate(*n.children[0], cost, slice_count);
   }
   return {};
 }
 
 // §3.3: non-SP (crossdep) structures are predicted through their SP
-// form. Both tree entry points used to hand-call sp::to_sp_form here;
-// they now share the to-sp-form pipeline pass. Returns `root` itself
+// form, through the to-sp-form pipeline pass. Returns `root` itself
 // when it is already SP; otherwise `storage` owns the converted tree.
 const sp::Node* sp_form_of(const sp::Node& root, sp::NodePtr* storage) {
   if (sp::is_sp_form(root)) return &root;
@@ -180,27 +176,6 @@ Prediction predict_from_profile(const hinch::Program& prog,
   p.interval = std::max(ws.work / p.effective, ws.max_leaf * fastest);
   p.bound_task = ws.max_task;
   return p;
-}
-
-double wcet_iteration(const sp::Node& root, const LeafCost& worst_cost,
-                      int processors) {
-  sp::NodePtr storage;
-  WorkSpan ws = evaluate(*sp_form_of(root, &storage), worst_cost, 1,
-                         /*include_disabled=*/true);
-  return finish(ws, processors).t_iteration;
-}
-
-std::vector<double> speedup_curve(const hinch::Program& prog,
-                                  const std::vector<double>& task_cost,
-                                  int max_processors, int64_t iterations) {
-  std::vector<double> out;
-  Prediction base = predict_from_profile(prog, task_cost, 1);
-  double t1 = base.total(iterations);
-  for (int p = 1; p <= max_processors; ++p) {
-    Prediction pred = predict_from_profile(prog, task_cost, p);
-    out.push_back(t1 / pred.total(iterations));
-  }
-  return out;
 }
 
 }  // namespace perf

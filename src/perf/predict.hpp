@@ -80,19 +80,4 @@ Prediction predict_from_profile(const hinch::Program& prog,
                                 const std::vector<double>& task_cost,
                                 const sim::PlatformConfig& platform);
 
-// Predicted speedups for 1..max_processors, normalized to P=1.
-std::vector<double> speedup_curve(const hinch::Program& prog,
-                                  const std::vector<double>& task_cost,
-                                  int max_processors, int64_t iterations);
-
-// Worst-case execution time of one iteration (§6 future work: "an XSPCL
-// specification could be used to estimate the worst case execution time
-// by recursively traversing the component graph"). Unlike
-// predict_from_tree, every option is assumed ENABLED (the adversarial
-// configuration), and `worst_cost` should return per-leaf worst-case
-// cycles. Returns the SPC contention bound for one iteration on
-// `processors` cores — compare against a deadline to verify timing (§2).
-double wcet_iteration(const sp::Node& root, const LeafCost& worst_cost,
-                      int processors);
-
 }  // namespace perf

@@ -83,10 +83,4 @@ size_t SpecCache::size() const {
   return lru_.size();
 }
 
-void SpecCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  index_.clear();
-  lru_.clear();
-}
-
 }  // namespace xspcl

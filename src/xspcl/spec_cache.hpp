@@ -22,7 +22,7 @@
 // both compile, first insert wins (the graphs are equal). Cached graphs
 // are only read after insertion and handed out shared, so
 // Program::build from one cached graph is concurrency-safe and a graph
-// outlives its entry's erase or clear().
+// outlives its entry's erase.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +70,6 @@ class SpecCache {
 
   Stats stats() const;
   size_t size() const;
-  // Drops every entry.
-  void clear();
 
  private:
   using Entry = std::pair<std::string, std::shared_ptr<const sp::Node>>;

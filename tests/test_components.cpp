@@ -393,39 +393,6 @@ TEST(Sinks, ResetBetweenRunsClearsState) {
   EXPECT_EQ(find_sink(*prog)->sink().frames(), 5);
 }
 
-TEST(SceneChange, FiresOnContentJumpsOnly) {
-  // threshold=0 -> every frame pair differs in a moving synthetic clip,
-  // so events fire from iteration 1 onward; a huge threshold never fires.
-  for (auto [threshold, expected] : {std::pair<int, size_t>{0, 9},
-                                     std::pair<int, size_t>{100000, 0}}) {
-    auto prog = build(std::string(R"(<xspcl><procedure name="main"><body>
-      <component name="s" class="video_source">
-        <param name="width" value="48"/><param name="height" value="32"/>
-        <outport name="out" stream="v"/>
-      </component>
-      <component name="d" class="scene_change">
-        <param name="queue" value="q"/>
-        <param name="event" value="cut"/>
-        <param name="threshold" value=")") + std::to_string(threshold) +
-                      R"("/>
-        <inport name="in" stream="v"/>
-        <outport name="out" stream="w"/>
-      </component>
-      <component name="k" class="frame_sink">
-        <inport name="in" stream="w"/>
-      </component>
-    </body></procedure></xspcl>)");
-    ASSERT_TRUE(prog);
-    run(*prog, 10);
-    // The queue is created lazily on the first send; absent == 0 events.
-    hinch::EventQueue* q = prog->queues().find("q");
-    size_t events = q ? q->size() : 0;
-    EXPECT_EQ(events, expected) << "threshold=" << threshold;
-    // Pass-through is intact.
-    EXPECT_EQ(find_sink(*prog)->sink().frames(), 10);
-  }
-}
-
 // A downscale -> blend chain over `canvas`; `extra` goes into the
 // downscale's params.
 std::string downscale_blend_spec(const std::string& extra) {

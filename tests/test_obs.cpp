@@ -89,20 +89,21 @@ TEST(TraceSession, DroppedAndEmittedSumOverLanes) {
   EXPECT_EQ(session.dropped(), 2u);  // lane 0 overflowed its 4 slots
 }
 
-TEST(Metrics, SetAddGetAndDump) {
+TEST(Metrics, SetSnapshotAndDump) {
   obs::MetricsRegistry reg;
   reg.set("b.count", int64_t{3});
-  reg.add("b.count", 4);
+  reg.set("b.count", int64_t{7});
   reg.set("a.rate", 0.25);
-  EXPECT_EQ(reg.get_int("b.count"), 7);
-  EXPECT_DOUBLE_EQ(reg.get_double("a.rate"), 0.25);
-  EXPECT_TRUE(reg.has("a.rate"));
-  EXPECT_FALSE(reg.has("missing"));
-  EXPECT_EQ(reg.get_int("missing"), 0);
+  obs::MetricsRegistry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.get_int("b.count"), 7);
+  EXPECT_DOUBLE_EQ(snap.get_double("a.rate"), 0.25);
+  EXPECT_TRUE(snap.has("a.rate"));
+  EXPECT_FALSE(snap.has("missing"));
+  EXPECT_EQ(snap.get_int("missing"), 0);
   // Sorted, one metric per line.
-  EXPECT_EQ(reg.to_text(), "a.rate 0.25\nb.count 7\n");
+  EXPECT_EQ(snap.to_text(), "a.rate 0.25\nb.count 7\n");
 
-  auto parsed = support::json::parse(reg.to_json());
+  auto parsed = support::json::parse(snap.to_json());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   const support::json::Value& root = parsed.value();
   ASSERT_TRUE(root.is_object());
@@ -110,29 +111,16 @@ TEST(Metrics, SetAddGetAndDump) {
   EXPECT_EQ(root.number_or("a.rate", -1), 0.25);
 }
 
-TEST(Metrics, AddAfterDoubleSetAccumulates) {
-  // Regression: add() used to bump the integer slot unconditionally,
-  // which nothing reads while is_double is set — the delta silently
-  // vanished for any metric last set() as a double.
-  obs::MetricsRegistry reg;
-  reg.set("gauge", 0.5);
-  reg.add("gauge", 2);
-  EXPECT_DOUBLE_EQ(reg.get_double("gauge"), 2.5);
-  EXPECT_EQ(reg.get_int("gauge"), 2);  // truncation of 2.5
-  EXPECT_EQ(reg.to_text(), "gauge 2.5\n");
-}
-
-TEST(Metrics, DoubleDeltaPromotesIntMetric) {
+TEST(Metrics, LastSetDecidesTheType) {
   obs::MetricsRegistry reg;
   reg.set("v", int64_t{3});
-  reg.add("v", 0.5);  // promotes, carrying the accumulated 3 forward
-  EXPECT_DOUBLE_EQ(reg.get_double("v"), 3.5);
-  // Once a double, always a double (until the next set()).
-  reg.add("v", 1);
-  EXPECT_DOUBLE_EQ(reg.get_double("v"), 4.5);
-  // add() on a fresh name starts as an int counter.
-  reg.add("fresh", 2);
-  EXPECT_EQ(reg.to_text(), "fresh 2\nv 4.5\n");
+  reg.set("v", 2.5);
+  obs::MetricsRegistry::Snapshot snap = reg.snapshot();
+  EXPECT_DOUBLE_EQ(snap.get_double("v"), 2.5);
+  EXPECT_EQ(snap.get_int("v"), 2);  // truncation of 2.5
+  EXPECT_EQ(snap.to_text(), "v 2.5\n");
+  reg.set("v", 4);
+  EXPECT_EQ(reg.snapshot().to_text(), "v 4\n");
 }
 
 TEST(Metrics, SnapshotIsADetachedCopy) {
@@ -180,8 +168,9 @@ TEST(Metrics, JsonRoundTripsUnderCommaLocale) {
     obs::MetricsRegistry reg;
     reg.set("a.rate", 0.25);
     reg.set("b.count", int64_t{7});
-    EXPECT_EQ(reg.to_text(), "a.rate 0.25\nb.count 7\n");
-    auto parsed = support::json::parse(reg.to_json());
+    obs::MetricsRegistry::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.to_text(), "a.rate 0.25\nb.count 7\n");
+    auto parsed = support::json::parse(snap.to_json());
     ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
     EXPECT_DOUBLE_EQ(parsed.value().number_or("a.rate", -1), 0.25);
     // The parser side must be locale-independent too (strtod would
@@ -195,7 +184,7 @@ TEST(Metrics, JsonRoundTripsUnderCommaLocale) {
 TEST(Metrics, EscapesNamesInJson) {
   obs::MetricsRegistry reg;
   reg.set("weird\"name\\x", int64_t{1});
-  auto parsed = support::json::parse(reg.to_json());
+  auto parsed = support::json::parse(reg.snapshot().to_json());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().number_or("weird\"name\\x", -1), 1);
 }
@@ -368,17 +357,18 @@ TEST(Metrics, CollectFromSimResultUnifiesAllSources) {
 
   obs::MetricsRegistry reg;
   hinch::collect_metrics(*prog, r, &reg);
-  EXPECT_EQ(reg.get_int("sim.total_cycles"),
+  obs::MetricsRegistry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.get_int("sim.total_cycles"),
             static_cast<int64_t>(r.total_cycles));
-  EXPECT_EQ(reg.get_int("sim.cores"), 2);
-  EXPECT_EQ(reg.get_int("sched.jobs_executed"),
+  EXPECT_EQ(snap.get_int("sim.cores"), 2);
+  EXPECT_EQ(snap.get_int("sched.jobs_executed"),
             static_cast<int64_t>(r.sched.jobs_executed));
-  EXPECT_EQ(reg.get_int("mem.accesses"),
+  EXPECT_EQ(snap.get_int("mem.accesses"),
             static_cast<int64_t>(r.mem.accesses));
-  EXPECT_TRUE(reg.has("sim.utilization"));
-  EXPECT_TRUE(reg.has("task.stage.cycles"));
+  EXPECT_TRUE(snap.has("sim.utilization"));
+  EXPECT_TRUE(snap.has("task.stage.cycles"));
   // The dump is parseable JSON.
-  auto parsed = support::json::parse(reg.to_json());
+  auto parsed = support::json::parse(snap.to_json());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
 }
 
@@ -390,9 +380,10 @@ TEST(Metrics, CollectFromThreadResult) {
 
   obs::MetricsRegistry reg;
   hinch::collect_metrics(*prog, r, &reg);
-  EXPECT_EQ(reg.get_int("threads.jobs"), static_cast<int64_t>(r.jobs));
-  EXPECT_EQ(reg.get_int("threads.workers"), 2);
-  EXPECT_EQ(reg.get_int("sched.jobs_executed"),
+  obs::MetricsRegistry::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.get_int("threads.jobs"), static_cast<int64_t>(r.jobs));
+  EXPECT_EQ(snap.get_int("threads.workers"), 2);
+  EXPECT_EQ(snap.get_int("sched.jobs_executed"),
             static_cast<int64_t>(r.sched.jobs_executed));
 }
 

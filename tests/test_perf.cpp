@@ -189,13 +189,15 @@ TEST(PredictProfile, SpeedupCurveIsMonotonicAndBounded) {
       xspcl::build_program(spec, hinch::ComponentRegistry::global());
   ASSERT_TRUE(prog.is_ok());
   std::vector<double> cost(prog.value()->tasks().size(), 100.0);
-  std::vector<double> curve =
-      perf::speedup_curve(*prog.value(), cost, 9, 100);
-  ASSERT_EQ(curve.size(), 9u);
-  EXPECT_DOUBLE_EQ(curve[0], 1.0);
-  for (size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i] + 1e-9, curve[i - 1]);     // monotone
-    EXPECT_LE(curve[i], static_cast<double>(i + 1) + 1e-9);  // <= linear
+  const double t1 =
+      perf::predict_from_profile(*prog.value(), cost, 1).total(100);
+  double previous = 1.0;
+  for (int p = 2; p <= 9; ++p) {
+    double speedup =
+        t1 / perf::predict_from_profile(*prog.value(), cost, p).total(100);
+    EXPECT_GE(speedup + 1e-9, previous);  // monotone
+    EXPECT_LE(speedup, p + 1e-9);         // <= linear
+    previous = speedup;
   }
 }
 
@@ -255,29 +257,6 @@ TEST(PredictTree, ReentrantLeafDoesNotBoundTheInterval) {
   Prediction p4 = perf::predict_from_tree(*g, cost_fn, 4);
   EXPECT_DOUBLE_EQ(p4.t_iteration, 450);
   EXPECT_DOUBLE_EQ(p4.interval, 112.5);  // work / 4, above a's 100
-}
-
-TEST(Wcet, IncludesDisabledOptions) {
-  // WCET must assume the adversarial configuration: every option on.
-  std::vector<sp::NodePtr> steps;
-  steps.push_back(sp::make_leaf(leaf("base", 100)));
-  steps.push_back(sp::make_manager(
-      "m", "q", {},
-      sp::make_option("off", false, sp::make_leaf(leaf("extra", 1000)))));
-  NodePtr g = sp::make_seq(std::move(steps));
-  EXPECT_DOUBLE_EQ(perf::wcet_iteration(*g, cost_fn, 1), 1100);
-  // The typical-case prediction ignores the disabled branch.
-  EXPECT_DOUBLE_EQ(perf::predict_from_tree(*g, cost_fn, 1).t_iteration, 100);
-}
-
-TEST(Wcet, UsesSpFormForCrossdep) {
-  std::vector<NodePtr> blocks;
-  blocks.push_back(sp::make_leaf(leaf("h", 400)));
-  blocks.push_back(sp::make_leaf(leaf("v", 400)));
-  NodePtr g = sp::make_par(ParShape::kCrossDep, 4, std::move(blocks));
-  // 4 processors: each phase is 100 on the critical path; work 800/4=200.
-  EXPECT_DOUBLE_EQ(perf::wcet_iteration(*g, cost_fn, 4), 200);
-  EXPECT_DOUBLE_EQ(perf::wcet_iteration(*g, cost_fn, 1), 800);
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ SimAdaptRun run_sim_adapt() {
         out.reconfig_ts.push_back(ev.ts);
     }
   }
-  out.live_text = live.to_text();
+  out.live_text = live.snapshot().to_text();
   return out;
 }
 
@@ -163,7 +163,7 @@ TEST(PolicyLoop, PublicationNeverAltersSimCycles) {
   hinch::SimResult with_live = hinch::run_on_sim(*prog_live, run, sim);
   EXPECT_EQ(plain.total_cycles, with_live.total_cycles);
   EXPECT_EQ(plain.jobs, with_live.jobs);
-  EXPECT_GT(live.get_int("live.cycles"), 0);
+  EXPECT_GT(live.snapshot().get_int("live.cycles"), 0);
 }
 
 TEST(PolicyLoop, ThreadRunWithConcurrentSnapshotPolling) {
@@ -182,7 +182,7 @@ TEST(PolicyLoop, ThreadRunWithConcurrentSnapshotPolling) {
       if (snap.has("live.iterations_done")) {
         EXPECT_GE(snap.get_int("live.iterations_done"), 0);
       }
-      (void)live.to_text();
+      (void)snap.to_text();
       polls.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -195,7 +195,7 @@ TEST(PolicyLoop, ThreadRunWithConcurrentSnapshotPolling) {
   // optional stage exactly once (the gauge is monotonic, so the rule
   // can never flip back).
   EXPECT_EQ(r.sched.reconfigurations, 1u);
-  EXPECT_EQ(live.get_int("live.iterations_done"), 100);
+  EXPECT_EQ(live.snapshot().get_int("live.iterations_done"), 100);
 }
 
 }  // namespace

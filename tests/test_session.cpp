@@ -156,8 +156,8 @@ TEST(SessionMetrics, EachSessionOwnsItsLiveGauges) {
   a->wait();
   b->wait();
   EXPECT_NE(a->metrics(), b->metrics());
-  EXPECT_EQ(a->metrics()->get_int("live.iterations_done"), 12);
-  EXPECT_EQ(b->metrics()->get_int("live.iterations_done"), 7);
+  EXPECT_EQ(a->metrics()->snapshot().get_int("live.iterations_done"), 12);
+  EXPECT_EQ(b->metrics()->snapshot().get_int("live.iterations_done"), 7);
   EXPECT_EQ(exec.sessions_completed(), 2u);
   exec.shutdown();
 }

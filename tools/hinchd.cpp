@@ -13,8 +13,10 @@
 //
 //   open <app> [key=value ...]  admit a tenant (apps: pip|jpip|blur|mjpeg)
 //                               extra keys: trace=1 attaches a per-session
-//                               trace (timestamps relative to each batch),
-//                               depth=<1..64> sets the stream depth (5)
+//                               trace (timestamps relative to each batch;
+//                               a feed waits out the tenant's running
+//                               batches), depth=<1..64> sets the stream
+//                               depth (5)
 //                               -> ok open <tid> <app>
 //   feed <tid> <iterations>     run one batch of 1..2^31-1 iterations
 //                               -> ok feed <tid> <iterations>
@@ -26,7 +28,7 @@
 //   cap <n>                     set the active-session cap (0 = uncapped)
 //   stats                       session counts + pool + spec-cache counters
 //   trace <tid> <path>          write the tenant's last batch as Chrome
-//                               JSON, pid = tid (hinchtrace --session=<tid>)
+//                               JSON, one session (hinchtrace <path>)
 //   quit                        close every tenant, shut the pool down
 //                               -> bye
 //
@@ -240,6 +242,10 @@ int serve(const ServeOptions& opts) {
       cfg.name = t.app;
       cfg.trace = t.trace.get();
       cfg.record_frame_times = true;
+      // A batch's start resets the tenant's one trace, so no earlier
+      // batch may still be recording into it.
+      if (t.trace != nullptr)
+        for (Batch& b : t.batches) b.session->wait();
       Batch b;
       b.iterations = iters;
       b.session = exec.submit(std::move(prog).take(), cfg);
@@ -306,10 +312,7 @@ int serve(const ServeOptions& opts) {
       }
       // Producers must be quiescent: wait out the batches first.
       for (Batch& b : it->second.batches) b.session->wait();
-      std::vector<obs::TraceProcess> procs;
-      procs.push_back(obs::TraceProcess{it->second.id, it->second.app,
-                                        it->second.trace.get()});
-      if (!obs::write_chrome_trace(procs, tokens[2])) {
+      if (!obs::write_chrome_trace(*it->second.trace, tokens[2])) {
         err("cannot write trace");
         continue;
       }

@@ -3,28 +3,22 @@
 // --trace, hinchd's `trace` command, or obs::write_chrome_trace
 // directly).
 //
-//   hinchtrace <trace.json> [--session=<pid>]
+//   hinchtrace <trace.json>
 //
 // Prints the clock domain, per-lane busy time and utilization, the top
 // tasks by total span duration, counter high-water marks, and the
 // reconfiguration markers. Doubles as a validator: it exits nonzero on
 // unparseable JSON or on a file that is not a trace-event document, so
-// CI runs it against the fig10 trace artifact.
-//
-// Multi-session traces (obs::to_chrome_json over TraceProcess entries,
-// as hinchd emits) carry one Chrome pid per session. Without --session
-// the summary covers every session and lists them; --session=<pid>
-// restricts everything to that session's events.
+// CI runs it against the fig10 trace artifact. A trace file is one
+// session, so lanes are keyed by tid alone.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "support/json.hpp"
-#include "support/strings.hpp"
 
 namespace {
 
@@ -49,32 +43,11 @@ int fail(const std::string& msg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
-  int64_t session_filter = -1;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--session=", 0) == 0) {
-      auto pid = support::parse_int_in(arg.substr(10), 0,
-                                       std::numeric_limits<int64_t>::max());
-      if (!pid.is_ok()) {
-        std::fprintf(stderr, "hinchtrace: --session: %s\n",
-                     pid.status().message().c_str());
-        path = nullptr;
-        break;
-      }
-      session_filter = pid.value();
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      path = nullptr;
-      break;
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: hinchtrace <trace.json> [--session=<pid>]\n");
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: hinchtrace <trace.json>\n");
     return 2;
   }
+  const char* path = argv[1];
   auto parsed = support::json::parse_file(path);
   if (!parsed.is_ok()) return fail(parsed.status().message());
   const support::json::Value& root = parsed.value();
@@ -88,9 +61,7 @@ int main(int argc, char** argv) {
     clock = other->string_or("clock", clock);
   const char* unit = clock == "cycles" ? "cycles" : "us";
 
-  // Lanes keyed by (pid, tid): multi-session traces reuse worker tids
-  // across sessions, so the pid disambiguates.
-  std::map<std::pair<int64_t, int64_t>, LaneStats> lanes;
+  std::map<int64_t, LaneStats> lanes;  // by tid
   std::map<std::string, TaskStats> tasks;
   // Counter high-water marks, keyed by "name@lane"-independent name.
   std::map<std::string, int64_t> counter_max;
@@ -101,34 +72,22 @@ int main(int argc, char** argv) {
   };
   std::vector<Marker> reconfigs;
   uint64_t total_events = 0;
-  std::map<int64_t, std::string> session_names;   // pid -> process_name
-  std::map<int64_t, uint64_t> session_events;     // pid -> non-meta events
 
   for (const support::json::Value& ev : events->array()) {
     if (!ev.is_object()) return fail("traceEvents entry is not an object");
     std::string ph = ev.string_or("ph", "");
     if (ph.empty()) return fail("event without ph field");
     std::string name = ev.string_or("name", "?");
-    int64_t pid = static_cast<int64_t>(ev.number_or("pid", 0));
     int64_t tid = static_cast<int64_t>(ev.number_or("tid", 0));
+    ++total_events;
     if (ph == "M") {
-      if (name == "process_name") {
-        if (const support::json::Value* a = ev.find("args"))
-          session_names[pid] = a->string_or("name", "");
-        continue;
-      }
-      if (session_filter >= 0 && pid != session_filter) continue;
-      ++total_events;
       if (name == "thread_name")
         if (const support::json::Value* a = ev.find("args"))
-          lanes[{pid, tid}].name = a->string_or("name", "");
+          lanes[tid].name = a->string_or("name", "");
       continue;
     }
-    ++session_events[pid];
-    if (session_filter >= 0 && pid != session_filter) continue;
-    ++total_events;
     double ts = ev.number_or("ts", 0);
-    LaneStats& lane = lanes[{pid, tid}];
+    LaneStats& lane = lanes[tid];
     if (ph == "X") {
       double dur = ev.number_or("dur", 0);
       lane.busy_us += dur;
@@ -151,30 +110,12 @@ int main(int argc, char** argv) {
   }
 
   double span_end = 0;
-  for (const auto& [key, lane] : lanes)
+  for (const auto& [tid, lane] : lanes)
     span_end = std::max(span_end, lane.last_end);
 
   std::printf("trace: %s\n", path);
   std::printf("clock: %s   events: %" PRIu64 "   span: %.0f %s\n",
               clock.c_str(), total_events, span_end, unit);
-  if (session_filter >= 0) {
-    auto it = session_names.find(session_filter);
-    std::printf("session: %" PRId64 "%s%s\n", session_filter,
-                it != session_names.end() ? " " : "",
-                it != session_names.end() ? it->second.c_str() : "");
-    if (session_events.count(session_filter) == 0)
-      std::fprintf(stderr,
-                   "hinchtrace: warning: no events carry pid %" PRId64 "\n",
-                   session_filter);
-  } else if (session_events.size() > 1) {
-    std::printf("sessions (use --session=<pid> to focus):\n");
-    for (const auto& [pid, count] : session_events) {
-      auto it = session_names.find(pid);
-      std::printf("  pid=%-6" PRId64 " events=%-10" PRIu64 " %s\n", pid,
-                  count,
-                  it != session_names.end() ? it->second.c_str() : "");
-    }
-  }
   if (const support::json::Value* other = root.find("otherData")) {
     int64_t dropped = static_cast<int64_t>(other->number_or("dropped", 0));
     if (dropped > 0)
@@ -182,13 +123,11 @@ int main(int argc, char** argv) {
                   dropped);
   }
 
-  const bool multi = session_filter < 0 && session_events.size() > 1;
   std::printf("\nlanes:\n");
-  for (const auto& [key, lane] : lanes) {
+  for (const auto& [tid, lane] : lanes) {
     double util = span_end > 0 ? 100.0 * lane.busy_us / span_end : 0;
     std::string label =
-        lane.name.empty() ? "tid " + std::to_string(key.second) : lane.name;
-    if (multi) label = "s" + std::to_string(key.first) + ":" + label;
+        lane.name.empty() ? "tid " + std::to_string(tid) : lane.name;
     std::printf("  %-10s spans=%-8" PRIu64 " busy=%-12.0f util=%5.1f%%\n",
                 label.c_str(), lane.spans, lane.busy_us, util);
   }

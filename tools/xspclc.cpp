@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
       }
       if (args.metrics) hinch::collect_metrics(*prog.value(), r, &metrics);
     }
-    if (args.metrics) std::fputs(metrics.to_text().c_str(), stdout);
+    if (args.metrics) std::fputs(metrics.snapshot().to_text().c_str(), stdout);
     if (trace != nullptr &&
         !obs::write_chrome_trace(*trace, args.trace_out))
       return 1;
