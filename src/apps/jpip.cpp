@@ -28,7 +28,8 @@ std::string source_xml(const std::string& name, uint64_t seed,
 
 // Decode procedure: JPEG decode followed by three concurrent sliced
 // IDCTs (Fig. 7's left column), writing into the given plane streams.
-// `reentrant` lets frames decode concurrently; JPiP keeps the default.
+// `reentrant` opts all four leaves in, so frames decode and IDCT
+// concurrently; JPiP keeps the default.
 const char* kDecodeProcedure = R"(
   <procedure name="jpeg_chain">
     <formal name="jpeg" kind="stream"/>
@@ -45,7 +46,7 @@ const char* kDecodeProcedure = R"(
       <parallel shape="task">
         <parblock>
           <parallel shape="slice" n="$slices"><parblock>
-            <component name="idct_y" class="idct">
+            <component name="idct_y" class="idct" reentrant="$reentrant">
               <param name="plane" value="0"/>
               <inport name="coeffs" stream="coeffs"/>
               <outport name="out" stream="py"/>
@@ -54,7 +55,7 @@ const char* kDecodeProcedure = R"(
         </parblock>
         <parblock>
           <parallel shape="slice" n="$slices"><parblock>
-            <component name="idct_u" class="idct">
+            <component name="idct_u" class="idct" reentrant="$reentrant">
               <param name="plane" value="1"/>
               <inport name="coeffs" stream="coeffs"/>
               <outport name="out" stream="pu"/>
@@ -63,7 +64,7 @@ const char* kDecodeProcedure = R"(
         </parblock>
         <parblock>
           <parallel shape="slice" n="$slices"><parblock>
-            <component name="idct_v" class="idct">
+            <component name="idct_v" class="idct" reentrant="$reentrant">
               <param name="plane" value="2"/>
               <inport name="coeffs" stream="coeffs"/>
               <outport name="out" stream="pv"/>

@@ -7,8 +7,9 @@
 // Two orthogonal parallelism knobs, both in the coordination layer (the
 // components stay sequential):
 //   workers  host threads in the executor pool (frame-parallel via the
-//            iteration window; the decoder is opted in as reentrant, so
-//            up to `window` frames entropy-decode at once),
+//            iteration window; the decoder and the IDCTs are opted in as
+//            reentrant, so up to `window` frames decode at once and only
+//            the source and the sink are sequential with themselves),
 //   slices   data-parallel IDCT slices inside one frame.
 //
 // Wall-clock throughput of this graph is measured by perfbench's

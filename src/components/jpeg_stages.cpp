@@ -61,7 +61,10 @@ class JpegDecodeComponent : public hinch::Component {
 };
 
 // IDCT of one colour component into a gray frame; data-parallel over
-// block rows (the paper runs it with 45 slices on 1280x720).
+// block rows (the paper runs it with 45 slices on 1280x720). It keeps no
+// state between runs: it reads its iteration's coefficient packet and
+// writes its iteration's slot (Stream::get_or_alloc_frame, locked), so it
+// registers reentrant and a spec may let frames IDCT side by side.
 class IdctComponent : public hinch::Component {
  public:
   static support::Result<std::unique_ptr<hinch::Component>> create(
@@ -114,7 +117,8 @@ void register_jpeg_stages(hinch::ComponentRegistry& registry) {
                            &IdctComponent::create,
                            {"coeffs"},
                            {"out"},
-                           {hinch::int_param("plane", 0, 2, 0)}});
+                           {hinch::int_param("plane", 0, 2, 0)},
+                           /*reentrant=*/true});
 }
 
 }  // namespace components

@@ -532,10 +532,27 @@ TEST(Registry, ComponentsDocMatchesTheRegistry) {
     for (const hinch::ParamSpec& p : info.params)
       EXPECT_NE(it->second.find("`" + p.name + "`"), std::string::npos)
           << name << "'s section does not name param " << p.name;
+    EXPECT_EQ(heading.find("reentrant") != std::string::npos, info.reentrant)
+        << name << "'s heading must say \"reentrant\" exactly when the "
+        << "class registers reentrant";
   }
   for (const auto& [name, text] : doc)
     EXPECT_NE(reg.find(name), nullptr) << "documented class " << name
                                        << " is not registered";
+}
+
+// The sp layer does not see the registry, so each fusion pattern says
+// whether its fused class is reentrant; that must be what the class
+// registers.
+TEST(Registry, FusionPatternsAgreeWithTheirClassesReentrancy) {
+  hinch::ComponentRegistry reg;
+  components::register_standard(reg);
+  for (const sp::KernelFusionPattern& p :
+       components::standard_fusions().patterns()) {
+    const hinch::ClassInfo* info = reg.find(p.name);
+    ASSERT_NE(info, nullptr) << p.name;
+    EXPECT_EQ(p.reentrant, info->reentrant) << p.name;
+  }
 }
 
 const hinch::ParamSpec& declared(const hinch::ComponentRegistry& reg,
