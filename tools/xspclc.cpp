@@ -34,7 +34,8 @@
 // <pass|all> to write after-<pass>.dot for the named pass(es). The
 // fuse-kernels pass rewrites chains registered in
 // components::standard_fusions() for --cores=N: at 1 core every safe
-// chain, above 1 only chains that give up no slicing or reentrancy.
+// chain, above 1 only chains that give up no parallel tasks, slices or
+// reentrancy.
 //
 // --cores takes 1..sim::kMaxCores and --iterations a positive count; a
 // bad number, an unknown --backend or --platform with the threads
