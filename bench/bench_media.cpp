@@ -14,9 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -26,7 +24,6 @@
 #include "media/mjpeg.hpp"
 #include "media/synth.hpp"
 #include "support/check.hpp"
-#include "support/strings.hpp"
 
 namespace {
 
@@ -44,29 +41,6 @@ int reps(int full) { return g_smoke ? 2 : full; }
 void add_row(const std::string& name, double baseline_ms,
              double optimized_ms, const std::string& unit) {
   g_report.add(name, baseline_ms, optimized_ms, unit);
-}
-
-// --- host context -----------------------------------------------------------
-
-// Printable ASCII other than quotes and backslashes, so the value can sit
-// in a JSON string as is.
-std::string json_safe(const std::string& s) {
-  std::string out;
-  for (char c : s)
-    if (c >= 0x20 && c < 0x7f && c != '"' && c != '\\') out += c;
-  return out;
-}
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) break;
-    return json_safe(std::string(support::trim(line.substr(colon + 1))));
-  }
-  return "unknown";
 }
 
 // --- decode phases on a 1080p synthetic MJPEG stream ------------------------
@@ -313,11 +287,7 @@ int main(int argc, char** argv) {
       "dispatch",
       media::kernel_dispatch_name(media::active_kernel_dispatch()));
   g_report.add_context("mode", g_smoke ? "smoke" : "full");
-  g_report.add_context("cpu", cpu_model());
-  g_report.add_context("nproc",
-                       std::to_string(std::thread::hardware_concurrency()));
-  // `git describe --always --dirty` when the build was configured.
-  g_report.add_context("commit", HINCH_SOURCE_COMMIT);
+  g_report.add_host_context(HINCH_SOURCE_COMMIT);
   bench_decode();
   bench_kernels();
   g_report.write_json(out);

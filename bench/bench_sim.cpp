@@ -1,7 +1,9 @@
 // Simulator hot-path microbench: wall-clock (host) cost of the cache
 // model, the event engine, and the end-to-end Fig. 8 suite, comparing
 // the flat intrusive structures against the list/std::function reference
-// implementations they replaced. Emits machine-readable BENCH_sim.json.
+// implementations they replaced. Emits machine-readable BENCH_sim.json,
+// whose context block names the mode, the CPU model, the core count and
+// the source commit.
 //
 // Both legs of every comparison are semantically identical — equal
 // MemStats, equal event counts, equal simulated cycles — which this
@@ -46,7 +48,7 @@ PatternResult run_cache_pattern(sim::LruImpl impl, int iters) {
   constexpr int kCores = 4;
   sim::CacheConfig cfg;
   cfg.lru_impl = impl;
-  sim::MemorySystem mem(cfg, sim::PlatformConfig::homogeneous(1, kCores));
+  sim::MemorySystem mem(cfg, kCores);
 
   const uint64_t frame_bytes = 4u << 20;  // streams through L2
   const uint64_t coeff_bytes = 8u << 20;  // mixed working set
@@ -308,6 +310,8 @@ int main(int argc, char** argv) {
       out = argv[i];
   }
   if (g_smoke) std::printf("(smoke mode: reduced workloads, no bars)\n");
+  g_report.add_context("mode", g_smoke ? "smoke" : "full");
+  g_report.add_host_context(HINCH_SOURCE_COMMIT);
 
   bench_cache();
   bench_engine();

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -262,6 +263,28 @@ std::pair<double, double> best_ms_pair(int reps, FnA&& a, FnB&& b) {
   return {best_a, best_b};
 }
 
+// Printable ASCII other than quotes and backslashes, so the value can sit
+// in a JSON string as is.
+inline std::string json_safe(const std::string& s) {
+  std::string out;
+  for (char c : s)
+    if (c >= 0x20 && c < 0x7f && c != '"' && c != '\\') out += c;
+  return out;
+}
+
+// The host CPU's model name ("unknown" where /proc/cpuinfo has none).
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    return json_safe(std::string(support::trim(line.substr(colon + 1))));
+  }
+  return "unknown";
+}
+
 struct BenchRow {
   std::string name;
   double baseline_ms;
@@ -292,6 +315,15 @@ class BenchReport {
   // different machines/legs are distinguishable.
   void add_context(const std::string& key, const std::string& value) {
     context_.emplace_back(key, value);
+  }
+
+  // The host a wall-clock row was measured on: CPU model, core count
+  // and the source commit. `commit` is the bench's HINCH_SOURCE_COMMIT,
+  // `git describe --always --dirty` when the build was configured.
+  void add_host_context(const std::string& commit) {
+    add_context("cpu", cpu_model());
+    add_context("nproc", std::to_string(std::thread::hardware_concurrency()));
+    add_context("commit", commit);
   }
 
   const std::vector<BenchRow>& rows() const { return rows_; }

@@ -5,7 +5,7 @@
 namespace apps {
 
 SeqMachine::SeqMachine(const sim::CacheConfig& cache, SeqTrace* record)
-    : mem_(cache, sim::PlatformConfig::homogeneous(1, 1)), record_(record) {}
+    : mem_(cache, 1), record_(record) {}
 
 sim::RegionId SeqMachine::region(uint64_t bytes, const std::string& label) {
   sim::RegionId r = mem_.register_region(bytes, label);
@@ -28,7 +28,7 @@ void SeqMachine::write(sim::RegionId r, uint64_t offset, uint64_t len) {
 
 SeqReplay replay_seq_trace(const SeqTrace& trace,
                            const sim::CacheConfig& cache) {
-  sim::MemorySystem mem(cache, sim::PlatformConfig::homogeneous(1, 1));
+  sim::MemorySystem mem(cache, 1);
   SeqReplay out;
   for (const SeqTrace::Op& op : trace.ops) {
     switch (op.kind) {

@@ -45,21 +45,6 @@ void collect_metrics(const Program& prog, const SimResult& result,
   for (size_t i = 0; i < result.core_busy.size(); ++i)
     out->set("sim.core" + std::to_string(i) + ".busy_cycles",
              static_cast<int64_t>(result.core_busy[i]));
-  // Multi-tile platforms additionally publish per-tile rollups and the
-  // interconnect counters; single-tile dumps are unchanged.
-  if (result.tiles > 1) {
-    out->set("sim.tiles", static_cast<int64_t>(result.tiles));
-    for (size_t t = 0; t < result.tile_busy.size(); ++t) {
-      std::string base = "sim.tile" + std::to_string(t) + ".";
-      out->set(base + "busy_cycles",
-               static_cast<int64_t>(result.tile_busy[t]));
-      out->set(base + "jobs", static_cast<int64_t>(result.tile_jobs[t]));
-    }
-    out->set("sim.mem.remote_hits",
-             static_cast<int64_t>(result.mem.remote_hits));
-    out->set("sim.mem.l2_invalidations",
-             static_cast<int64_t>(result.mem.l2_invalidations));
-  }
   collect_sched(result.sched, out);
   collect_mem(result.mem, out);
   for (const sim::RegionStats& r : result.regions) {

@@ -40,27 +40,10 @@ class SimRun {
                       prog.managers().empty(),
                   "charge tracing requires a program without "
                   "reconfiguration managers");
-    // One machine description from here on: an unset platform is a
-    // single tile of `cores` baseline cores.
-    sim::PlatformConfig& platform = params_.platform;
-    if (platform.empty()) {
-      platform = sim::PlatformConfig::homogeneous(1, params.cores);
-    } else {
-      SUP_CHECK_MSG(params.cores == 1 ||
-                        params.cores == platform.total_cores(),
-                    "SimParams.cores conflicts with the platform's total "
-                    "core count (leave cores at 1 when a platform is set)");
-    }
-    mem_ = std::make_unique<sim::MemorySystem>(params_.cache, platform);
-    const int cores = platform.total_cores();
-    num_tiles_ = platform.tile_count();
-    tile_of_core_ = platform.tile_map();
-    multipliers_ = platform.core_multipliers();
-    for (double m : multipliers_)
-      if (m != 1.0) hetero_ = true;
+    mem_ = std::make_unique<sim::MemorySystem>(params_.cache, params.cores);
+    const int cores = params.cores;
     regions_ = RegionTable(mem_.get(), prog.stream_depth());
     core_busy_.assign(static_cast<size_t>(cores), 0);
-    core_jobs_.assign(static_cast<size_t>(cores), 0);
     core_idle_.assign(static_cast<size_t>(cores), true);
     task_cycles_.assign(prog.tasks().size(), 0);
     task_runs_.assign(prog.tasks().size(), 0);
@@ -72,13 +55,6 @@ class SimRun {
     if (obs::kTraceCompiledIn && params.trace != nullptr) {
       trace_ = params.trace;
       trace_->begin_run(cores, obs::ClockDomain::kCycles);
-      if (num_tiles_ > 1) {
-        for (int c = 0; c < cores; ++c)
-          trace_->set_lane_name(
-              c, "tile" +
-                     std::to_string(tile_of_core_[static_cast<size_t>(c)]) +
-                     ".core" + std::to_string(c));
-      }
       task_names_.reserve(prog.tasks().size());
       for (const Task& t : prog.tasks()) {
         std::string label =
@@ -121,16 +97,6 @@ class SimRun {
     result.task_cycles = task_cycles_;
     result.task_runs = task_runs_;
     result.regions = mem_->region_stats();
-    result.tiles = num_tiles_;
-    result.core_tile = tile_of_core_;
-    result.core_multiplier = multipliers_;
-    result.tile_busy.assign(static_cast<size_t>(num_tiles_), 0);
-    result.tile_jobs.assign(static_cast<size_t>(num_tiles_), 0);
-    for (size_t i = 0; i < core_busy_.size(); ++i) {
-      size_t t = static_cast<size_t>(tile_of_core_[i]);
-      result.tile_busy[t] += core_busy_[i];
-      result.tile_jobs[t] += core_jobs_[i];
-    }
     return result;
   }
 
@@ -172,18 +138,9 @@ class SimRun {
         params_.record_trace->jobs.emplace(trace_key(job), ctx.charges());
     }
     ++jobs_;
-    ++core_jobs_[static_cast<size_t>(core)];
 
     const ExecContext::Charges& charges = *charged;
-    // A core class's cycle multiplier scales compute (a half-frequency
-    // core needs twice the cycles for the same charge); memory stalls
-    // are platform latencies and stay unscaled. Exact for 1.0.
     sim::Cycles cost = charges.compute_cycles;
-    if (hetero_)
-      cost = static_cast<sim::Cycles>(
-          static_cast<double>(charges.compute_cycles) *
-              multipliers_[static_cast<size_t>(core)] +
-          0.5);
     for (const ExecContext::Touch& t : charges.touches) {
       sim::RegionId region = regions_.stream_region(
           t.stream_index, job.iter, t.offset + t.len);
@@ -289,23 +246,16 @@ class SimRun {
 
   Program& prog_;
   Scheduler scheduler_;
-  SimParams params_;  // platform resolved: never empty
+  SimParams params_;
   sim::Cycles dequeue_cycles_ = kDequeueCycles;
   sim::Cycles enqueue_cycles_ = kEnqueueCycles;
   sim::Engine engine_;
   std::unique_ptr<sim::MemorySystem> mem_;
   RegionTable regions_;
 
-  // Platform shape, flattened per core.
-  int num_tiles_ = 1;
-  bool hetero_ = false;  // any cycle multiplier != 1.0
-  std::vector<int> tile_of_core_;
-  std::vector<double> multipliers_;
-
   std::deque<JobRef> queue_;
   std::vector<bool> core_idle_;
   std::vector<sim::Cycles> core_busy_;
-  std::vector<uint64_t> core_jobs_;
   sim::Cycles queue_free_at_ = 0;
   sim::Cycles queue_wait_ = 0;
   uint64_t jobs_ = 0;

@@ -3,10 +3,11 @@
 // in virtual time; job costs are the kernels' charged compute cycles plus
 // memory-hierarchy stalls from the cache model; the queue's lock is a
 // serial resource, so queue contention grows with core count. The next
-// job always goes to the lowest-numbered idle core. The machine itself
-// is one sim::PlatformConfig (cores, core classes, tiles, interconnect);
-// SimParams.cores is shorthand for a single tile of that many baseline
-// cores.
+// job always goes to the lowest-numbered idle core. The machine is one
+// SpaceCAKE tile of SimParams.cores <= sim::kMaxCores (63) homogeneous
+// cores sharing one L2 (sim/cache.hpp), the machine of the paper's §4.
+// Tiles, core classes and an interconnect were modelled once and
+// deleted, since no figure ran them; git history holds that version.
 //
 // Everything is deterministic: same program + config => identical cycle
 // counts, which the paper-figure benches and the tests rely on.
@@ -17,7 +18,6 @@
 #include "hinch/scheduler.hpp"
 #include "sim/cache.hpp"
 #include "sim/engine.hpp"
-#include "sim/platform.hpp"
 
 namespace obs {
 class MetricsRegistry;
@@ -43,14 +43,8 @@ struct ChargeTrace {
 };
 
 struct SimParams {
-  int cores = 1;
-  // Platform description (tiles, core classes, interconnect). Empty
-  // (the default) means PlatformConfig::homogeneous(1, cores): a single
-  // tile of `cores` baseline cores, the paper's machine. When set, it
-  // defines the core count: `cores` must then be left at its default
-  // (1) or match platform.total_cores().
-  sim::PlatformConfig platform;
-  // Cache sizes and latencies (the shape comes from `platform`).
+  int cores = 1;  // 1..sim::kMaxCores
+  // Cache sizes and latencies.
   sim::CacheConfig cache;
   // Central job queue lock cost; the dequeue and enqueue costs are
   // constants of the executor (§4.2: parallel runs at 1 node disable all
@@ -89,39 +83,14 @@ struct SimResult {
   // Per-region memory statistics (streams and scratch), for the unified
   // metrics dump (obs::MetricsRegistry via collect_metrics).
   std::vector<sim::RegionStats> regions;
-  // Platform shape of the run (filled for every run; a single-tile run
-  // has one tile_busy/tile_jobs entry).
-  int tiles = 1;
-  std::vector<int> core_tile;            // core -> tile index
-  std::vector<double> core_multiplier;   // core -> cycle multiplier
-  std::vector<sim::Cycles> tile_busy;    // per-tile summed busy cycles
-  std::vector<uint64_t> tile_jobs;       // per-tile executed jobs
 
   double utilization() const {
     if (total_cycles == 0 || core_busy.empty()) return 0.0;
-    // Heterogeneous frequencies: busy cycles on a slow core represent
-    // less work than the same cycles on a fast one, so dividing summed
-    // busy time by cores * total overstates utilization. Normalize each
-    // core's busy time — and its share of the capacity — by its cycle
-    // multiplier instead (work actually done / work the platform could
-    // have done).
-    bool hetero = false;
-    for (double m : core_multiplier)
-      if (m != 1.0) hetero = true;
-    if (!hetero) {
-      sim::Cycles busy = 0;
-      for (sim::Cycles c : core_busy) busy += c;
-      return static_cast<double>(busy) /
-             (static_cast<double>(total_cycles) *
-              static_cast<double>(core_busy.size()));
-    }
-    double work = 0.0, capacity = 0.0;
-    for (size_t i = 0; i < core_busy.size(); ++i) {
-      double m = core_multiplier[i];
-      work += static_cast<double>(core_busy[i]) / m;
-      capacity += static_cast<double>(total_cycles) / m;
-    }
-    return work / capacity;
+    sim::Cycles busy = 0;
+    for (sim::Cycles c : core_busy) busy += c;
+    return static_cast<double>(busy) /
+           (static_cast<double>(total_cycles) *
+            static_cast<double>(core_busy.size()));
   }
 };
 

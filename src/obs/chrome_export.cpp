@@ -75,20 +75,8 @@ std::string to_chrome_json(const TraceSession& session) {
     out += line;
   };
 
-  // Lane-name metadata so the UI labels rows "core 0" / "worker 3" —
-  // or a custom per-lane name when the session carries one (multi-tile
-  // sim runs label lanes "tile<t>.core<c>").
+  // Lane-name metadata so the UI labels rows "core 0" / "worker 3".
   for (int lane = 0; lane < session.lanes(); ++lane) {
-    const std::string& custom = session.lane_name(lane);
-    if (!custom.empty()) {
-      std::string line =
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-          std::to_string(lane) + ",\"args\":{\"name\":\"";
-      append_escaped(&line, custom);
-      line += "\"}}";
-      emit_line(line);
-      continue;
-    }
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
                   "\"tid\":%d,\"args\":{\"name\":\"%s %d\"}}",

@@ -53,11 +53,6 @@ void TraceSession::begin_run(int lanes, ClockDomain clock) {
   recorders_.reserve(static_cast<size_t>(lanes));
   for (int i = 0; i < lanes; ++i)
     recorders_.push_back(std::make_unique<TraceRecorder>(ring_capacity_));
-  lane_names_.assign(static_cast<size_t>(lanes), std::string());
-}
-
-void TraceSession::set_lane_name(int lane, std::string name) {
-  lane_names_[static_cast<size_t>(lane)] = std::move(name);
 }
 
 uint16_t TraceSession::intern(const std::string& name) {

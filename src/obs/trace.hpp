@@ -145,14 +145,6 @@ class TraceSession {
     return recorders_[static_cast<size_t>(lane)].get();
   }
 
-  // Optional display name for a lane (the sim executor labels
-  // multi-tile platforms "tile<t>.core<c>"); empty = the exporter's
-  // defaults ("core N" / "worker N"). Cleared by begin_run.
-  void set_lane_name(int lane, std::string name);
-  const std::string& lane_name(int lane) const {
-    return lane_names_[static_cast<size_t>(lane)];
-  }
-
   // Intern `name`, returning its stable id. Thread-safe; interning the
   // same string twice returns the same id.
   uint16_t intern(const std::string& name);
@@ -168,7 +160,6 @@ class TraceSession {
   size_t ring_capacity_;
   ClockDomain clock_ = ClockDomain::kCycles;
   std::vector<std::unique_ptr<TraceRecorder>> recorders_;
-  std::vector<std::string> lane_names_;
   mutable std::mutex names_mutex_;
   std::vector<std::string> names_;
 };

@@ -77,7 +77,6 @@ const sp::Node* sp_form_of(const sp::Node& root, sp::NodePtr* storage) {
 Prediction finish(WorkSpan ws, int processors) {
   Prediction p;
   p.processors = std::max(1, processors);
-  p.effective = p.processors;
   p.work = ws.work;
   p.span = ws.span;
   // SPC contention bound for one iteration.
@@ -90,7 +89,7 @@ Prediction finish(WorkSpan ws, int processors) {
   return p;
 }
 
-// Shared DAG profile evaluation: total work, critical path, heaviest
+// DAG profile evaluation: total work, critical path, heaviest
 // task, from measured per-task costs.
 WorkSpan profile_workspan(const hinch::Program& prog,
                           const std::vector<double>& task_cost) {
@@ -144,38 +143,6 @@ Prediction predict_from_profile(const hinch::Program& prog,
   // Longest path over the DAG. Task ids are created in a topological
   // order? Not guaranteed for crossdep wiring, so do a proper pass.
   return finish(profile_workspan(prog, task_cost), processors);
-}
-
-double effective_processors(const sim::PlatformConfig& platform) {
-  if (platform.empty()) return 1.0;
-  double sum = 0;
-  for (double m : platform.core_multipliers()) sum += 1.0 / m;
-  return sum;
-}
-
-Prediction predict_from_profile(const hinch::Program& prog,
-                                const std::vector<double>& task_cost,
-                                const sim::PlatformConfig& platform) {
-  WorkSpan ws = profile_workspan(prog, task_cost);
-  Prediction p;
-  p.processors = std::max(1, platform.empty() ? 1 : platform.total_cores());
-  p.effective = effective_processors(platform);
-  // Critical-path terms scale with the fastest class (best-case
-  // placement); the work term with the summed capacity.
-  double fastest = 1.0;
-  if (!platform.empty()) {
-    bool first = true;
-    for (double m : platform.core_multipliers()) {
-      fastest = first ? m : std::min(fastest, m);
-      first = false;
-    }
-  }
-  p.work = ws.work;
-  p.span = ws.span * fastest;
-  p.t_iteration = std::max(p.span, ws.work / p.effective);
-  p.interval = std::max(ws.work / p.effective, ws.max_leaf * fastest);
-  p.bound_task = ws.max_task;
-  return p;
 }
 
 }  // namespace perf

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "hinch/program.hpp"
-#include "sim/platform.hpp"
 #include "sp/graph.hpp"
 
 namespace perf {
@@ -32,10 +31,6 @@ struct Prediction {
   double t_iteration = 0; // predicted cycles/iteration, P processors
   double interval = 0;    // pipelined steady-state cycles/iteration
   int processors = 1;
-  // Effective processor count the bound was evaluated at. Equals
-  // `processors` for homogeneous platforms; the platform-aware overload
-  // sets it to the sum of 1/cycle_multiplier over all cores.
-  double effective = 1;
   // predict_from_profile: the id of the heaviest task that is sequential
   // with itself (the per-task term of `interval`); -1 otherwise.
   int bound_task = -1;
@@ -65,19 +60,5 @@ Prediction predict_from_tree(const sp::Node& root, const LeafCost& cost,
 Prediction predict_from_profile(const hinch::Program& prog,
                                 const std::vector<double>& task_cost,
                                 int processors);
-
-// Capacity of a heterogeneous platform in baseline-core equivalents: a
-// core of cycle multiplier m contributes 1/m (a half-frequency core is
-// half a processor under the SPC work bound). Empty platform = 1.
-double effective_processors(const sim::PlatformConfig& platform);
-
-// Platform-aware SPC evaluation: the work term is divided by the
-// platform's effective processor count, while span-limited terms
-// (critical path, heaviest task) are scaled by the *fastest* class's
-// multiplier — the best-case assumption that critical-path work lands
-// on the fastest cores.
-Prediction predict_from_profile(const hinch::Program& prog,
-                                const std::vector<double>& task_cost,
-                                const sim::PlatformConfig& platform);
 
 }  // namespace perf

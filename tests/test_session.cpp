@@ -297,8 +297,7 @@ TEST(SessionCancel, ShutdownCancelsEverything) {
 // --- RegionTable per-owner regions ------------------------------------------
 
 TEST(SessionRegions, TwoTablesOverOneMemoryNeverAlias) {
-  sim::MemorySystem mem(sim::CacheConfig{},
-                        sim::PlatformConfig::homogeneous(1, 1));
+  sim::MemorySystem mem(sim::CacheConfig{}, 1);
   hinch::RegionTable first(&mem, 4);
   hinch::RegionTable second(&mem, 4);
   // Same (stream, iter) in two tables must not alias: each table
@@ -309,8 +308,7 @@ TEST(SessionRegions, TwoTablesOverOneMemoryNeverAlias) {
 }
 
 TEST(SessionRegionsDeathTest, StreamIndexBeyond32BitsIsRejected) {
-  sim::MemorySystem mem(sim::CacheConfig{},
-                        sim::PlatformConfig::homogeneous(1, 1));
+  sim::MemorySystem mem(sim::CacheConfig{}, 1);
   hinch::RegionTable table(&mem, 4);
   // 2^32 - 1 packs; 2^32 would shift into the slot half and alias
   // stream index mod 2^32 — the guard must trip, not wrap.

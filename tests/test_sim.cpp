@@ -12,7 +12,6 @@ using sim::CacheConfig;
 using sim::Cycles;
 using sim::Engine;
 using sim::MemorySystem;
-using sim::PlatformConfig;
 
 TEST(Engine, RunsEventsInTimeOrder) {
   Engine e;
@@ -69,7 +68,7 @@ CacheConfig small_cache() {
 }
 
 TEST(Cache, ColdMissThenL1Hit) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(2048, "buf");
   EXPECT_EQ(mem.access(0, r, 0, 2048, false), 2000u);  // 2 chunks from mem
   EXPECT_EQ(mem.access(0, r, 0, 2048, false), 0u);     // both in L1 now
@@ -78,7 +77,7 @@ TEST(Cache, ColdMissThenL1Hit) {
 }
 
 TEST(Cache, L1EvictionFallsBackToL2) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(8 * 1024, "buf");
   mem.access(0, r, 0, 8 * 1024, false);  // 8 chunks; L1 keeps last 4
   // First chunk was evicted from L1 but lives in L2.
@@ -87,14 +86,14 @@ TEST(Cache, L1EvictionFallsBackToL2) {
 }
 
 TEST(Cache, L2EvictionGoesToMemory) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(32 * 1024, "buf");
   mem.access(0, r, 0, 32 * 1024, false);  // 32 chunks > L2's 16
   EXPECT_EQ(mem.access(0, r, 0, 1024, false), 1000u);  // evicted everywhere
 }
 
 TEST(Cache, PerCoreL1IsPrivate) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 2));
+  MemorySystem mem(small_cache(), 2);
   sim::RegionId r = mem.register_region(1024, "buf");
   EXPECT_EQ(mem.access(0, r, 0, 1024, false), 1000u);  // core 0: cold
   EXPECT_EQ(mem.access(1, r, 0, 1024, false), 100u);   // core 1: from L2
@@ -103,7 +102,7 @@ TEST(Cache, PerCoreL1IsPrivate) {
 }
 
 TEST(Cache, WritesInvalidateOtherCores) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 2));
+  MemorySystem mem(small_cache(), 2);
   sim::RegionId r = mem.register_region(1024, "buf");
   mem.access(0, r, 0, 1024, false);
   mem.access(1, r, 0, 1024, false);
@@ -114,7 +113,7 @@ TEST(Cache, WritesInvalidateOtherCores) {
 }
 
 TEST(Cache, ReleasedRegionIsForgotten) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(1024, "buf");
   mem.access(0, r, 0, 1024, false);
   mem.release_region(r);
@@ -123,7 +122,7 @@ TEST(Cache, ReleasedRegionIsForgotten) {
 }
 
 TEST(Cache, PartialChunkChargesWholeChunk) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(4096, "buf");
   EXPECT_EQ(mem.access(0, r, 100, 8, false), 1000u);   // one chunk
   EXPECT_EQ(mem.access(0, r, 1000, 48, false), 1000u); // spans chunk 0-1;
@@ -132,14 +131,14 @@ TEST(Cache, PartialChunkChargesWholeChunk) {
 }
 
 TEST(Cache, ZeroLengthIsFree) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(1024, "buf");
   EXPECT_EQ(mem.access(0, r, 0, 0, true), 0u);
   EXPECT_EQ(mem.stats().accesses, 0u);
 }
 
 TEST(Cache, StatsRates) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   sim::RegionId r = mem.register_region(1024, "buf");
   mem.access(0, r, 0, 1024, false);
   mem.access(0, r, 0, 1024, false);
@@ -153,7 +152,7 @@ TEST(Cache, StatsRates) {
 class StreamingPassTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamingPassTest, RepeatedPassesKeepMissing) {
-  MemorySystem mem(small_cache(), PlatformConfig::homogeneous(1, 1));
+  MemorySystem mem(small_cache(), 1);
   uint64_t bytes = static_cast<uint64_t>(GetParam()) * 1024;
   sim::RegionId r = mem.register_region(bytes, "big");
   Cycles first = mem.access(0, r, 0, bytes, false);
@@ -234,7 +233,7 @@ class CacheEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CacheEquivalenceTest, MatchesNaiveReferenceModel) {
   const int cores = 3;
   CacheConfig cfg = small_cache();
-  MemorySystem mem(cfg, PlatformConfig::homogeneous(1, cores));
+  MemorySystem mem(cfg, cores);
   // One region of 24 chunks; reference tracks chunk indices directly.
   const uint64_t chunks = 24;
   sim::RegionId region =

@@ -66,20 +66,38 @@ TEST(SimDeterminism, LruEnginesAgree) {
   }
 }
 
-// The 63-core ceiling fix: beyond 63 cores the flat engine switches to
-// pooled multi-word presence masks (64 cores + the tile L2 bit no
-// longer fit one word) and must stay stat-identical to the reference
-// engine. 64 straddles the boundary, 128/256 are the ROADMAP regime the
-// engine used to abort on.
-TEST(SimDeterminism, WideMaskEnginesAgree) {
+// The widest machine the model holds: at sim::kMaxCores cores the L1
+// bits and the L2 bit fill the flat engine's whole 64-bit presence word,
+// and it must stay stat-identical to the reference engine.
+TEST(SimDeterminism, FullMaskEnginesAgree) {
   const std::string pip = apps::pip_xspcl(small_pip());
-  for (int cores : {64, 128, 256}) {
-    expect_same(run_once(pip, 6, cores, sim::LruImpl::kFlat),
-                run_once(pip, 6, cores, sim::LruImpl::kListReference));
-  }
+  expect_same(run_once(pip, 6, sim::kMaxCores, sim::LruImpl::kFlat),
+              run_once(pip, 6, sim::kMaxCores, sim::LruImpl::kListReference));
   const std::string jpip = apps::jpip_xspcl(small_jpip());
-  expect_same(run_once(jpip, 3, 64, sim::LruImpl::kFlat),
-              run_once(jpip, 3, 64, sim::LruImpl::kListReference));
+  expect_same(run_once(jpip, 3, sim::kMaxCores, sim::LruImpl::kFlat),
+              run_once(jpip, 3, sim::kMaxCores, sim::LruImpl::kListReference));
+}
+
+// One core past the presence word is a checked abort, not a silently
+// truncated mask.
+TEST(SimGuards, CoresAboveMaxAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto prog = bench::build_program(apps::pip_xspcl(small_pip()));
+  hinch::RunConfig run;
+  run.iterations = 2;
+  hinch::SimParams too_many;
+  too_many.cores = sim::kMaxCores + 1;
+  EXPECT_DEATH(hinch::run_on_sim(*prog, run, too_many), "kMaxCores");
+}
+
+// Utilization is the summed busy cycles over the capacity of every core
+// for the whole run.
+TEST(SimResultUtilization, SummedBusyOverCapacity) {
+  hinch::SimResult r;
+  EXPECT_DOUBLE_EQ(r.utilization(), 0.0);
+  r.total_cycles = 100;
+  r.core_busy = {100, 50};
+  EXPECT_DOUBLE_EQ(r.utilization(), 0.75);  // (100 + 50) / (100 * 2)
 }
 
 TEST(SimDeterminism, SequentialEnginesAgree) {
@@ -159,8 +177,7 @@ TEST(SimDeterminism, SeqTraceReplayMatches) {
 }
 
 TEST(RegionStats, BreakdownMatchesTotals) {
-  sim::MemorySystem mem(sim::CacheConfig{},
-                        sim::PlatformConfig::homogeneous(1, 2));
+  sim::MemorySystem mem(sim::CacheConfig{}, 2);
   sim::RegionId a = mem.register_region(64 * 1024, "stream:0:slot0");
   sim::RegionId b = mem.register_region(32 * 1024, "scratch:task3");
   mem.access(0, a, 0, 64 * 1024, false);
@@ -197,8 +214,7 @@ TEST(RegionStats, BreakdownMatchesTotals) {
 TEST(RegionStats, SimRunUsesDescriptiveLabels) {
   // The RegionTable registers streams/scratch with stream:<i>:slot<s>
   // and scratch:task<t> labels; spot-check via a tiny direct table.
-  sim::MemorySystem mem(sim::CacheConfig{},
-                        sim::PlatformConfig::homogeneous(1, 1));
+  sim::MemorySystem mem(sim::CacheConfig{}, 1);
   hinch::RegionTable table(&mem, 4);
   table.stream_region(2, 5, 1024);
   table.scratch_region(7, 2048);

@@ -289,8 +289,7 @@ TEST_F(ThreadStressTest, TracingEnabledStaysRaceFreeAndConsistent) {
 // bits, so (stream 1, slot 4) collided with (stream 0, slot 260) and
 // the simulator accounted two different buffers as one region.
 TEST(RegionTableTest, DeepStreamKeysDoNotAlias) {
-  sim::MemorySystem mem(sim::CacheConfig{},
-                        sim::PlatformConfig::homogeneous(1, 1));
+  sim::MemorySystem mem(sim::CacheConfig{}, 1);
   hinch::RegionTable table(&mem, /*depth=*/300);
   EXPECT_NE(table.stream_key(0, 260), table.stream_key(1, 4));
   sim::RegionId a = table.stream_region(0, 260, 1024);
@@ -302,8 +301,7 @@ TEST(RegionTableTest, DeepStreamKeysDoNotAlias) {
 }
 
 TEST(RegionTableTest, KeysInjectiveAcrossManyStreams) {
-  sim::MemorySystem mem(sim::CacheConfig{},
-                        sim::PlatformConfig::homogeneous(1, 1));
+  sim::MemorySystem mem(sim::CacheConfig{}, 1);
   const int depth = 1000;
   hinch::RegionTable table(&mem, depth);
   std::map<uint64_t, std::pair<int, int64_t>> seen;

@@ -10,18 +10,17 @@
 //                                         emit C++ glue (after the build
 //                                         check validate runs)
 //   xspclc run      <spec.xml> [--backend=sim|threads] [--cores=N]
-//                   [--iterations=N]      load and execute directly
-//                   [--platform=p.xml]    simulate on an XML platform spec
-//                                         (tiles, core classes, interconnect;
-//                                         see specs/platform_2tile.xml;
-//                                         sim backend only)
+//                   [--iterations=N]      load and execute directly; sim
+//                                         (the default) simulates one tile
+//                                         of N cores sharing one L2
 //                   [--trace=out.json]    write a Chrome trace-event file
 //                                         (load in Perfetto / about:tracing)
 //                   [--metrics]           dump the unified metrics registry
 //   xspclc predict  <spec.xml> [--cores=N] [--iterations=N]
-//                   [--platform=p.xml]    profile 1 core, predict speedup
-//                                         and name the heaviest task that
-//                                         is sequential with itself
+//                                         profile 1 core, predict speedup
+//                                         for 1..N cores and name the
+//                                         heaviest task that is sequential
+//                                         with itself
 //   xspclc emit-app <pip|jpip|blur|mjpeg> [key=value ...] [-o f]
 //                                         dump a built-in application spec
 //                                         (apps::builtin_xspcl; the keys
@@ -37,9 +36,11 @@
 // chain, above 1 only chains that give up no parallel tasks, slices or
 // reentrancy.
 //
-// --cores takes 1..sim::kMaxCores and --iterations a positive count; a
-// bad number, an unknown --backend or --platform with the threads
-// backend is a usage error (exit 2).
+// --cores takes 1..kMaxWorkers (1024 threads-backend workers), and at
+// most sim::kMaxCores (63) where it sizes the simulated tile: run on the
+// sim backend and predict. --iterations takes a positive count. A bad
+// number, a core count the simulator cannot hold or an unknown --backend
+// is a usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -62,9 +63,11 @@
 #include "support/strings.hpp"
 #include "xspcl/codegen.hpp"
 #include "xspcl/loader.hpp"
-#include "xspcl/platform_xml.hpp"
 
 namespace {
+
+// Upper bound on --cores as the threads backend's worker count.
+constexpr int64_t kMaxWorkers = 1024;
 
 int usage() {
   std::fprintf(stderr,
@@ -87,7 +90,6 @@ struct Args {
   std::string passes;      // comma-separated, valid when passes_given
   std::string dump_after;  // pass name or "all"
   std::string trace_out;   // Chrome trace-event output path
-  std::string platform;    // XML platform spec path (sim backend)
   bool metrics = false;
 };
 
@@ -121,7 +123,7 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->backend = v;
     } else if (const char* v = value("--cores=")) {
       int64_t cores = 0;
-      if (!int_value("--cores", v, 1, sim::kMaxCores, &cores)) return false;
+      if (!int_value("--cores", v, 1, kMaxWorkers, &cores)) return false;
       args->cores = static_cast<int>(cores);
     } else if (const char* v = value("--iterations=")) {
       int64_t iterations = 0;
@@ -136,8 +138,6 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->dump_after = v;
     } else if (const char* v = value("--trace=")) {
       args->trace_out = v;
-    } else if (const char* v = value("--platform=")) {
-      args->platform = v;
     } else if (a == "--metrics") {
       args->metrics = true;
     } else if (a == "--no-main") {
@@ -154,10 +154,12 @@ bool parse_args(int argc, char** argv, Args* args) {
                  args->backend.c_str());
     return false;
   }
-  if (args->backend == "threads" && !args->platform.empty()) {
+  const bool simulated = args->command == "predict" ||
+                         (args->command == "run" && args->backend == "sim");
+  if (simulated && args->cores > sim::kMaxCores) {
     std::fprintf(stderr,
-                 "--platform describes a simulated machine; it needs "
-                 "--backend=sim\n");
+                 "--cores: the simulated tile holds at most %d cores\n",
+                 sim::kMaxCores);
     return false;
   }
   return true;
@@ -332,35 +334,16 @@ int main(int argc, char** argv) {
     } else {
       hinch::SimParams sim;
       sim.cores = args.cores;
-      if (!args.platform.empty()) {
-        auto platform = xspcl::load_platform_file(args.platform);
-        if (!platform.is_ok()) return fail(platform.status());
-        sim.platform = std::move(platform).take();
-        sim.cores = 1;  // the platform defines the core count
-      }
       sim.trace = trace.get();
       sim.metrics = &metrics;
       hinch::SimResult r = hinch::run_on_sim(*prog.value(), run, sim);
-      if (!sim.platform.empty()) {
-        std::printf(
-            "backend=sim platform=%s tiles=%d cores=%d iterations=%lld "
-            "cycles=%llu jobs=%llu l1_hit_rate=%.3f remote_hits=%llu "
-            "utilization=%.3f\n",
-            sim.platform.name.c_str(), r.tiles,
-            static_cast<int>(r.core_busy.size()), args.iterations,
-            static_cast<unsigned long long>(r.total_cycles),
-            static_cast<unsigned long long>(r.jobs), r.mem.l1_hit_rate(),
-            static_cast<unsigned long long>(r.mem.remote_hits),
-            r.utilization());
-      } else {
-        std::printf(
-            "backend=sim cores=%d iterations=%lld cycles=%llu jobs=%llu "
-            "l1_hit_rate=%.3f reconfigs=%llu\n",
-            args.cores, args.iterations,
-            static_cast<unsigned long long>(r.total_cycles),
-            static_cast<unsigned long long>(r.jobs), r.mem.l1_hit_rate(),
-            static_cast<unsigned long long>(r.sched.reconfigurations));
-      }
+      std::printf(
+          "backend=sim cores=%d iterations=%lld cycles=%llu jobs=%llu "
+          "l1_hit_rate=%.3f reconfigs=%llu\n",
+          args.cores, args.iterations,
+          static_cast<unsigned long long>(r.total_cycles),
+          static_cast<unsigned long long>(r.jobs), r.mem.l1_hit_rate(),
+          static_cast<unsigned long long>(r.sched.reconfigurations));
       if (args.metrics) hinch::collect_metrics(*prog.value(), r, &metrics);
     }
     if (args.metrics) std::fputs(metrics.snapshot().to_text().c_str(), stdout);
@@ -399,18 +382,6 @@ int main(int argc, char** argv) {
       std::printf("heaviest_sequential_task=%s cycles=%.0f\n",
                   prog.value()->task(base.bound_task).label.c_str(),
                   cost[static_cast<size_t>(base.bound_task)]);
-    }
-    if (!args.platform.empty()) {
-      auto platform = xspcl::load_platform_file(args.platform);
-      if (!platform.is_ok()) return fail(platform.status());
-      perf::Prediction pred =
-          perf::predict_from_profile(*prog.value(), cost, platform.value());
-      std::printf(
-          "platform %s cores=%d effective_processors=%.2f "
-          "predicted_cycles=%.0f predicted_speedup=%.2f\n",
-          platform.value().name.c_str(), pred.processors, pred.effective,
-          pred.total(args.iterations),
-          base.total(args.iterations) / pred.total(args.iterations));
     }
     return 0;
   }
