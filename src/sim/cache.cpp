@@ -113,61 +113,19 @@ void MemorySystem::list_move_front(size_t cache, int32_t n) {
   list_push_front(cache, n);
 }
 
-size_t MemorySystem::hash_find(ChunkKey k) const {
-  size_t i = mix(k) & hash_mask_;
-  while (true) {
-    const HashSlot& s = hash_[i];
-    if (s.node < 0 || s.chunk_key == k) return i;
-    i = (i + 1) & hash_mask_;
-  }
-}
-
-void MemorySystem::hash_erase_slot(size_t slot) {
-  // Backward-shift deletion for linear probing: pull later entries of
-  // the same probe chain into the hole so lookups never need tombstones.
-  size_t hole = slot;
-  size_t j = slot;
-  while (true) {
-    j = (j + 1) & hash_mask_;
-    if (hash_[j].node < 0) break;
-    size_t home = mix(hash_[j].chunk_key) & hash_mask_;
-    if (((j - home) & hash_mask_) >= ((j - hole) & hash_mask_)) {
-      hash_[hole] = hash_[j];
-      hole = j;
-    }
-  }
-  hash_[hole].node = -1;
-}
-
-int32_t MemorySystem::alloc_node(ChunkKey k, size_t slot, RegionId region) {
+int32_t MemorySystem::alloc_node(RegionId region, uint64_t chunk) {
   SUP_CHECK_MSG(!free_nodes_.empty(), "chunk directory pool exhausted");
   int32_t n = free_nodes_.back();
   free_nodes_.pop_back();
-  DirNode& nd = nodes_[static_cast<size_t>(n)];
-  nd.chunk_key = k;
-  nd.region = region;
-  nd.mask = 0;
-  Region& r = regions_[region];
-  nd.region_prev = -1;
-  nd.region_next = r.chunk_head;
-  if (r.chunk_head >= 0)
-    nodes_[static_cast<size_t>(r.chunk_head)].region_prev = n;
-  r.chunk_head = n;
-  hash_[slot] = HashSlot{k, n};
+  nodes_[static_cast<size_t>(n)] =
+      DirNode{0, region, static_cast<uint32_t>(chunk)};
+  regions_[region].chunk_node[chunk] = n;
   return n;
 }
 
 void MemorySystem::free_node(int32_t n) {
-  DirNode& nd = nodes_[static_cast<size_t>(n)];
-  size_t slot = hash_find(nd.chunk_key);
-  SUP_DCHECK(hash_[slot].node == n);
-  hash_erase_slot(slot);
-  if (nd.region_prev >= 0)
-    nodes_[static_cast<size_t>(nd.region_prev)].region_next = nd.region_next;
-  else
-    regions_[nd.region].chunk_head = nd.region_next;
-  if (nd.region_next >= 0)
-    nodes_[static_cast<size_t>(nd.region_next)].region_prev = nd.region_prev;
+  const DirNode& nd = nodes_[static_cast<size_t>(n)];
+  regions_[nd.region].chunk_node[nd.chunk] = -1;
   free_nodes_.push_back(n);
 }
 
@@ -191,11 +149,9 @@ Cycles MemorySystem::access_flat(int core, Region& region_info,
   const uint64_t other_l1_bits = l1_bits_ & ~(uint64_t{1} << my);
   Cycles stall = 0;
   for (uint64_t c = first; c <= last; ++c) {
-    ChunkKey k = key(region, c);
     ++stats_.accesses;
     ++rs.accesses;
-    size_t slot = hash_find(k);
-    int32_t n = hash_[slot].node;
+    int32_t n = region_info.chunk_node[c];
     if (n >= 0 && present(n, my)) {
       ++stats_.l1_hits;
       ++rs.l1_hits;
@@ -210,7 +166,7 @@ Cycles MemorySystem::access_flat(int core, Region& region_info,
         ++stats_.mem_fetches;
         ++rs.mem_fetches;
         stall += config_.mem_cycles_per_chunk;
-        if (n < 0) n = alloc_node(k, slot, region);
+        if (n < 0) n = alloc_node(region, c);
         nodes_[static_cast<size_t>(n)].mask |= uint64_t{1} << l2;
         list_push_front(l2, n);
         if (lists_[l2].size > lists_[l2].capacity) evict_tail(l2);
@@ -239,21 +195,17 @@ Cycles MemorySystem::access_flat(int core, Region& region_info,
 }
 
 void MemorySystem::release_region_flat(RegionId /*id*/, Region& region_info) {
-  int32_t n = region_info.chunk_head;
-  while (n >= 0) {
-    DirNode& nd = nodes_[static_cast<size_t>(n)];
-    int32_t next = nd.region_next;
-    uint64_t mask = nd.mask;
+  for (int32_t n : region_info.chunk_node) {
+    if (n < 0) continue;
+    uint64_t mask = nodes_[static_cast<size_t>(n)].mask;
     while (mask) {
       size_t i = static_cast<size_t>(std::countr_zero(mask));
       mask &= mask - 1;
       list_unlink(i, n);
     }
-    nd.mask = 0;
-    free_node(n);  // also pops it off the region chunk list
-    n = next;
+    free_node(n);
   }
-  SUP_DCHECK(region_info.chunk_head == -1);
+  std::vector<int32_t>().swap(region_info.chunk_node);
 }
 
 // ---- shared surface ---------------------------------------------------------
@@ -286,10 +238,6 @@ MemorySystem::MemorySystem(const CacheConfig& config, int cores)
     free_nodes_.reserve(node_capacity_);
     for (size_t n = node_capacity_; n > 0; --n)
       free_nodes_.push_back(static_cast<int32_t>(n - 1));
-    size_t hash_size = 1;
-    while (hash_size < 2 * node_capacity_) hash_size <<= 1;
-    hash_.assign(hash_size, HashSlot{});
-    hash_mask_ = hash_size - 1;
   } else {
     l1_.resize(ncores);
     for (Lru& l : l1_) l.capacity_chunks = l1_cap;
@@ -304,6 +252,10 @@ RegionId MemorySystem::register_region(uint64_t bytes, std::string label) {
   region.bytes = bytes;
   region.active = true;
   region.label = std::move(label);
+  const uint64_t chunks =
+      bytes / config_.chunk_bytes + (bytes % config_.chunk_bytes != 0);
+  SUP_CHECK_MSG(chunks <= UINT32_MAX, "region exceeds 2^32 chunks");
+  if (flat_) region.chunk_node.assign(static_cast<size_t>(chunks), -1);
   regions_.push_back(std::move(region));
   return id;
 }

@@ -27,13 +27,13 @@
 //
 //   LruImpl::kFlat (default) — a shared chunk *directory*: one pooled
 //   node per resident chunk (index-linked, no per-touch allocation)
-//   found through one open-addressing hash probe; per-cache intrusive
-//   LRU lists thread through per-cache prev/next arrays indexed by the
+//   found by indexing its region's chunk -> node array (chunk indices
+//   are dense within a region, so no hashing); per-cache intrusive LRU
+//   lists thread through per-cache prev/next arrays indexed by the
 //   node id; a per-chunk presence word (one bit per L1 plus one for the
 //   L2) makes a write invalidation a mask read plus targeted erases
-//   (instead of probing every core's map); and a per-region
-//   resident-chunk list makes release_region O(chunks actually cached),
-//   not O(region chunks x caches).
+//   (instead of probing every core's map); and release_region is one
+//   scan of that array, not O(region chunks x caches) map probes.
 //
 //   LruImpl::kListReference — the original std::list +
 //   std::unordered_map structures, retained as the equivalence baseline
@@ -137,7 +137,8 @@ class MemorySystem {
   std::vector<RegionStats> region_stats() const;
 
  private:
-  // Chunk identity: region id in the upper bits, chunk index below.
+  // Chunk identity for the list engine: region id in the upper bits,
+  // chunk index (< 2^32, checked at registration) below.
   using ChunkKey = uint64_t;
   static ChunkKey key(RegionId region, uint64_t chunk) {
     return (static_cast<uint64_t>(region) << 32) | chunk;
@@ -148,7 +149,9 @@ class MemorySystem {
   struct Region {
     uint64_t bytes = 0;
     bool active = false;
-    int32_t chunk_head = -1;  // flat engine: list of resident chunks
+    // Flat engine: the directory node of each chunk, -1 while the chunk
+    // is in no cache.
+    std::vector<int32_t> chunk_node;
     std::string label;
     RegionStats stats;  // id/label/bytes mirrored into the dump lazily
   };
@@ -170,22 +173,17 @@ class MemorySystem {
 
   // ---- flat engine -------------------------------------------------------
   //
-  // Directory node: one per chunk resident in at least one cache.
-  // Cache index space: [0, cores) are the per-core L1s, cache `cores`
-  // is the L2. The presence word has bit i set when cache i holds the
-  // chunk. LRU prev/next links live in per-cache stripes of links_
-  // (stride = node-pool capacity), so membership and recency updates
-  // are index arithmetic on flat arrays.
+  // Directory node: one per chunk resident in at least one cache,
+  // naming its region and chunk so eviction can clear the region's
+  // chunk_node entry. Cache index space: [0, cores) are the per-core
+  // L1s, cache `cores` is the L2. The presence word has bit i set when
+  // cache i holds the chunk. LRU prev/next links live in per-cache
+  // stripes of links_ (stride = node-pool capacity), so membership and
+  // recency updates are index arithmetic on flat arrays.
   struct DirNode {
-    ChunkKey chunk_key = 0;
     uint64_t mask = 0;  // presence bits
     RegionId region = 0;
-    int32_t region_prev = -1;
-    int32_t region_next = -1;
-  };
-  struct HashSlot {
-    ChunkKey chunk_key = 0;
-    int32_t node = -1;  // -1 = empty
+    uint32_t chunk = 0;
   };
   struct Links {
     int32_t prev = -1;
@@ -198,15 +196,6 @@ class MemorySystem {
     uint64_t capacity = 0;
   };
 
-  static uint64_t mix(ChunkKey k) {
-    k ^= k >> 33;
-    k *= 0xff51afd7ed558ccdULL;
-    k ^= k >> 33;
-    k *= 0xc4ceb9fe1a85ec53ULL;
-    k ^= k >> 33;
-    return k;
-  }
-
   Links& link(size_t cache, int32_t node) {
     return links_[cache * node_capacity_ + static_cast<size_t>(node)];
   }
@@ -218,12 +207,8 @@ class MemorySystem {
     return (nodes_[static_cast<size_t>(n)].mask >> cache) & 1;
   }
 
-  // Returns the hash slot holding `k`, or the slot to insert it at.
-  size_t hash_find(ChunkKey k) const;
-  void hash_erase_slot(size_t slot);  // backward-shift deletion
-
-  int32_t alloc_node(ChunkKey k, size_t slot, RegionId region);
-  void free_node(int32_t n);  // unlinks from hash + region list
+  int32_t alloc_node(RegionId region, uint64_t chunk);
+  void free_node(int32_t n);  // clears the region's chunk_node entry
   void evict_tail(size_t cache);
 
   Cycles access_flat(int core, Region& region_info, RegionId region,
@@ -249,8 +234,6 @@ class MemorySystem {
   std::vector<Links> links_;  // cores + 1 stripes of node_capacity_
   std::vector<LruList> lists_;
   std::vector<int32_t> free_nodes_;
-  std::vector<HashSlot> hash_;  // power-of-two open addressing, linear probe
-  size_t hash_mask_ = 0;
 };
 
 }  // namespace sim
