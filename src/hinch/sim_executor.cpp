@@ -40,8 +40,11 @@ class SimRun {
                       prog.managers().empty(),
                   "charge tracing requires a program without "
                   "reconfiguration managers");
-    mem_ = std::make_unique<sim::MemorySystem>(params_.cache, params.cores);
-    const int cores = params.cores;
+    // One tile holds at most kMaxCores; a larger request (a caller that
+    // sizes the machine from the host's CPU count) simulates a full tile.
+    const int cores = std::min(params.cores, sim::kMaxCores);
+    params_.cores = cores;
+    mem_ = std::make_unique<sim::MemorySystem>(params_.cache, cores);
     regions_ = RegionTable(mem_.get(), prog.stream_depth());
     core_busy_.assign(static_cast<size_t>(cores), 0);
     core_idle_.assign(static_cast<size_t>(cores), true);

@@ -4,8 +4,9 @@
 // memory-hierarchy stalls from the cache model; the queue's lock is a
 // serial resource, so queue contention grows with core count. The next
 // job always goes to the lowest-numbered idle core. The machine is one
-// SpaceCAKE tile of SimParams.cores <= sim::kMaxCores (63) homogeneous
-// cores sharing one L2 (sim/cache.hpp), the machine of the paper's §4.
+// SpaceCAKE tile of SimParams.cores, at most sim::kMaxCores (63),
+// homogeneous cores sharing one L2 (sim/cache.hpp), the machine of the
+// paper's §4.
 // Tiles, core classes and an interconnect were modelled once and
 // deleted, since no figure ran them; git history holds that version.
 //
@@ -43,7 +44,9 @@ struct ChargeTrace {
 };
 
 struct SimParams {
-  int cores = 1;  // 1..sim::kMaxCores
+  // At least 1. Above sim::kMaxCores the run simulates a full tile of
+  // kMaxCores cores; SimResult::core_busy.size() is the count simulated.
+  int cores = 1;
   // Cache sizes and latencies.
   sim::CacheConfig cache;
   // Central job queue lock cost; the dequeue and enqueue costs are

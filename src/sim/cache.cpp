@@ -278,8 +278,11 @@ Cycles MemorySystem::access(int core, RegionId region, uint64_t offset,
                 "access to unregistered region");
   Region& info = regions_[region];
   // Overflow-safe bounds check: `offset + len` can wrap for hostile
-  // offsets, so compare against the region size without adding.
-  SUP_DCHECK(len <= info.bytes && offset <= info.bytes - len);
+  // offsets, so compare against the region size without adding. Checked
+  // in every build: the flat engine indexes the region's chunk -> node
+  // array with these chunks.
+  SUP_CHECK_MSG(len <= info.bytes && offset <= info.bytes - len,
+                "access outside its region");
 
   const uint64_t first = offset / config_.chunk_bytes;
   const uint64_t last = (offset + len - 1) / config_.chunk_bytes;

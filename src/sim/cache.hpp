@@ -61,7 +61,8 @@ static_assert(kMaxCores + 1 <= 64,
               "every L1 plus the L2 must fit one presence word");
 
 enum class LruImpl {
-  kFlat,           // pooled nodes + open-addressing directory (fast path)
+  kFlat,           // pooled nodes found through each region's chunk ->
+                   // node array (fast path)
   kListReference,  // std::list + unordered_map (equivalence baseline)
 };
 

@@ -186,6 +186,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (cores < 1) {
+    std::fprintf(stderr, "--cores must be positive\n");
+    return 2;
+  }
   sp::NodePtr graph = xspcl_gen_%s::build_graph();
   support::Status valid = sp::validate(*graph);
   if (!valid.is_ok()) {
@@ -213,9 +217,9 @@ int main(int argc, char** argv) {
     hinch::SimParams sim{};
     sim.cores = cores;
     hinch::SimResult r = hinch::run_on_sim(*prog.value(), run, sim);
-    std::printf("backend=sim cores=%%d iterations=%%lld cycles=%%llu "
+    std::printf("backend=sim cores=%%zu iterations=%%lld cycles=%%llu "
                 "jobs=%%llu l1_hit_rate=%%.3f\n",
-                cores, (long long)iterations,
+                r.core_busy.size(), (long long)iterations,
                 (unsigned long long)r.total_cycles,
                 (unsigned long long)r.jobs, r.mem.l1_hit_rate());
   }

@@ -78,16 +78,22 @@ TEST(SimDeterminism, FullMaskEnginesAgree) {
               run_once(jpip, 3, sim::kMaxCores, sim::LruImpl::kListReference));
 }
 
-// One core past the presence word is a checked abort, not a silently
-// truncated mask.
-TEST(SimGuards, CoresAboveMaxAbort) {
+// One core past the presence word is a checked abort in the cache
+// model, not a silently truncated mask.
+TEST(SimGuards, MemorySystemAboveMaxCoresAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  auto prog = bench::build_program(apps::pip_xspcl(small_pip()));
-  hinch::RunConfig run;
-  run.iterations = 2;
-  hinch::SimParams too_many;
-  too_many.cores = sim::kMaxCores + 1;
-  EXPECT_DEATH(hinch::run_on_sim(*prog, run, too_many), "kMaxCores");
+  EXPECT_DEATH(sim::MemorySystem(sim::CacheConfig{}, sim::kMaxCores + 1),
+               "kMaxCores");
+}
+
+// A run asked for more cores than one tile holds (a caller that sizes
+// the machine from the host's CPU count) simulates a full tile.
+TEST(SimGuards, CoresAboveMaxSimulateAFullTile) {
+  const std::string pip = apps::pip_xspcl(small_pip());
+  hinch::SimResult over =
+      run_once(pip, 2, sim::kMaxCores + 1, sim::LruImpl::kFlat);
+  EXPECT_EQ(over.core_busy.size(), static_cast<size_t>(sim::kMaxCores));
+  expect_same(over, run_once(pip, 2, sim::kMaxCores, sim::LruImpl::kFlat));
 }
 
 // Utilization is the summed busy cycles over the capacity of every core

@@ -37,10 +37,11 @@
 // reentrancy.
 //
 // --cores takes 1..kMaxWorkers (1024 threads-backend workers), and at
-// most sim::kMaxCores (63) where it sizes the simulated tile: run on the
-// sim backend and predict. --iterations takes a positive count. A bad
-// number, a core count the simulator cannot hold or an unknown --backend
-// is a usage error (exit 2).
+// most sim::kMaxCores (63) for run on the sim backend, where it sizes the
+// simulated tile (predict simulates one core and takes --cores only as
+// the top of its analytic curve). --iterations takes a positive count. A
+// bad number, a core count the simulated tile cannot hold or an unknown
+// --backend is a usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -154,9 +155,8 @@ bool parse_args(int argc, char** argv, Args* args) {
                  args->backend.c_str());
     return false;
   }
-  const bool simulated = args->command == "predict" ||
-                         (args->command == "run" && args->backend == "sim");
-  if (simulated && args->cores > sim::kMaxCores) {
+  if (args->command == "run" && args->backend == "sim" &&
+      args->cores > sim::kMaxCores) {
     std::fprintf(stderr,
                  "--cores: the simulated tile holds at most %d cores\n",
                  sim::kMaxCores);
