@@ -56,6 +56,26 @@ support::Status check_pip_size(const char* app, int width, int height,
   return support::Status::ok();
 }
 
+// Each further picture-in-picture sits lower on the canvas, so the last
+// one bounds `pips`: its rectangle must lie inside the canvas. The cap
+// of kMaxFrameSide applied when the key is parsed keeps the position
+// arithmetic inside int; this is the real bound.
+template <typename Config>
+support::Status check_pips_fit(const char* app, const Config& c,
+                               void (*position)(const Config&, int, int*,
+                                                int*)) {
+  int x = 0, y = 0;
+  position(c, c.pips - 1, &x, &y);
+  int w = c.width / c.factor;
+  int h = c.height / c.factor;
+  if (x < 0 || y < 0 || x + w > c.width || y + h > c.height)
+    return support::invalid_argument(support::format(
+        "catalog: %s: pips=%d does not fit the %dx%d canvas (picture %d is "
+        "%dx%d at %d,%d)",
+        app, c.pips, c.width, c.height, c.pips, w, h, x, y));
+  return support::Status::ok();
+}
+
 support::Status unknown_key(const char* app, const std::string& key) {
   return support::invalid_argument(
       support::format("catalog: app '%s' has no parameter '%s'", app,
@@ -78,7 +98,7 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "pips") {
-        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1));
+        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1, kMaxFrameSide));
       } else if (key == "factor") {
         SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value, 1, kMaxFactor));
       } else if (key == "reconfigurable") {
@@ -90,6 +110,7 @@ support::Result<std::string> builtin_xspcl(
     }
     if (c.reconfigurable && c.pips < 2) c.pips = 2;  // PiP-12 toggles pip #2
     SUP_RETURN_IF_ERROR(check_pip_size("pip", c.width, c.height, c.factor));
+    SUP_RETURN_IF_ERROR(check_pips_fit("pip", c, &pip_position));
     return pip_xspcl(c);
   }
   if (name == "jpip") {
@@ -98,7 +119,7 @@ support::Result<std::string> builtin_xspcl(
       SUP_ASSIGN_OR_RETURN(bool common, apply_common(&c, key, value));
       if (common) continue;
       if (key == "pips") {
-        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1));
+        SUP_ASSIGN_OR_RETURN(c.pips, int_param(key, value, 1, kMaxFrameSide));
       } else if (key == "factor") {
         SUP_ASSIGN_OR_RETURN(c.factor, int_param(key, value, 1, kMaxFactor));
       } else if (key == "quality") {
@@ -115,6 +136,7 @@ support::Result<std::string> builtin_xspcl(
     }
     if (c.reconfigurable && c.pips < 2) c.pips = 2;  // JPiP-12 toggles pip #2
     SUP_RETURN_IF_ERROR(check_pip_size("jpip", c.width, c.height, c.factor));
+    SUP_RETURN_IF_ERROR(check_pips_fit("jpip", c, &jpip_position));
     return jpip_xspcl(c);
   }
   if (name == "blur") {

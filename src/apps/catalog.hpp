@@ -29,7 +29,8 @@ const std::vector<std::string>& catalog_names();
 // The XSPCL spec for `name` with `params` applied over the app's default
 // config. Common keys: "frames" (1..64 distinct frames in the looping
 // source clip), slices, width and height (1..kMaxFrameSide); "pips"
-// (>= 1) and "factor" (pip/jpip); "reconfigurable" (0/1,
+// (>= 1, and the last picture-in-picture must fit the canvas) and
+// "factor" (pip/jpip); "reconfigurable" (0/1,
 // pip/jpip/blur; on pip/jpip it raises pips to 2); "kernel" (3 or 5,
 // blur); "quality" (1..100, jpip/mjpeg); "grouped" (jpip). Unknown
 // names list the catalog; unknown keys, non-numeric or out-of-range

@@ -1,7 +1,7 @@
 // Frame-parallel MJPEG decode: the wall-clock throughput application of
 // the SIMD + parallel media path. An mjpeg_source feeds a windowed
 // decode chain (entropy decode -> sliced IDCT Y/U/V -> yuv_sink) run on
-// the work-stealing thread executor, so successive frames decode
+// the thread executor's central job queue, so successive frames decode
 // concurrently (every frame of an MJPEG stream is independently coded).
 //
 // Two orthogonal parallelism knobs, both in the coordination layer (the

@@ -4,8 +4,8 @@
 //
 // Components are written against ExecContext, which abstracts over the
 // two executors (SpaceCAKE-sim virtual time / native threads): stream
-// i/o, event sending, and simulated-cost charging (a no-op under the
-// thread executor).
+// i/o, event sending, and simulated-cost charging (recorded under both
+// executors; the thread executor discards the record with the context).
 #pragma once
 
 #include <string>
@@ -118,7 +118,11 @@ class ExecContext {
   // --- events ---
   void send_event(const std::string& queue, Event ev);
 
-  // --- simulated cost charging (no-ops under the thread executor) ---
+  // --- simulated cost charging ---
+  // Every call records into charges_, under either executor: the
+  // simulator replays the record as cycles and memory traffic, the
+  // thread executor drops it with the context (touch_* and
+  // touch_scratch* still push a vector entry per call there).
   struct Touch {
     int stream_index;
     uint64_t offset;

@@ -1,23 +1,11 @@
 #include "hinch/session.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace hinch {
-namespace {
-
-// splitmix64: deterministic per-pool worker RNG for victim selection.
-inline uint64_t splitmix64(uint64_t& state) {
-  uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 const char* session_status_name(SessionStatus s) {
   switch (s) {
@@ -47,14 +35,11 @@ SessionResult Session::wait() {
   return result_;
 }
 
-// One per worker, cache-line padded so deque locks and counters of
-// neighbouring workers do not false-share. The statistics counters are
-// owner-written relaxed atomics: only the owning worker increments
-// them, but pool_stats() may read them while jobs are in flight.
+// One per worker, cache-line padded so the counters of neighbouring
+// workers do not false-share. They are owner-written relaxed atomics:
+// only the owning worker increments them, but pool_stats() may read
+// them while jobs are in flight.
 struct alignas(64) SessionExecutor::Worker {
-  std::mutex mu;
-  std::deque<Job> jobs;  // owner: push/pop back (LIFO); thief: front
-  uint64_t rng = 0;
   std::atomic<uint64_t> executed{0};
   std::atomic<uint64_t> steals{0};
   std::atomic<uint64_t> parks{0};
@@ -64,14 +49,8 @@ SessionExecutor::SessionExecutor(const Config& config) {
   SUP_CHECK(config.workers >= 1);
   active_cap_ = std::max(0, config.max_active_sessions);
   slots_.reserve(static_cast<size_t>(config.workers));
-  for (int w = 0; w < config.workers; ++w) {
-    auto worker = std::make_unique<Worker>();
-    // Deterministic per-pool seed: same worker count -> same victim
-    // sequences (no wall-clock or address entropy).
-    worker->rng =
-        0x853C49E6748FEA9BULL ^ (static_cast<uint64_t>(w + 1) * 0x9E37ULL);
-    slots_.push_back(std::move(worker));
-  }
+  for (int w = 0; w < config.workers; ++w)
+    slots_.push_back(std::make_unique<Worker>());
   pool_.reserve(static_cast<size_t>(config.workers));
   for (int w = 0; w < config.workers; ++w)
     pool_.emplace_back([this, w] { worker_loop(w); });
@@ -139,7 +118,6 @@ void SessionExecutor::start_session(const SessionPtr& s) {
           t.label.empty() ? "task" + std::to_string(t.id) : t.label;
       s->trace_task_names_.push_back(trace->intern(label));
     }
-    s->trace_steal_name_ = trace->intern("steal");
     s->trace_reconfig_name_ = trace->intern("reconfiguration");
     s->trace_pending_name_ = trace->intern("pending jobs");
   }
@@ -152,17 +130,7 @@ void SessionExecutor::start_session(const SessionPtr& s) {
     finalize(s);
     return;
   }
-  // Spread the initial wavefront round-robin so workers start busy; the
-  // session id offsets the start so concurrent admissions do not all
-  // land on worker 0.
-  int n = workers();
-  for (size_t i = 0; i < initial.size(); ++i) {
-    Worker& w = *slots_[(i + static_cast<size_t>(s->id_)) %
-                        static_cast<size_t>(n)];
-    std::lock_guard<std::mutex> lock(w.mu);
-    w.jobs.push_back(Job{s, initial[i]});
-  }
-  wake_sleepers(initial.size());
+  push(s, initial.data(), initial.size(), /*released_by=*/-1);
 }
 
 void SessionExecutor::cancel(const SessionPtr& session) {
@@ -254,41 +222,58 @@ void SessionExecutor::shutdown() {
     drained_cv_.wait(lock, [&] { return active_ == 0 && queue_.empty(); });
   }
   {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    stop_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    stop_ = true;
   }
-  idle_cv_.notify_all();
+  jobs_cv_.notify_all();
   for (std::thread& t : pool_) t.join();
   pool_.clear();
 }
 
+void SessionExecutor::push(const SessionPtr& s, const JobRef* refs, size_t n,
+                           int released_by) {
+  bool wake;
+  {
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    for (size_t i = 0; i < n; ++i)
+      jobs_.push_back(Job{s, refs[i], released_by});
+    wake = waiting_ > 0;
+  }
+  // A worker counts itself in waiting_ under jobs_mu_ before it waits,
+  // so a waiter this push did not see had not yet checked the queue and
+  // will find these jobs: no wakeup can be lost.
+  if (!wake) return;
+  if (n > 1)
+    jobs_cv_.notify_all();
+  else
+    jobs_cv_.notify_one();
+}
+
 void SessionExecutor::worker_loop(int id) {
   Worker& self = *slots_[static_cast<size_t>(id)];
-  Job job;
-  int failed_sweeps = 0;
   for (;;) {
-    if (pop_own(self, &job) || steal(id, &job)) {
-      failed_sweeps = 0;
-      if (job.session->cancelled_.load(std::memory_order_acquire)) {
-        // Teardown drain: drop without executing. The shared_ptr in
-        // `job` still pins the Program until this scope ends.
-        retire_unit(job.session);
-        job.session.reset();
-        continue;
+    Job job;
+    {
+      std::unique_lock<std::mutex> lock(jobs_mu_);
+      while (jobs_.empty()) {
+        if (stop_) return;
+        ++waiting_;
+        self.parks.fetch_add(1, std::memory_order_relaxed);
+        jobs_cv_.wait(lock);
+        --waiting_;
       }
-      run_chain(id, std::move(job));
-      job.session.reset();
+      job = std::move(jobs_.front());
+      jobs_.pop_front();
+    }
+    if (job.released_by >= 0 && job.released_by != id)
+      self.steals.fetch_add(1, std::memory_order_relaxed);
+    if (job.session->cancelled_.load(std::memory_order_acquire)) {
+      // Teardown drain: drop without executing. The shared_ptr in
+      // `job` still pins the Program until this scope ends.
+      retire_unit(job.session);
       continue;
     }
-    if (stop_.load(std::memory_order_acquire)) return;
-    // Spin through a few sweeps before parking: job supply is bursty
-    // (a completion fans out a whole wavefront at once).
-    if (++failed_sweeps < 4) {
-      std::this_thread::yield();
-      continue;
-    }
-    failed_sweeps = 0;
-    park(self);
+    run_chain(id, std::move(job));
   }
 }
 
@@ -308,9 +293,9 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
       trace != nullptr ? trace->recorder(worker_id) : nullptr;
   // Chain loop: run the job, then directly continue with its first
   // child — for the dominant one-successor case (the self-dependency
-  // chain of a task across iterations) this touches neither the deque
-  // nor the pending counter: the parent's "1 pending" simply transfers
-  // to the child. Extra children are published for thieves.
+  // chain of a task across iterations) this touches neither the job
+  // queue nor the pending counter: the parent's "1 pending" simply
+  // transfers to the child. Extra children go to the central queue.
   for (;;) {
     if (s.cancelled_.load(std::memory_order_acquire)) break;
     uint64_t t_start = rec != nullptr ? session_now_ns(s) : 0;
@@ -341,12 +326,7 @@ void SessionExecutor::run_chain(int worker_id, Job job) {
       if (rec != nullptr)
         rec->counter(s.trace_pending_name_, obs::Category::kSched,
                      session_now_ns(s), now_pending);
-      {
-        std::lock_guard<std::mutex> lock(self.mu);
-        for (size_t i = 1; i < newly.size(); ++i)
-          self.jobs.push_back(Job{job.session, newly[i]});
-      }
-      wake_sleepers(newly.size() - 1);
+      push(job.session, newly.data() + 1, newly.size() - 1, worker_id);
     }
     job.ref = newly[0];
   }
@@ -439,92 +419,6 @@ void SessionExecutor::note_frames(Session& s) {
   uint64_t now = session_now_ns(s);
   while (static_cast<int64_t>(s.frame_done_ns_.size()) < done)
     s.frame_done_ns_.push_back(now);
-}
-
-bool SessionExecutor::pop_own(Worker& self, Job* out) {
-  std::lock_guard<std::mutex> lock(self.mu);
-  if (self.jobs.empty()) return false;
-  *out = self.jobs.back();
-  self.jobs.pop_back();
-  return true;
-}
-
-bool SessionExecutor::steal(int id, Job* out) {
-  int n = workers();
-  if (n <= 1) return false;
-  Worker& self = *slots_[static_cast<size_t>(id)];
-  // Randomized victim order (deterministic seed): scan all other
-  // workers starting at a random offset. try_lock keeps thieves from
-  // convoying on a busy victim; a missed deque is retried on the next
-  // sweep (draining never depends on sweep completeness — the
-  // per-session pending counters govern completion).
-  int start =
-      static_cast<int>(splitmix64(self.rng) % static_cast<uint64_t>(n - 1));
-  for (int i = 0; i < n - 1; ++i) {
-    int victim = (start + i) % (n - 1);
-    if (victim >= id) ++victim;  // skip self
-    Worker& v = *slots_[static_cast<size_t>(victim)];
-    std::unique_lock<std::mutex> lock(v.mu, std::try_to_lock);
-    if (!lock.owns_lock() || v.jobs.empty()) continue;
-    *out = v.jobs.front();  // FIFO end: oldest, largest-grain work
-    v.jobs.pop_front();
-    self.steals.fetch_add(1, std::memory_order_relaxed);
-    // The steal marker lands in the *stolen job's* session trace — the
-    // session is the trace namespace, the pool is anonymous. No park
-    // markers: parking is pool-level and attributable to no session.
-    if (obs::kTraceCompiledIn && out->session->config_.trace != nullptr &&
-        !out->session->cancelled_.load(std::memory_order_acquire)) {
-      Session& s = *out->session;
-      s.config_.trace->recorder(id)->instant(s.trace_steal_name_,
-                                             obs::Category::kSched,
-                                             session_now_ns(s), victim,
-                                             out->ref.task);
-    }
-    return true;
-  }
-  return false;
-}
-
-bool SessionExecutor::any_job_queued() {
-  for (const auto& w : slots_) {
-    std::lock_guard<std::mutex> lock(w->mu);
-    if (!w->jobs.empty()) return true;
-  }
-  return false;
-}
-
-void SessionExecutor::park(Worker& self) {
-  std::unique_lock<std::mutex> lock(idle_mu_);
-  if (stop_.load(std::memory_order_relaxed)) return;
-  uint64_t epoch = wake_epoch_;
-  // Publish this sleeper, then re-scan every deque. A producer pushes
-  // its job, fences, then reads sleepers_ (wake_sleepers): either it
-  // sees this increment and bumps the epoch, or the push precedes the
-  // scan below and the scan finds the job. No wakeup can be lost, so
-  // the wait needs no timeout.
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  if (!any_job_queued()) {
-    self.parks.fetch_add(1, std::memory_order_relaxed);
-    idle_cv_.wait(lock, [&] {
-      return wake_epoch_ != epoch || stop_.load(std::memory_order_relaxed);
-    });
-  }
-  sleepers_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void SessionExecutor::wake_sleepers(size_t new_jobs) {
-  // Pairs with the sleepers_ increment in park(): orders the caller's
-  // job push before this load.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) == 0) return;
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    ++wake_epoch_;
-  }
-  if (new_jobs > 1)
-    idle_cv_.notify_all();
-  else
-    idle_cv_.notify_one();
 }
 
 }  // namespace hinch

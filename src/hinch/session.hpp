@@ -1,5 +1,5 @@
 // Session-scoped runtime: many concurrent application instances on one
-// shared work-stealing pool.
+// shared pool fed by a central job queue.
 //
 // The original runtime was process-lifetime — one spec, one graph, one
 // executor, exit — and every run owned its worker threads. A Session is
@@ -7,14 +7,15 @@
 // Program (and thus that program's streams and components), a Scheduler
 // tracking its iteration window, its own metrics registry (the "live.*"
 // gauges its components poll), and optionally a per-session
-// TraceSession. The SessionExecutor runs any number of
-// sessions at once on one work-stealing pool; every job is tagged with
-// its session (jobs carry a shared_ptr, so a Program can never die under
-// an in-flight job), teardown cancels and drains exactly one session's
-// jobs without stopping the pool, and admission is fair: at most
+// TraceSession. The SessionExecutor runs any number of sessions at once
+// on one pool whose workers take jobs from one FIFO queue, the paper's
+// central job queue (§1); every job is tagged with its session (jobs
+// carry a shared_ptr, so a Program can never die under an in-flight
+// job), teardown cancels and drains exactly one session's jobs without
+// stopping the pool, and admission is fair: at most
 // `max_active_sessions` run concurrently (FIFO beyond the cap) while
 // each session's iteration window — clamped to its stream depth — gives
-// per-stream backpressure, so one heavy session cannot flood the deques
+// per-stream backpressure, so one heavy session cannot flood the queue
 // and starve the others.
 //
 // The single-tenant path is the degenerate case: run_on_threads() now
@@ -36,6 +37,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -134,7 +136,6 @@ class Session {
 
   // Interned trace names (ids into config_.trace), set at start.
   std::vector<uint16_t> trace_task_names_;
-  uint16_t trace_steal_name_ = 0;
   uint16_t trace_reconfig_name_ = 0;
   uint16_t trace_pending_name_ = 0;
 
@@ -153,10 +154,10 @@ class Session {
 
 using SessionPtr = std::shared_ptr<Session>;
 
-// A persistent work-stealing pool executing any number of sessions.
-// Workers are started in the constructor and joined in shutdown() (or
-// the destructor); submitting, cancelling and waiting are all
-// thread-safe.
+// A persistent thread pool executing any number of sessions from one
+// central FIFO job queue. Workers are started in the constructor and
+// joined in shutdown() (or the destructor); submitting, cancelling and
+// waiting are all thread-safe.
 class SessionExecutor {
  public:
   struct Config {
@@ -169,8 +170,10 @@ class SessionExecutor {
   // Pool-lifetime statistics (monotonic; survive individual sessions).
   struct PoolStats {
     uint64_t jobs = 0;
+    // Jobs a worker popped that another worker had queued (the admission
+    // wavefront is queued by no worker and never counts).
     uint64_t steals = 0;
-    uint64_t idle_parks = 0;
+    uint64_t idle_parks = 0;  // waits on the empty queue's condition variable
     std::vector<uint64_t> worker_jobs;
   };
 
@@ -215,15 +218,14 @@ class SessionExecutor {
   struct Job {
     SessionPtr session;
     JobRef ref;
+    int released_by = -1;  // worker that queued it; -1: admission
   };
   struct Worker;
 
   void worker_loop(int id);
-  bool pop_own(Worker& self, Job* out);
-  bool steal(int id, Job* out);
-  void park(Worker& self);
-  bool any_job_queued();
-  void wake_sleepers(size_t new_jobs);
+  // Appends `n` jobs of `s` to the central queue and wakes waiters.
+  void push(const SessionPtr& s, const JobRef* refs, size_t n,
+            int released_by);
 
   // The admission path shared by both submit overloads: `s` carries its
   // program; the session starts now or joins the FIFO queue.
@@ -256,15 +258,14 @@ class SessionExecutor {
   std::vector<SessionPtr> live_;   // running sessions (for shutdown)
   std::condition_variable drained_cv_;  // active_ == 0 && queue empty
 
-  // Idle/termination protocol (same shape as the single-run executor;
-  // see docs/RUNTIME.md "Executor architecture").
-  std::atomic<bool> stop_{false};
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  uint64_t wake_epoch_ = 0;  // guarded by idle_mu_
-  // Workers inside park(); published before their final deque scan (see
-  // park() for the ordering argument).
-  std::atomic<int> sleepers_{0};
+  // The central job queue (docs/RUNTIME.md "Executor architecture").
+  // The queue, the waiter count and the stop flag share one lock, so a
+  // push always sees every worker that is about to wait.
+  std::mutex jobs_mu_;
+  std::condition_variable jobs_cv_;
+  std::deque<Job> jobs_;  // FIFO: push back, pop front
+  int waiting_ = 0;       // workers waiting on jobs_cv_
+  bool stop_ = false;     // set by shutdown() once every session drained
 };
 
 }  // namespace hinch

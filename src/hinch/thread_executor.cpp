@@ -7,10 +7,10 @@ namespace hinch {
 
 // One thread backend, two surfaces: run_on_threads is the degenerate
 // one-session case of the SessionExecutor (session.hpp). A fresh pool is
-// built per call — same thread count, seeds and deque discipline as a
-// server pool — the borrowed program becomes session 0, metrics publish
-// into the caller's registry (SessionConfig::metrics), and the pool's
-// lifetime stats are the run's stats because the pool ran nothing else.
+// built per call — same thread count and job queue as a server pool —
+// the borrowed program becomes session 0, metrics publish into the
+// caller's registry (SessionConfig::metrics), and the pool's lifetime
+// stats are the run's stats because the pool ran nothing else.
 ThreadResult run_on_threads(Program& prog, const RunConfig& config,
                             int workers, obs::TraceSession* trace,
                             obs::MetricsRegistry* metrics) {

@@ -7,7 +7,7 @@
 // executors emit typed, fixed-size events —
 //
 //   span     a (task, iteration) job execution: start + duration
-//   instant  a point marker (job admission, a steal, a reconfiguration)
+//   instant  a point marker (job admission, a reconfiguration)
 //   counter  a sampled value on a named track (queue depth, cumulative
 //            cache misses, per-stream in-flight slots)
 //

@@ -1,5 +1,5 @@
-// Session-scoped runtime tests: tenancy isolation on the shared
-// work-stealing pool (bit-identical outputs, per-session metrics,
+// Session-scoped runtime tests: tenancy isolation on the shared pool
+// and its central job queue (bit-identical outputs, per-session metrics,
 // traces and regions), admission control, cancellation/teardown
 // ordering, the compiled-spec cache, and the two multi-tenant server
 // gates (concurrent tenants beat sequential runs; closing a session

@@ -1,7 +1,7 @@
-// Multi-worker stress tests for the work-stealing thread executor: many
-// iterations x deep pipeline window x reconfiguration events, asserting
-// that the scheduler-visible statistics agree with the deterministic
-// simulator backend. Designed to run under ThreadSanitizer (label
+// Multi-worker stress tests for the thread executor's central job queue:
+// many iterations x deep pipeline window x reconfiguration events,
+// asserting that the scheduler-visible statistics agree with the
+// deterministic simulator backend. Designed to run under ThreadSanitizer (label
 // "tsan"; build with -DHINCH_SANITIZE=thread) — any data race between
 // the scheduler's lock and the kernels running outside it shows up here.
 //
@@ -258,7 +258,7 @@ TEST_F(ThreadStressTest, RepeatedRunsStayConsistent) {
 
 TEST_F(ThreadStressTest, TracingEnabledStaysRaceFreeAndConsistent) {
   // Same hammer with a TraceSession attached: every worker emits spans,
-  // steal/park markers and counters into its own recorder lane, and the
+  // reconfiguration markers and counters into its own recorder lane, and the
   // small ring (4096/lane) forces constant wraparound. Under TSan this
   // is the designated workload for the tracing paths.
   constexpr int kTasks = 8;

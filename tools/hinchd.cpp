@@ -1,6 +1,6 @@
 // hinchd — long-lived multi-tenant Hinch streaming server.
 //
-// One process, one SessionExecutor (shared work-stealing pool), many
+// One process, one SessionExecutor (one pool, one central job queue), many
 // tenants: each `open` names a built-in application (apps::catalog) and
 // compiles its spec through the SpecCache (once per distinct spec; a
 // spec that does not build is an error at open), and each `feed` runs a
