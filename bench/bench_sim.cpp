@@ -1,13 +1,12 @@
 // Simulator hot-path microbench: wall-clock (host) cost of the cache
-// model, the event engine, and the end-to-end Fig. 8 suite, comparing
-// the flat intrusive structures against the list/std::function reference
-// implementations they replaced. Emits machine-readable BENCH_sim.json,
-// whose context block names the mode, the CPU model, the core count and
-// the source commit.
+// model and of the end-to-end Fig. 8 suite, comparing the flat cache
+// engine against the std::list/unordered_map reference it replaced.
+// Emits machine-readable BENCH_sim.json, whose context block names the
+// mode, the CPU model, the core count and the source commit.
 //
 // Both legs of every comparison are semantically identical — equal
-// MemStats, equal event counts, equal simulated cycles — which this
-// bench asserts as it measures. See docs/PERF.md ("Simulator hot path").
+// MemStats, equal simulated cycles — which this bench asserts as it
+// measures. See docs/PERF.md ("Simulator hot path").
 //
 // Usage: bench_sim [--smoke] [output.json]   (default ./BENCH_sim.json)
 //   --smoke  shrink the workloads for a CI smoke run and skip the
@@ -15,14 +14,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "sim/cache.hpp"
-#include "sim/engine.hpp"
 #include "support/check.hpp"
 
 namespace {
@@ -115,93 +111,11 @@ void bench_cache() {
               static_cast<double>(flat_check.chunk_accesses) / flat_ms / 1e3);
 }
 
-// --- event engine ------------------------------------------------------------
-//
-// The workload: a fixed fan of self-rescheduling events (what the sim
-// executor's core loops look like) drained to a fixed total. The
-// reference is the pre-optimization engine shape: std::function payloads
-// in a std::priority_queue ordered by the identical (time, seq) key.
-
-class RefEngine {
- public:
-  void schedule_after(sim::Cycles delta, std::function<void()> fn) {
-    heap_.push(Entry{now_ + delta, next_seq_++, std::move(fn)});
-  }
-  sim::Cycles now() const { return now_; }
-  sim::Cycles run() {
-    while (!heap_.empty()) {
-      Entry e = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      now_ = e.time;
-      e.fn();
-    }
-    return now_;
-  }
-
- private:
-  struct Entry {
-    sim::Cycles time;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  sim::Cycles now_ = 0;
-  uint64_t next_seq_ = 0;
-};
-
-template <typename Engine>
-uint64_t run_event_workload(uint64_t total) {
-  Engine eng;
-  uint64_t done = 0;
-  uint64_t order_check = 0;
-  constexpr int kFan = 64;
-  // The step functions must outlive the scheduling loop — scheduled
-  // events re-enter them by index.
-  std::vector<std::function<void(int)>> steps(kFan);
-  for (int i = 0; i < kFan; ++i) {
-    // Same self-rescheduling shape and capture footprint as the sim
-    // executor's core-step closures.
-    steps[static_cast<size_t>(i)] = [&, i](int hop) {
-      order_check = order_check * 31 + static_cast<uint64_t>(i);
-      if (++done >= total) return;
-      eng.schedule_after(static_cast<sim::Cycles>(1 + (i * 7 + hop) % 13),
-                         [&, i, hop] { steps[static_cast<size_t>(i)](hop + 1); });
-    };
-    eng.schedule_after(static_cast<sim::Cycles>(i % 5),
-                       [&, i] { steps[static_cast<size_t>(i)](i); });
-  }
-  sim::Cycles end = eng.run();
-  SUP_CHECK(done >= total && end > 0);
-  return order_check * 31 + end;
-}
-
-void bench_engine() {
-  const uint64_t total = g_smoke ? 50'000 : 1'000'000;
-  uint64_t ref_sig = run_event_workload<RefEngine>(total);
-  uint64_t opt_sig = run_event_workload<sim::Engine>(total);
-  SUP_CHECK_MSG(ref_sig == opt_sig,
-                "pooled engine drained events in a different order");
-
-  auto [ref_ms, opt_ms] = bench::best_ms_pair(
-      g_smoke ? 1 : 7, [&] { run_event_workload<RefEngine>(total); },
-      [&] { run_event_workload<sim::Engine>(total); });
-  g_report.add("event_engine", ref_ms, opt_ms,
-               std::to_string(total) + " self-rescheduling events");
-  std::printf("  events/sec: reference %.1fM, pooled %.1fM\n",
-              static_cast<double>(total) / ref_ms / 1e3,
-              static_cast<double>(total) / opt_ms / 1e3);
-}
-
 // --- end-to-end: the Fig. 8 suite --------------------------------------------
 //
 // The full Fig. 8 comparison — six hand-written sequential runs plus
 // their six XSPCL programs — run end to end through the simulator stack
-// (scheduler + job queue + region table + cache model + event engine)
+// (scheduler + job queue + regions + cache model + event loop)
 // on each LRU engine. Each leg is recorded once with the kernels
 // executing (apps::SeqTrace for the sequential versions,
 // hinch::ChargeTrace for the XSPCL sims); the timed legs re-simulate
@@ -314,7 +228,6 @@ int main(int argc, char** argv) {
   g_report.add_host_context(HINCH_SOURCE_COMMIT);
 
   bench_cache();
-  bench_engine();
   bench_fig8_suite();
   g_report.write_json(out);
 

@@ -60,13 +60,15 @@ void ExecContext::send_event(const std::string& queue, Event ev) {
 void ExecContext::touch_read(int in_port, uint64_t offset, uint64_t len) {
   Stream* s = comp_->input_stream(in_port);
   SUP_CHECK(s != nullptr);
-  charges_.touches.push_back({s->index(), offset, len, /*write=*/false});
+  if (charges_ != nullptr)
+    charges_->touches.push_back({s->index(), offset, len, /*write=*/false});
 }
 
 void ExecContext::touch_write(int out_port, uint64_t offset, uint64_t len) {
   Stream* s = comp_->output_stream(out_port);
   SUP_CHECK(s != nullptr);
-  charges_.touches.push_back({s->index(), offset, len, /*write=*/true});
+  if (charges_ != nullptr)
+    charges_->touches.push_back({s->index(), offset, len, /*write=*/true});
 }
 
 }  // namespace hinch

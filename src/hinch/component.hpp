@@ -4,8 +4,9 @@
 //
 // Components are written against ExecContext, which abstracts over the
 // two executors (SpaceCAKE-sim virtual time / native threads): stream
-// i/o, event sending, and simulated-cost charging (recorded under both
-// executors; the thread executor discards the record with the context).
+// i/o, event sending, and simulated-cost charging (recorded only into
+// the simulator's charge sink; under threads the charge calls check
+// their ports and record nothing).
 #pragma once
 
 #include <string>
@@ -79,50 +80,8 @@ void slice_rows(int rows, int index, int count, int* row0, int* row1);
 // Execution context handed to Component::run.
 class ExecContext {
  public:
-  ExecContext(Component* comp, int64_t iteration, int core,
-              EventQueueRegistry* queues,
-              obs::MetricsRegistry* metrics = nullptr)
-      : comp_(comp),
-        iteration_(iteration),
-        core_(core),
-        queues_(queues),
-        metrics_(metrics) {}
-
-  int64_t iteration() const { return iteration_; }
-  int core() const { return core_; }
-  Component& component() { return *comp_; }
-
-  // Live metrics registry of the run, when the executor was handed one
-  // (SimParams::metrics / run_on_threads); nullptr otherwise. Components
-  // that adapt on runtime state (the policy component) poll it through
-  // MetricsRegistry::snapshot() — reads never block the run.
-  obs::MetricsRegistry* metrics() const { return metrics_; }
-
-  // Switch the context to the next component of a grouped task; stream
-  // i/o resolves against the new component's ports, charges keep
-  // accumulating into the same job.
-  void rebind(Component* comp) { comp_ = comp; }
-
-  // --- stream i/o ---
-  const Packet& read(int in_port) const;
-  void write(int out_port, Packet packet);
-  // In-place access to the output stream's slot (read-modify-write
-  // chains, e.g. blending into a shared canvas). The slot must already
-  // have been written this iteration.
-  Packet& inout(int out_port);
-  // Two-phase in-place production: acquire() returns the slot without
-  // publishing it (readers still fault until commit() marks it written).
-  Packet& acquire(int out_port);
-  void commit(int out_port);
-
-  // --- events ---
-  void send_event(const std::string& queue, Event ev);
-
-  // --- simulated cost charging ---
-  // Every call records into charges_, under either executor: the
-  // simulator replays the record as cycles and memory traffic, the
-  // thread executor drops it with the context (touch_* and
-  // touch_scratch* still push a vector entry per call there).
+  // The record a job's charge calls fill (see "simulated cost charging"
+  // below); the simulator replays it as cycles and memory traffic.
   struct Touch {
     int stream_index;
     uint64_t offset;
@@ -143,7 +102,55 @@ class ExecContext {
     std::vector<Touch> touches;
   };
 
-  void charge_compute(uint64_t cycles) { charges_.compute_cycles += cycles; }
+  // `charges` is the sink the charge calls record into; nullptr (the
+  // thread executor) records nothing.
+  ExecContext(Component* comp, int64_t iteration, int core,
+              EventQueueRegistry* queues,
+              obs::MetricsRegistry* metrics = nullptr,
+              Charges* charges = nullptr)
+      : comp_(comp),
+        iteration_(iteration),
+        core_(core),
+        queues_(queues),
+        metrics_(metrics),
+        charges_(charges) {}
+
+  int64_t iteration() const { return iteration_; }
+  int core() const { return core_; }
+  Component& component() { return *comp_; }
+
+  // Live metrics registry of the run, when the executor was handed one
+  // (SimParams::metrics / run_on_threads); nullptr otherwise. Components
+  // that adapt on runtime state (the policy component) poll it through
+  // MetricsRegistry::snapshot() — reads never block the run.
+  obs::MetricsRegistry* metrics() const { return metrics_; }
+
+  // Switch the context to the next component of a grouped task; stream
+  // i/o resolves against the new component's ports, charges keep
+  // accumulating into the same sink.
+  void rebind(Component* comp) { comp_ = comp; }
+
+  // --- stream i/o ---
+  const Packet& read(int in_port) const;
+  void write(int out_port, Packet packet);
+  // In-place access to the output stream's slot (read-modify-write
+  // chains, e.g. blending into a shared canvas). The slot must already
+  // have been written this iteration.
+  Packet& inout(int out_port);
+  // Two-phase in-place production: acquire() returns the slot without
+  // publishing it (readers still fault until commit() marks it written).
+  Packet& acquire(int out_port);
+  void commit(int out_port);
+
+  // --- events ---
+  void send_event(const std::string& queue, Event ev);
+
+  // --- simulated cost charging ---
+  // Each call records into the sink when there is one. The port checks
+  // run either way.
+  void charge_compute(uint64_t cycles) {
+    if (charges_ != nullptr) charges_->compute_cycles += cycles;
+  }
   // Memory traffic on the packet currently in the port's slot.
   void touch_read(int in_port, uint64_t offset, uint64_t len);
   void touch_write(int out_port, uint64_t offset, uint64_t len);
@@ -151,13 +158,13 @@ class ExecContext {
   // call is one write pass over [0, bytes) of the task's scratch region;
   // touch_scratch_read models reading an intermediate back.
   void touch_scratch(uint64_t bytes) {
-    charges_.scratch.push_back({bytes, /*write=*/true});
+    if (charges_ != nullptr)
+      charges_->scratch.push_back({bytes, /*write=*/true});
   }
   void touch_scratch_read(uint64_t bytes) {
-    charges_.scratch.push_back({bytes, /*write=*/false});
+    if (charges_ != nullptr)
+      charges_->scratch.push_back({bytes, /*write=*/false});
   }
-
-  const Charges& charges() const { return charges_; }
 
  private:
   Component* comp_;
@@ -165,7 +172,7 @@ class ExecContext {
   int core_;
   EventQueueRegistry* queues_;
   obs::MetricsRegistry* metrics_;
-  Charges charges_;
+  Charges* charges_;  // nullptr: charges are not recorded
 };
 
 }  // namespace hinch

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "hinch/region_table.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -24,14 +23,42 @@ uint64_t trace_key(const JobRef& job) {
          static_cast<uint64_t>(job.iter);
 }
 
+// The three things that happen on the simulated tile: a dispatched job
+// starts on its core once the queue lock is released, it ends after its
+// cost, and the core goes idle after enqueueing the job's successors.
+enum class EventKind : uint8_t { kStart, kEnd, kIdle };
+
+struct Event {
+  sim::Cycles time;
+  uint64_t seq;  // unique: events at equal times fire in schedule order
+  JobRef job;    // unused by kIdle
+  int core;
+  EventKind kind;
+};
+
+// Heap order for std::push_heap/pop_heap, which keep the greatest
+// element on top: the greatest here is the earliest (time, seq).
+bool later(const Event& a, const Event& b) {
+  return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+}
+
+// A lazily registered memory region. A (stream, slot) pair keeps one
+// region across slot reuse, modelling the runtime's frame pool; a larger
+// access releases it and registers a bigger one.
+struct Region {
+  sim::RegionId id = 0;  // 0: not registered (MemorySystem never uses 0)
+  uint64_t bytes = 0;
+};
+
 class SimRun {
  public:
   SimRun(Program& prog, const RunConfig& config, const SimParams& params)
       : prog_(prog),
         scheduler_(prog, config),
         params_(params),
-        regions_(nullptr, prog.stream_depth()) {
+        depth_(prog.stream_depth()) {
     SUP_CHECK(params.cores >= 1);
+    SUP_CHECK(depth_ >= 1);
     SUP_CHECK_MSG(params.record_trace == nullptr ||
                       params.replay_trace == nullptr,
                   "at most one of record_trace/replay_trace may be set");
@@ -45,7 +72,9 @@ class SimRun {
     const int cores = std::min(params.cores, sim::kMaxCores);
     params_.cores = cores;
     mem_ = std::make_unique<sim::MemorySystem>(params_.cache, cores);
-    regions_ = RegionTable(mem_.get(), prog.stream_depth());
+    stream_regions_.resize(prog.streams().size() *
+                           static_cast<size_t>(depth_));
+    scratch_regions_.resize(prog.tasks().size());
     core_busy_.assign(static_cast<size_t>(cores), 0);
     core_idle_.assign(static_cast<size_t>(cores), true);
     task_cycles_.assign(prog.tasks().size(), 0);
@@ -87,11 +116,28 @@ class SimRun {
   SimResult run() {
     for (const JobRef& job : scheduler_.start()) queue_.push_back(job);
     dispatch();
-    engine_.run();
+    while (!events_.empty()) {
+      std::pop_heap(events_.begin(), events_.end(), later);
+      const Event ev = events_.back();
+      events_.pop_back();
+      now_ = ev.time;
+      switch (ev.kind) {
+        case EventKind::kStart:
+          start_job(ev.job, ev.core);
+          break;
+        case EventKind::kEnd:
+          end_job(ev.job, ev.core);
+          break;
+        case EventKind::kIdle:
+          core_idle_[static_cast<size_t>(ev.core)] = true;
+          dispatch();
+          break;
+      }
+    }
     SUP_CHECK_MSG(scheduler_.finished(),
                   "simulation drained with unfinished iterations");
     SimResult result;
-    result.total_cycles = engine_.now();
+    result.total_cycles = now_;
     result.mem = mem_->stats();
     result.sched = scheduler_.stats();
     result.core_busy = core_busy_;
@@ -104,6 +150,12 @@ class SimRun {
   }
 
  private:
+  void schedule(sim::Cycles time, EventKind kind, JobRef job, int core) {
+    SUP_DCHECK(time >= now_);
+    events_.push_back(Event{time, next_seq_++, job, core, kind});
+    std::push_heap(events_.begin(), events_.end(), later);
+  }
+
   // Assign queued jobs to idle cores: FIFO jobs, each to the lowest
   // idle core id (any idle core takes the next job, §1).
   void dispatch() {
@@ -116,19 +168,16 @@ class SimRun {
       queue_.pop_front();
 
       // Take the central queue's lock (a serial resource).
-      sim::Cycles acquire = std::max(engine_.now(), queue_free_at_);
-      queue_wait_ += acquire - engine_.now();
+      sim::Cycles acquire = std::max(now_, queue_free_at_);
+      queue_wait_ += acquire - now_;
       queue_free_at_ =
           acquire + params_.queue_lock_cycles + dequeue_cycles_;
-      sim::Cycles start = queue_free_at_;
-      engine_.schedule_at(start, [this, job, core] { start_job(job, core); });
+      schedule(queue_free_at_, EventKind::kStart, job, core);
     }
   }
 
   void start_job(JobRef job, int core) {
-    ExecContext ctx(scheduler_.job_component(job), job.iter, core,
-                    &prog_.queues(), metrics_);
-    const ExecContext::Charges* charged = &ctx.charges();
+    const ExecContext::Charges* charged = &job_charges_;
     if (params_.replay_trace != nullptr) {
       auto it = params_.replay_trace->jobs.find(trace_key(job));
       SUP_CHECK_MSG(it != params_.replay_trace->jobs.end(),
@@ -136,24 +185,30 @@ class SimRun {
                     "from a different program or RunConfig?)");
       charged = &it->second;
     } else {
+      // Clearing keeps the vectors' capacity for the next job.
+      job_charges_.compute_cycles = 0;
+      job_charges_.scratch.clear();
+      job_charges_.touches.clear();
+      ExecContext ctx(scheduler_.job_component(job), job.iter, core,
+                      &prog_.queues(), metrics_, &job_charges_);
       scheduler_.execute(job, ctx);
       if (params_.record_trace != nullptr)
-        params_.record_trace->jobs.emplace(trace_key(job), ctx.charges());
+        params_.record_trace->jobs.emplace(trace_key(job), job_charges_);
     }
     ++jobs_;
 
     const ExecContext::Charges& charges = *charged;
     sim::Cycles cost = charges.compute_cycles;
     for (const ExecContext::Touch& t : charges.touches) {
-      sim::RegionId region = regions_.stream_region(
-          t.stream_index, job.iter, t.offset + t.len);
+      sim::RegionId region =
+          stream_region(t.stream_index, job.iter, t.offset + t.len);
       cost += mem_->access(core, region, t.offset, t.len, t.write);
     }
     if (!charges.scratch.empty()) {
       uint64_t scratch_bytes = 0;
       for (const ExecContext::ScratchTouch& s : charges.scratch)
         scratch_bytes = std::max(scratch_bytes, s.bytes);
-      sim::RegionId region = regions_.scratch_region(job.task, scratch_bytes);
+      sim::RegionId region = scratch_region(job.task, scratch_bytes);
       for (const ExecContext::ScratchTouch& s : charges.scratch)
         cost += mem_->access(core, region, 0, s.bytes, s.write);
     }
@@ -163,17 +218,16 @@ class SimRun {
     if (trace_ != nullptr) {
       obs::TraceRecorder* rec = trace_->recorder(core);
       rec->span(task_names_[static_cast<size_t>(job.task)],
-                obs::Category::kTask, engine_.now(), cost, job.iter,
-                job.task);
+                obs::Category::kTask, now_, cost, job.iter, job.task);
       // phase 1 = a reconfiguration splice executing on this core: the
       // explicit marker fig10's trace validation looks for.
       if (job.phase == 1)
-        rec->instant(reconfig_name_, obs::Category::kReconfig, engine_.now(),
-                     job.iter, job.task);
+        rec->instant(reconfig_name_, obs::Category::kReconfig, now_, job.iter,
+                     job.task);
       const sim::MemStats ms = mem_->stats();
-      rec->counter(l1_miss_name_, obs::Category::kCache, engine_.now(),
+      rec->counter(l1_miss_name_, obs::Category::kCache, now_,
                    static_cast<int64_t>(ms.accesses - ms.l1_hits));
-      rec->counter(mem_fetch_name_, obs::Category::kCache, engine_.now(),
+      rec->counter(mem_fetch_name_, obs::Category::kCache, now_,
                    static_cast<int64_t>(ms.mem_fetches));
       // Per-stream occupancy: slots of this stream holding data of
       // iterations admitted but not yet retired.
@@ -181,7 +235,7 @@ class SimRun {
       for (const ExecContext::Touch& t : charges.touches) {
         if (!t.write) continue;
         rec->counter(stream_names_[static_cast<size_t>(t.stream_index)],
-                     obs::Category::kStream, engine_.now(), inflight);
+                     obs::Category::kStream, now_, inflight);
       }
     }
     if (metrics_ != nullptr) {
@@ -192,7 +246,7 @@ class SimRun {
                       inflight);
       }
     }
-    engine_.schedule_after(cost, [this, job, core] { end_job(job, core); });
+    schedule(now_ + cost, EventKind::kEnd, job, core);
   }
 
   void end_job(JobRef job, int core) {
@@ -201,9 +255,9 @@ class SimRun {
     if (trace_ != nullptr) {
       obs::TraceRecorder* rec = trace_->recorder(core);
       for (const JobRef& j : newly)
-        rec->instant(admit_name_, obs::Category::kSched, engine_.now(),
-                     j.iter, j.task);
-      rec->counter(queue_depth_name_, obs::Category::kSched, engine_.now(),
+        rec->instant(admit_name_, obs::Category::kSched, now_, j.iter,
+                     j.task);
+      rec->counter(queue_depth_name_, obs::Category::kSched, now_,
                    static_cast<int64_t>(queue_.size()));
     }
     if (metrics_ != nullptr) publish_live();
@@ -211,19 +265,50 @@ class SimRun {
     sim::Cycles enqueue_cost =
         enqueue_cycles_ * static_cast<sim::Cycles>(newly.size());
     core_busy_[static_cast<size_t>(core)] += enqueue_cost;
-    engine_.schedule_after(enqueue_cost, [this, core] {
-      core_idle_[static_cast<size_t>(core)] = true;
-      dispatch();
-    });
+    schedule(now_ + enqueue_cost, EventKind::kIdle, job, core);
     // Jobs may be dispatchable on other idle cores right away.
     dispatch();
+  }
+
+  // The region of the ring slot that holds `iter` of stream
+  // `stream_index`.
+  sim::RegionId stream_region(int stream_index, int64_t iter,
+                              uint64_t min_bytes) {
+    SUP_CHECK(stream_index >= 0 && iter >= 0);
+    const size_t slot = static_cast<size_t>(iter % depth_);
+    const size_t i =
+        static_cast<size_t>(stream_index) * static_cast<size_t>(depth_) + slot;
+    SUP_CHECK(i < stream_regions_.size());
+    // The label is only built on a miss (first touch or a size upgrade),
+    // so the per-access path stays allocation-free.
+    return region(stream_regions_[i], min_bytes, [&] {
+      return "stream:" + std::to_string(stream_index) + ":slot" +
+             std::to_string(slot);
+    });
+  }
+
+  sim::RegionId scratch_region(int task, uint64_t min_bytes) {
+    SUP_CHECK(task >= 0 &&
+              static_cast<size_t>(task) < scratch_regions_.size());
+    return region(scratch_regions_[static_cast<size_t>(task)], min_bytes,
+                  [&] { return "scratch:task" + std::to_string(task); });
+  }
+
+  template <typename LabelFn>
+  sim::RegionId region(Region& r, uint64_t min_bytes, LabelFn&& label) {
+    if (r.id != 0) {
+      if (r.bytes >= min_bytes) return r.id;
+      mem_->release_region(r.id);
+    }
+    r = Region{mem_->register_region(min_bytes, label()), min_bytes};
+    return r.id;
   }
 
   // Refresh the "live.*" gauges after a job retires. Pure observation:
   // publication touches only the registry, never the cost model, so
   // cycle counts are identical with and without a registry attached.
   void publish_live() {
-    metrics_->set("live.cycles", static_cast<int64_t>(engine_.now()));
+    metrics_->set("live.cycles", static_cast<int64_t>(now_));
     metrics_->set("live.jobs", static_cast<int64_t>(jobs_));
     metrics_->set("live.queue_depth", static_cast<int64_t>(queue_.size()));
     int64_t iters = scheduler_.iterations_done();
@@ -232,11 +317,11 @@ class SimRun {
       // Throughput over the iterations retired since the last boundary —
       // the signal the policy component watches for load steps.
       double per_iter =
-          static_cast<double>(engine_.now() - live_last_boundary_) /
+          static_cast<double>(now_ - live_last_boundary_) /
           static_cast<double>(iters - live_last_iters_);
       metrics_->set("live.cycles_per_iter", per_iter);
       live_last_iters_ = iters;
-      live_last_boundary_ = engine_.now();
+      live_last_boundary_ = now_;
     }
     const sim::MemStats ms = mem_->stats();
     metrics_->set("live.mem_fetches", static_cast<int64_t>(ms.mem_fetches));
@@ -252,9 +337,14 @@ class SimRun {
   SimParams params_;
   sim::Cycles dequeue_cycles_ = kDequeueCycles;
   sim::Cycles enqueue_cycles_ = kEnqueueCycles;
-  sim::Engine engine_;
+  std::vector<Event> events_;  // min-heap on (time, seq), see later()
+  uint64_t next_seq_ = 0;
+  sim::Cycles now_ = 0;
   std::unique_ptr<sim::MemorySystem> mem_;
-  RegionTable regions_;
+  const int depth_;
+  std::vector<Region> stream_regions_;   // [stream * depth + slot]
+  std::vector<Region> scratch_regions_;  // [task]
+  ExecContext::Charges job_charges_;     // the executing job's record
 
   std::deque<JobRef> queue_;
   std::vector<bool> core_idle_;

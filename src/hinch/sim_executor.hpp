@@ -10,6 +10,11 @@
 // Tiles, core classes and an interconnect were modelled once and
 // deleted, since no figure ran them; git history holds that version.
 //
+// The run is one loop over a heap of three kinds of event (a job
+// starts, a job ends, a core goes idle), ordered by (time, seq). Stream
+// slots and task scratch spaces map to cache-model regions through
+// arrays indexed by stream * depth + slot and by task id.
+//
 // Everything is deterministic: same program + config => identical cycle
 // counts, which the paper-figure benches and the tests rely on.
 #pragma once
@@ -18,7 +23,6 @@
 
 #include "hinch/scheduler.hpp"
 #include "sim/cache.hpp"
-#include "sim/engine.hpp"
 
 namespace obs {
 class MetricsRegistry;
@@ -32,7 +36,7 @@ namespace hinch {
 // skips component execution and feeds the recorded charges straight into
 // the cost model, producing identical cycle/memory/queue results while
 // spending host time only on the simulator itself (scheduler, cache
-// model, event engine) — the fast path for parameter sweeps and for
+// model, event loop) — the fast path for parameter sweeps and for
 // bench_sim's end-to-end measurement. Replay requires the same program
 // structure and RunConfig as the recording, and is restricted to
 // programs without reconfiguration managers (manager polls have

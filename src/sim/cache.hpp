@@ -8,6 +8,10 @@
 // no figure, ablation or benchmark ran more than one tile, so it was
 // deleted. Git history (commit 365d569 and before) holds it.
 //
+// The model has no clock of its own: it turns each access into stall
+// Cycles, and the simulator's event loop (hinch/sim_executor.cpp) adds
+// them to the job's cost in virtual time.
+//
 // Granularity is a "chunk" (default 1 KiB) rather than a cache line: the
 // workloads stream whole image rows, so chunk-level LRU reproduces the
 // relevant behaviour — the paper's finding that splitting fused kernels
@@ -47,9 +51,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/engine.hpp"
-
 namespace sim {
+
+// Simulated clock cycles.
+using Cycles = uint64_t;
 
 using RegionId = uint32_t;
 

@@ -720,6 +720,65 @@ TEST_F(HinchTest, GroupInsideSliceReplicates) {
   }
 }
 
+TEST_F(HinchTest, GroupChargesAccumulateIntoTheSink) {
+  // prod -> group(w1 -> w2) -> cons. Executing the group's job rebinds
+  // one context from w1 to w2; both members charge into the one sink.
+  std::vector<NodePtr> grouped;
+  grouped.push_back(sp::make_leaf(leaf("w1", "probe_worker", {{"in", "a"}},
+                                       {{"out", "b"}}, {{"cost", "7"}})));
+  grouped.push_back(sp::make_leaf(leaf("w2", "probe_worker", {{"in", "b"}},
+                                       {{"out", "c"}}, {{"cost", "11"}})));
+  std::vector<NodePtr> steps;
+  steps.push_back(sp::make_leaf(leaf("prod", "probe_producer", {},
+                                     {{"out", "a"}})));
+  steps.push_back(sp::make_group(std::move(grouped)));
+  steps.push_back(sp::make_leaf(leaf("cons", "probe_consumer",
+                                     {{"in", "c"}}, {})));
+  auto built = Program::build(*sp::make_seq(std::move(steps)), registry_);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  Program& prog = *built.value();
+  RunConfig config;
+  config.iterations = 1;
+  hinch::Scheduler sched(prog, config);
+  std::vector<hinch::JobRef> ready = sched.start();
+  ASSERT_EQ(ready.size(), 1u);
+  {
+    // No sink (the thread executor's case): the charge calls are
+    // accepted and recorded nowhere.
+    ExecContext ctx(sched.job_component(ready[0]), 0, 0, &prog.queues());
+    sched.execute(ready[0], ctx);
+    ctx.touch_write(0, 0, 64);
+    ctx.touch_scratch(128);
+    ctx.touch_scratch_read(128);
+  }
+  ready = sched.complete(ready[0]);
+  ASSERT_EQ(ready.size(), 1u);
+  const hinch::Task& group = prog.task(ready[0].task);
+  ASSERT_EQ(group.components.size(), 2u);
+
+  ExecContext::Charges sink;
+  ExecContext ctx(sched.job_component(ready[0]), 0, 0, &prog.queues(),
+                  nullptr, &sink);
+  sched.execute(ready[0], ctx);
+  EXPECT_EQ(sink.compute_cycles, 7u + 11u);
+  // The context is left bound to w2: a read resolves against w2's input
+  // (stream b), and a rebind back to w1 against stream a.
+  ctx.touch_read(0, 0, 16);
+  ctx.rebind(&prog.component(group.components[0]));
+  ctx.touch_read(0, 16, 32);
+  ctx.touch_scratch(256);
+  ctx.charge_compute(5);
+  EXPECT_EQ(sink.compute_cycles, 7u + 11u + 5u);
+  ASSERT_EQ(sink.touches.size(), 2u);
+  EXPECT_EQ(sink.touches[0].stream_index, prog.find_stream("b")->index());
+  EXPECT_EQ(sink.touches[1].stream_index, prog.find_stream("a")->index());
+  EXPECT_EQ(sink.touches[1].offset, 16u);
+  EXPECT_EQ(sink.touches[1].len, 32u);
+  ASSERT_EQ(sink.scratch.size(), 1u);
+  EXPECT_EQ(sink.scratch[0].bytes, 256u);
+  EXPECT_TRUE(sink.scratch[0].write);
+}
+
 // --- thread executor ---------------------------------------------------------------
 
 class ThreadWorkerCountTest : public HinchTest,

@@ -1,6 +1,6 @@
 // Session-scoped runtime tests: tenancy isolation on the shared pool
-// and its central job queue (bit-identical outputs, per-session metrics,
-// traces and regions), admission control, cancellation/teardown
+// and its central job queue (bit-identical outputs, per-session metrics
+// and traces), admission control, cancellation/teardown
 // ordering, the compiled-spec cache, and the two multi-tenant server
 // gates (concurrent tenants beat sequential runs; closing a session
 // never stalls a neighbour). The churn test (concurrent Program build + submit + cancel
@@ -21,14 +21,12 @@
 #include "apps/apps.hpp"
 #include "components/components.hpp"
 #include "components/sinks.hpp"
-#include "hinch/region_table.hpp"
 #include "hinch/runtime.hpp"
 #include "hinch/session.hpp"
 #include "hinch/thread_executor.hpp"
 #include "media/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/cache.hpp"
 #include "sp/pass.hpp"
 #include "xspcl/loader.hpp"
 #include "xspcl/spec_cache.hpp"
@@ -292,31 +290,6 @@ TEST(SessionCancel, ShutdownCancelsEverything) {
   exec.shutdown();
   EXPECT_TRUE(a->finished());
   EXPECT_TRUE(b->finished());
-}
-
-// --- RegionTable per-owner regions ------------------------------------------
-
-TEST(SessionRegions, TwoTablesOverOneMemoryNeverAlias) {
-  sim::MemorySystem mem(sim::CacheConfig{}, 1);
-  hinch::RegionTable first(&mem, 4);
-  hinch::RegionTable second(&mem, 4);
-  // Same (stream, iter) in two tables must not alias: each table
-  // registers its own region.
-  sim::RegionId a = first.stream_region(0, 0, 64);
-  sim::RegionId b = second.stream_region(0, 0, 64);
-  EXPECT_NE(a, b);
-}
-
-TEST(SessionRegionsDeathTest, StreamIndexBeyond32BitsIsRejected) {
-  sim::MemorySystem mem(sim::CacheConfig{}, 1);
-  hinch::RegionTable table(&mem, 4);
-  // 2^32 - 1 packs; 2^32 would shift into the slot half and alias
-  // stream index mod 2^32 — the guard must trip, not wrap.
-  EXPECT_EQ(table.stream_key((int64_t{1} << 32) - 1, 0) >> 32,
-            (uint64_t{1} << 32) - 1);
-  EXPECT_DEATH(table.stream_key(int64_t{1} << 32, 0),
-               "stream index exceeds");
-  EXPECT_DEATH(table.stream_key(-1, 0), "negative stream index");
 }
 
 // --- compiled-spec cache ----------------------------------------------------

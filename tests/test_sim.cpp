@@ -3,59 +3,13 @@
 #include <algorithm>
 
 #include "sim/cache.hpp"
-#include "sim/engine.hpp"
 #include "support/rng.hpp"
 
 namespace {
 
 using sim::CacheConfig;
 using sim::Cycles;
-using sim::Engine;
 using sim::MemorySystem;
-
-TEST(Engine, RunsEventsInTimeOrder) {
-  Engine e;
-  std::vector<int> order;
-  e.schedule_at(30, [&] { order.push_back(3); });
-  e.schedule_at(10, [&] { order.push_back(1); });
-  e.schedule_at(20, [&] { order.push_back(2); });
-  EXPECT_EQ(e.run(), 30u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Engine, EqualTimesFireInScheduleOrder) {
-  Engine e;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    e.schedule_at(7, [&order, i] { order.push_back(i); });
-  e.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Engine, EventsMayScheduleMoreEvents) {
-  Engine e;
-  int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 10) e.schedule_after(5, chain);
-  };
-  e.schedule_at(0, chain);
-  EXPECT_EQ(e.run(), 45u);
-  EXPECT_EQ(fired, 10);
-  EXPECT_EQ(e.events_processed(), 10u);
-}
-
-TEST(Engine, NowAdvancesMonotonically) {
-  Engine e;
-  Cycles last = 0;
-  for (int i = 0; i < 20; ++i)
-    e.schedule_at(static_cast<Cycles>(i * 3), [&, i] {
-      EXPECT_GE(e.now(), last);
-      last = e.now();
-      EXPECT_EQ(e.now(), static_cast<Cycles>(i * 3));
-    });
-  e.run();
-}
 
 CacheConfig small_cache() {
   CacheConfig c;

@@ -3,13 +3,14 @@
 // sweep driver must all produce identical simulated results, and a
 // golden snapshot pins the absolute cycle counts of one small
 // configuration so an accidental semantic change to the cache model or
-// event engine fails loudly instead of silently shifting every figure.
+// event loop fails loudly instead of silently shifting every figure.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <regex>
+#include <set>
 
 #include "bench/bench_util.hpp"
-#include "hinch/region_table.hpp"
 
 namespace {
 
@@ -217,17 +218,91 @@ TEST(RegionStats, BreakdownMatchesTotals) {
   EXPECT_EQ(stalls, total.stall_cycles);
 }
 
-TEST(RegionStats, SimRunUsesDescriptiveLabels) {
-  // The RegionTable registers streams/scratch with stream:<i>:slot<s>
-  // and scratch:task<t> labels; spot-check via a tiny direct table.
-  sim::MemorySystem mem(sim::CacheConfig{}, 1);
-  hinch::RegionTable table(&mem, 4);
-  table.stream_region(2, 5, 1024);
-  table.scratch_region(7, 2048);
-  std::vector<sim::RegionStats> rs = mem.region_stats();
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_EQ(rs[0].label, "stream:2:slot1");
-  EXPECT_EQ(rs[1].label, "scratch:task7");
+// Builds `spec` with the given build config; aborts the test on error.
+std::unique_ptr<hinch::Program> build_with(
+    const std::string& spec, const hinch::Program::BuildConfig& build) {
+  components::register_standard_globally();
+  auto prog = xspcl::build_program(spec, hinch::ComponentRegistry::global(),
+                                   build);
+  EXPECT_TRUE(prog.is_ok()) << prog.status().to_string();
+  return prog.is_ok() ? std::move(prog).take() : nullptr;
+}
+
+TEST(RegionStats, SimRunUsesStreamSlotAndScratchLabels) {
+  // run_on_sim registers one region per touched (stream, ring slot),
+  // labelled stream:<i>:slot<s>, and one per task that charges scratch,
+  // labelled scratch:task<t>. A JPiP fused for one core has both: its
+  // two fused decode chains keep their coefficients in scratch.
+  apps::JpipConfig c;
+  c.width = 128;
+  c.height = 96;
+  c.frames = 4;
+  c.factor = 8;
+  c.slices = 4;
+  c.clip_frames = 2;
+  hinch::Program::BuildConfig build;
+  build.passes.fuse_kernels = true;
+  build.passes.kernel_patterns = &components::standard_fusions();
+  auto prog = build_with(apps::jpip_xspcl(c), build);
+  ASSERT_NE(prog, nullptr);
+  hinch::RunConfig run;
+  run.iterations = c.frames;
+  hinch::SimResult r = hinch::run_on_sim(*prog, run, hinch::SimParams{});
+
+  const std::regex stream_label("stream:([0-9]+):slot([0-9]+)");
+  const std::regex scratch_label("scratch:task([0-9]+)");
+  std::set<int> scratch_tasks;
+  int stream_regions = 0;
+  for (const sim::RegionStats& region : r.regions) {
+    std::smatch m;
+    if (std::regex_match(region.label, m, stream_label)) {
+      EXPECT_LT(std::stoul(m[1]), prog->streams().size()) << region.label;
+      EXPECT_LT(std::stoi(m[2]), prog->stream_depth()) << region.label;
+      ++stream_regions;
+    } else if (std::regex_match(region.label, m, scratch_label)) {
+      const int task = std::stoi(m[1]);
+      ASSERT_LT(static_cast<size_t>(task), prog->tasks().size());
+      EXPECT_NE(prog->task(task).label.find("/dec+"), std::string::npos)
+          << prog->task(task).label;
+      scratch_tasks.insert(task);
+    } else {
+      ADD_FAILURE() << "unexpected region label " << region.label;
+    }
+  }
+  EXPECT_GT(stream_regions, 0);
+  EXPECT_EQ(scratch_tasks.size(), 2u);  // bg/dec+... and pip1dec/dec+...
+}
+
+TEST(RegionStats, DeepStreamsRegisterEverySlot) {
+  // Every (stream, slot) of a 300-deep ring gets its own region. A
+  // region key that once packed the stream index only 8 bits above the
+  // slot aliased slot 260 of stream 0 onto slot 4 of stream 1, so the
+  // cache model counted two buffers as one.
+  apps::BlurConfig c;
+  c.width = 32;
+  c.height = 16;
+  c.slices = 2;
+  c.clip_frames = 2;
+  hinch::Program::BuildConfig build;
+  build.stream_depth = 300;
+  auto prog = build_with(apps::blur_xspcl(c), build);
+  ASSERT_NE(prog, nullptr);
+  hinch::RunConfig run;
+  run.iterations = 600;
+  hinch::SimResult r = hinch::run_on_sim(*prog, run, hinch::SimParams{});
+
+  std::set<std::string> labels;
+  size_t active = 0;
+  for (const sim::RegionStats& region : r.regions) {
+    if (region.label.rfind("stream:", 0) != 0) continue;
+    labels.insert(region.label);
+    if (region.active) ++active;
+  }
+  const size_t want = prog->streams().size() * 300;
+  EXPECT_EQ(labels.size(), want);
+  EXPECT_EQ(active, want);  // one live region per (stream, slot)
+  EXPECT_EQ(labels.count("stream:0:slot260"), 1u);
+  EXPECT_EQ(labels.count("stream:1:slot4"), 1u);
 }
 
 // The parallel sweep driver must return the same results regardless of

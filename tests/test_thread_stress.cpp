@@ -20,7 +20,6 @@
 #include <string>
 
 #include "components/components.hpp"
-#include "hinch/region_table.hpp"
 #include "hinch/runtime.hpp"
 #include "obs/trace.hpp"
 #include "xspcl/loader.hpp"
@@ -281,38 +280,6 @@ TEST_F(ThreadStressTest, TracingEnabledStaysRaceFreeAndConsistent) {
       EXPECT_GE(session.emitted(), r.jobs) << "round " << round;
     }
     board().clear();
-  }
-}
-
-// Regression: stream region keys must stay distinct for streams deeper
-// than 256 slots. The old packing shifted the stream index by only 8
-// bits, so (stream 1, slot 4) collided with (stream 0, slot 260) and
-// the simulator accounted two different buffers as one region.
-TEST(RegionTableTest, DeepStreamKeysDoNotAlias) {
-  sim::MemorySystem mem(sim::CacheConfig{}, 1);
-  hinch::RegionTable table(&mem, /*depth=*/300);
-  EXPECT_NE(table.stream_key(0, 260), table.stream_key(1, 4));
-  sim::RegionId a = table.stream_region(0, 260, 1024);
-  sim::RegionId b = table.stream_region(1, 4, 1024);
-  EXPECT_NE(a, b);
-  // Same (stream, slot) still shares one region across ring reuse.
-  EXPECT_EQ(table.stream_region(0, 260, 1024),
-            table.stream_region(0, 560, 1024));
-}
-
-TEST(RegionTableTest, KeysInjectiveAcrossManyStreams) {
-  sim::MemorySystem mem(sim::CacheConfig{}, 1);
-  const int depth = 1000;
-  hinch::RegionTable table(&mem, depth);
-  std::map<uint64_t, std::pair<int, int64_t>> seen;
-  for (int stream = 0; stream < 8; ++stream) {
-    for (int64_t slot = 0; slot < depth; slot += 37) {
-      uint64_t key = table.stream_key(stream, slot);
-      auto [it, inserted] = seen.emplace(key, std::make_pair(stream, slot));
-      EXPECT_TRUE(inserted) << "key collision: stream " << stream << " slot "
-                            << slot << " vs stream " << it->second.first
-                            << " slot " << it->second.second;
-    }
   }
 }
 
