@@ -30,7 +30,8 @@
 // Usage: bench_adapt [--smoke] [output.json]  (default ./BENCH_adapt.json)
 //   --smoke            shrink the run for CI (same checks)
 // Always writes the hysteresis leg's Chrome trace to
-// ./bench_adapt_trace.json.
+// ./bench_adapt_trace.json. The reaction is read from that trace, so a
+// build with HINCH_TRACING=OFF exits 2 without running.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -204,6 +205,12 @@ int main(int argc, char** argv) {
       g_smoke = true;
     else
       out = argv[i];
+  }
+  if (!obs::kTraceCompiledIn) {
+    std::fprintf(stderr,
+                 "bench_adapt: the reaction is read from the run's trace, "
+                 "which needs a build with HINCH_TRACING=ON\n");
+    return 2;
   }
 
   AdaptScale s;

@@ -219,7 +219,7 @@ auto parallel_sweep(int n, Fn&& fn) -> std::vector<decltype(fn(int{}))> {
 
 // --- wall-clock timing + BENCH_*.json emission ------------------------------
 //
-// Host-time microbench plumbing shared by bench_media and bench_sim
+// Host-time microbench plumbing of bench_media
 // (see docs/PERF.md for the host-clock vs simulated-cycle split).
 
 using WallClock = std::chrono::steady_clock;

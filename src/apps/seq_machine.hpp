@@ -22,7 +22,8 @@ namespace apps {
 // memory access in order. Replaying the trace against a fresh cache
 // model reproduces the recorded cycles and memory statistics exactly —
 // without re-executing the application's kernels — so parameter sweeps
-// and bench_sim's end-to-end measurement pay only the simulator cost.
+// pay only the simulator cost, and a full run's host time minus its
+// replay's is the kernels' own.
 struct SeqTrace {
   enum Kind : uint8_t { kRegion, kCharge, kRead, kWrite };
   struct Op {

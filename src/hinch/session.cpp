@@ -46,7 +46,7 @@ struct alignas(64) SessionExecutor::Worker {
 };
 
 SessionExecutor::SessionExecutor(const Config& config) {
-  SUP_CHECK(config.workers >= 1);
+  SUP_CHECK(config.workers >= 1 && config.workers <= kMaxWorkers);
   active_cap_ = std::max(0, config.max_active_sessions);
   slots_.reserve(static_cast<size_t>(config.workers));
   for (int w = 0; w < config.workers; ++w)

@@ -160,8 +160,13 @@ using SessionPtr = std::shared_ptr<Session>;
 // waiting are all thread-safe.
 class SessionExecutor {
  public:
+  // Upper bound on a pool's worker count. Every tool that starts a pool
+  // rejects a larger count as a usage error; the constructor checks it
+  // before any thread starts.
+  static constexpr int kMaxWorkers = 1024;
+
   struct Config {
-    int workers = 1;
+    int workers = 1;  // 1..kMaxWorkers
     // Admission cap: sessions beyond this many queue FIFO (0 = no cap).
     // Adjustable at runtime via set_active_cap (hinchd's `cap` command).
     int max_active_sessions = 0;

@@ -37,7 +37,7 @@ namespace hinch {
 // the cost model, producing identical cycle/memory/queue results while
 // spending host time only on the simulator itself (scheduler, cache
 // model, event loop) — the fast path for parameter sweeps and for
-// bench_sim's end-to-end measurement. Replay requires the same program
+// perfbench's jpip_sim replay leg. Replay requires the same program
 // structure and RunConfig as the recording, and is restricted to
 // programs without reconfiguration managers (manager polls have
 // scheduling side effects that cannot be skipped). In a replayed result

@@ -25,30 +25,19 @@
 //   in no cache   -> mem_cycles_per_chunk
 // Writes invalidate other cores' L1 copies (MSI-style coherence).
 //
-// Two interchangeable cache-structure engines implement the identical
-// LRU/coherence semantics (every access classifies and evicts the same
-// way, so all simulated-cycle outputs are byte-identical):
-//
-//   LruImpl::kFlat (default) — a shared chunk *directory*: one pooled
-//   node per resident chunk (index-linked, no per-touch allocation)
-//   found by indexing its region's chunk -> node array (chunk indices
-//   are dense within a region, so no hashing); per-cache intrusive LRU
-//   lists thread through per-cache prev/next arrays indexed by the
-//   node id; a per-chunk presence word (one bit per L1 plus one for the
-//   L2) makes a write invalidation a mask read plus targeted erases
-//   (instead of probing every core's map); and release_region is one
-//   scan of that array, not O(region chunks x caches) map probes.
-//
-//   LruImpl::kListReference — the original std::list +
-//   std::unordered_map structures, retained as the equivalence baseline
-//   for tests and the "before" leg of bench_sim (the same pattern as
-//   media's HuffmanImpl::kBitSerial).
+// The structure is a shared chunk *directory*: one pooled node per
+// resident chunk (index-linked, no per-touch allocation) found by
+// indexing its region's chunk -> node array (chunk indices are dense
+// within a region, so no hashing); per-cache intrusive LRU lists thread
+// through per-cache prev/next arrays indexed by the node id; a per-chunk
+// presence word (one bit per L1 plus one for the L2) makes a write
+// invalidation a mask read plus targeted erases; and release_region is
+// one scan of that array. A naive model of the same semantics
+// (tests/test_sim.cpp, CacheEquivalenceTest) is its oracle.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace sim {
@@ -58,18 +47,12 @@ using Cycles = uint64_t;
 
 using RegionId = uint32_t;
 
-// Upper bound on the simulated machine's core count. The flat engine
+// Upper bound on the simulated machine's core count. The directory
 // keeps one presence bit per L1 plus one for the L2 in a single 64-bit
 // word per resident chunk.
 inline constexpr int kMaxCores = 63;
 static_assert(kMaxCores + 1 <= 64,
               "every L1 plus the L2 must fit one presence word");
-
-enum class LruImpl {
-  kFlat,           // pooled nodes found through each region's chunk ->
-                   // node array (fast path)
-  kListReference,  // std::list + unordered_map (equivalence baseline)
-};
 
 // Cache geometry and latencies. The core count is handed to
 // MemorySystem alongside.
@@ -84,7 +67,6 @@ struct CacheConfig {
   uint32_t chunk_bytes = 1024;
   Cycles l2_cycles_per_chunk = 192;   // ~12 cycles per 64 B line
   Cycles mem_cycles_per_chunk = 640;  // ~40 cycles per 64 B line
-  LruImpl lru_impl = LruImpl::kFlat;
 };
 
 struct MemStats {
@@ -143,42 +125,18 @@ class MemorySystem {
   std::vector<RegionStats> region_stats() const;
 
  private:
-  // Chunk identity for the list engine: region id in the upper bits,
-  // chunk index (< 2^32, checked at registration) below.
-  using ChunkKey = uint64_t;
-  static ChunkKey key(RegionId region, uint64_t chunk) {
-    return (static_cast<uint64_t>(region) << 32) | chunk;
-  }
-
   // Region bookkeeping + accumulated statistics, indexed by RegionId
-  // (ids are dense: 1, 2, ...). Shared by both engines.
+  // (ids are dense: 1, 2, ...).
   struct Region {
     uint64_t bytes = 0;
     bool active = false;
-    // Flat engine: the directory node of each chunk, -1 while the chunk
-    // is in no cache.
+    // The directory node of each chunk, -1 while the chunk is in no
+    // cache.
     std::vector<int32_t> chunk_node;
     std::string label;
     RegionStats stats;  // id/label/bytes mirrored into the dump lazily
   };
 
-  // ---- list-reference engine --------------------------------------------
-  struct Lru {
-    uint64_t capacity_chunks = 0;
-    std::list<ChunkKey> order;  // front = most recent
-    std::unordered_map<ChunkKey, std::list<ChunkKey>::iterator> index;
-
-    bool contains(ChunkKey k) const { return index.count(k) != 0; }
-    void touch(ChunkKey k);   // insert or move to front; evicts beyond capacity
-    void erase(ChunkKey k);
-  };
-
-  Cycles access_list(int core, Region& region_info, RegionId region,
-                     uint64_t first, uint64_t last, bool write);
-  void release_region_list(RegionId id, Region& region_info);
-
-  // ---- flat engine -------------------------------------------------------
-  //
   // Directory node: one per chunk resident in at least one cache,
   // naming its region and chunk so eviction can clear the region's
   // chunk_node entry. Cache index space: [0, cores) are the per-core
@@ -217,23 +175,13 @@ class MemorySystem {
   void free_node(int32_t n);  // clears the region's chunk_node entry
   void evict_tail(size_t cache);
 
-  Cycles access_flat(int core, Region& region_info, RegionId region,
-                     uint64_t first, uint64_t last, bool write);
-  void release_region_flat(RegionId id, Region& region_info);
-
   CacheConfig config_;
-  bool flat_ = true;
   MemStats stats_;
   RegionId next_region_ = 1;
   std::vector<Region> regions_;  // index 0 unused
 
   int num_cores_ = 1;
 
-  // list-reference engine state
-  std::vector<Lru> l1_;  // one per core
-  Lru l2_;
-
-  // flat engine state
   size_t node_capacity_ = 0;  // fixed pool size (max residency + margin)
   uint64_t l1_bits_ = 0;      // presence bits of the L1 cache indices
   std::vector<DirNode> nodes_;

@@ -148,9 +148,10 @@ std::string generate_cpp(const sp::Node& root,
       "//\n"
       "// This is the glue code between the components and the Hinch run\n"
       "// time system; it executes only at initialization time.\n"
+      "#include <cstdint>\n"
       "#include <cstdio>\n"
       "#include <cstring>\n"
-      "#include <cstdlib>\n"
+      "#include <limits>\n"
       "#include <vector>\n"
       "\n"
       "#include \"sp/graph.hpp\"\n";
@@ -158,7 +159,9 @@ std::string generate_cpp(const sp::Node& root,
     out +=
         "#include \"components/components.hpp\"\n"
         "#include \"hinch/runtime.hpp\"\n"
-        "#include \"sp/validate.hpp\"\n";
+        "#include \"hinch/session.hpp\"\n"
+        "#include \"sp/validate.hpp\"\n"
+        "#include \"support/strings.hpp\"\n";
   }
   out += "\nnamespace xspcl_gen_" + options.app_name + " {\n\n";
   out += "sp::NodePtr build_graph() {\n";
@@ -169,26 +172,51 @@ std::string generate_cpp(const sp::Node& root,
 
   if (options.emit_main) {
     out += support::format(R"(
+// --cores takes 1..hinch::SessionExecutor::kMaxWorkers on threads and
+// at most sim::kMaxCores on sim; --iterations takes a positive count. A
+// bad number or flag is a usage error (exit 2).
 int main(int argc, char** argv) {
-  int cores = 1;
-  long long iterations = %lld;
+  int64_t cores = 1;
+  int64_t iterations = %lld;
   bool threads = false;
+  auto usage = [&] {
+    std::fprintf(stderr, "usage: %%s [--backend=sim|threads] [--cores=N]"
+                         " [--iterations=N]\n", argv[0]);
+    return 2;
+  };
+  auto number = [](const char* flag, const char* text, int64_t hi,
+                   int64_t* out) {
+    auto v = support::parse_int_in(text, 1, hi);
+    if (!v.is_ok()) {
+      std::fprintf(stderr, "%%s: %%s\n", flag,
+                   v.status().message().c_str());
+      return false;
+    }
+    *out = v.value();
+    return true;
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--cores=", 8) == 0)
-      cores = std::atoi(argv[i] + 8);
-    else if (std::strncmp(argv[i], "--iterations=", 13) == 0)
-      iterations = std::atoll(argv[i] + 13);
-    else if (std::strcmp(argv[i], "--backend=threads") == 0)
+    if (std::strncmp(argv[i], "--cores=", 8) == 0) {
+      if (!number("--cores", argv[i] + 8,
+                  hinch::SessionExecutor::kMaxWorkers, &cores))
+        return usage();
+    } else if (std::strncmp(argv[i], "--iterations=", 13) == 0) {
+      if (!number("--iterations", argv[i] + 13,
+                  std::numeric_limits<int64_t>::max(), &iterations))
+        return usage();
+    } else if (std::strcmp(argv[i], "--backend=threads") == 0) {
       threads = true;
-    else if (std::strcmp(argv[i], "--backend=sim") != 0) {
-      std::fprintf(stderr, "usage: %%s [--backend=sim|threads] [--cores=N]"
-                           " [--iterations=N]\n", argv[0]);
-      return 2;
+    } else if (std::strcmp(argv[i], "--backend=sim") == 0) {
+      threads = false;
+    } else {
+      std::fprintf(stderr, "unknown argument: %%s\n", argv[i]);
+      return usage();
     }
   }
-  if (cores < 1) {
-    std::fprintf(stderr, "--cores must be positive\n");
-    return 2;
+  if (!threads && cores > sim::kMaxCores) {
+    std::fprintf(stderr, "--cores: the simulated tile holds at most %%d "
+                         "cores\n", sim::kMaxCores);
+    return usage();
   }
   sp::NodePtr graph = xspcl_gen_%s::build_graph();
   support::Status valid = sp::validate(*graph);
@@ -208,14 +236,14 @@ int main(int argc, char** argv) {
   run.iterations = iterations;
   if (threads) {
     hinch::ThreadResult r =
-        hinch::run_on_threads(*prog.value(), run, cores);
-    std::printf("backend=threads workers=%%d iterations=%%lld "
+        hinch::run_on_threads(*prog.value(), run, static_cast<int>(cores));
+    std::printf("backend=threads workers=%%lld iterations=%%lld "
                 "wall_seconds=%%.6f jobs=%%llu\n",
-                cores, (long long)iterations, r.wall_seconds,
+                (long long)cores, (long long)iterations, r.wall_seconds,
                 (unsigned long long)r.jobs);
   } else {
     hinch::SimParams sim{};
-    sim.cores = cores;
+    sim.cores = static_cast<int>(cores);
     hinch::SimResult r = hinch::run_on_sim(*prog.value(), run, sim);
     std::printf("backend=sim cores=%%zu iterations=%%lld cycles=%%llu "
                 "jobs=%%llu l1_hit_rate=%%.3f\n",

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 
 #include "sim/cache.hpp"
 #include "support/rng.hpp"
@@ -124,10 +126,17 @@ INSTANTIATE_TEST_SUITE_P(Sizes, StreamingPassTest,
 // --- reference-model equivalence -------------------------------------------------
 //
 // A deliberately naive reference implementation of the same cache
-// semantics (per-core L1 LRU, shared L2 LRU, write invalidation),
-// exercised against MemorySystem with seeded random access sequences:
-// every access must be classified identically.
+// semantics (per-core L1 LRU, shared L2 LRU, write invalidation, region
+// release), exercised against MemorySystem with seeded random access
+// sequences: every access must cost the same stall cycles, and the run
+// must end with the same statistics. It is the cache model's only
+// oracle.
 namespace refmodel {
+
+// (region, chunk) packed into one key.
+uint64_t key(sim::RegionId region, uint64_t chunk) {
+  return (static_cast<uint64_t>(region) << 32) | chunk;
+}
 
 struct Lru {
   size_t capacity;
@@ -137,83 +146,149 @@ struct Lru {
     return std::find(order.begin(), order.end(), k) != order.end();
   }
   void touch(uint64_t k) {
-    auto it = std::find(order.begin(), order.end(), k);
-    if (it != order.end()) order.erase(it);
+    erase(k);
     order.insert(order.begin(), k);
     while (order.size() > capacity) order.pop_back();
   }
-  void erase(uint64_t k) {
+  bool erase(uint64_t k) {
     auto it = std::find(order.begin(), order.end(), k);
-    if (it != order.end()) order.erase(it);
+    if (it == order.end()) return false;
+    order.erase(it);
+    return true;
   }
 };
 
-enum class Level { kL1, kL2, kMem };
-
 struct Model {
+  CacheConfig cfg;
   std::vector<Lru> l1;
   Lru l2;
+  sim::MemStats stats;
 
-  Model(int cores, size_t l1_chunks, size_t l2_chunks) {
-    l1.assign(static_cast<size_t>(cores), Lru{l1_chunks, {}});
-    l2 = Lru{l2_chunks, {}};
+  Model(const CacheConfig& c, int cores) : cfg(c) {
+    l1.assign(static_cast<size_t>(cores),
+              Lru{c.l1_bytes / c.chunk_bytes, {}});
+    l2 = Lru{c.l2_bytes / c.chunk_bytes, {}};
   }
 
-  Level access(int core, uint64_t chunk, bool write) {
-    Level level;
-    if (l1[static_cast<size_t>(core)].contains(chunk)) {
-      level = Level::kL1;
-    } else if (l2.contains(chunk)) {
-      level = Level::kL2;
-    } else {
-      level = Level::kMem;
+  // Touches every chunk of bytes [offset, offset+len) of `region`;
+  // returns the stall cycles.
+  Cycles access(int core, sim::RegionId region, uint64_t offset,
+                uint64_t len, bool write) {
+    Lru& mine = l1[static_cast<size_t>(core)];
+    Cycles stall = 0;
+    for (uint64_t c = offset / cfg.chunk_bytes;
+         c <= (offset + len - 1) / cfg.chunk_bytes; ++c) {
+      const uint64_t k = key(region, c);
+      ++stats.accesses;
+      if (mine.contains(k)) {
+        ++stats.l1_hits;
+      } else {
+        if (l2.contains(k)) {
+          ++stats.l2_hits;
+          stall += cfg.l2_cycles_per_chunk;
+        } else {
+          ++stats.mem_fetches;
+          stall += cfg.mem_cycles_per_chunk;
+        }
+        // An L1 hit never reaches the L2, so only misses refresh its
+        // recency.
+        l2.touch(k);
+      }
+      mine.touch(k);
+      if (write) {
+        for (size_t i = 0; i < l1.size(); ++i)
+          if (static_cast<int>(i) != core && l1[i].erase(k))
+            ++stats.invalidations;
+      }
     }
-    // The real model refreshes L2 recency only on L1 misses (an L1 hit
-    // never reaches the L2).
-    if (level != Level::kL1) l2.touch(chunk);
-    l1[static_cast<size_t>(core)].touch(chunk);
-    if (write) {
-      for (size_t c = 0; c < l1.size(); ++c)
-        if (static_cast<int>(c) != core) l1[c].erase(chunk);
+    stats.stall_cycles += stall;
+    return stall;
+  }
+
+  // Drops every chunk of `region` from every cache.
+  void release(sim::RegionId region, uint64_t bytes) {
+    for (uint64_t c = 0; c * cfg.chunk_bytes < bytes; ++c) {
+      for (Lru& l : l1) l.erase(key(region, c));
+      l2.erase(key(region, c));
     }
-    return level;
   }
 };
 
 }  // namespace refmodel
 
-class CacheEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+// (cores, seed).
+class CacheEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 
 TEST_P(CacheEquivalenceTest, MatchesNaiveReferenceModel) {
-  const int cores = 3;
-  CacheConfig cfg = small_cache();
+  const auto [cores, seed] = GetParam();
+  const CacheConfig cfg = small_cache();
+  const uint64_t cb = cfg.chunk_bytes;
   MemorySystem mem(cfg, cores);
-  // One region of 24 chunks; reference tracks chunk indices directly.
-  const uint64_t chunks = 24;
-  sim::RegionId region =
-      mem.register_region(chunks * cfg.chunk_bytes, "buf");
-  refmodel::Model ref(cores, cfg.l1_bytes / cfg.chunk_bytes,
-                      cfg.l2_bytes / cfg.chunk_bytes);
+  refmodel::Model ref(cfg, cores);
+  support::SplitMix64 rng(seed);
 
-  support::SplitMix64 rng(GetParam());
-  for (int step = 0; step < 2000; ++step) {
-    int core = static_cast<int>(rng.next_below(cores));
-    uint64_t chunk = rng.next_below(chunks);
-    bool write = rng.next_below(3) == 0;
-    Cycles cost = mem.access(core, region, chunk * cfg.chunk_bytes,
-                             cfg.chunk_bytes, write);
-    refmodel::Level expect = ref.access(core, chunk, write);
-    Cycles want = expect == refmodel::Level::kL1 ? 0
-                  : expect == refmodel::Level::kL2
-                      ? cfg.l2_cycles_per_chunk
-                      : cfg.mem_cycles_per_chunk;
-    ASSERT_EQ(cost, want)
-        << "seed=" << GetParam() << " step=" << step << " core=" << core
-        << " chunk=" << chunk << " write=" << write;
+  // Three live regions of different sizes, none a whole number of
+  // chunks; together they overflow the 16-chunk L2.
+  struct Live {
+    sim::RegionId id;
+    uint64_t bytes;
+  };
+  std::vector<Live> live;
+  auto fresh = [&] {
+    const uint64_t bytes = (3 + rng.next_below(12)) * cb + 1 +
+                           rng.next_below(cb - 1);
+    return Live{mem.register_region(bytes, "buf"), bytes};
+  };
+  for (int i = 0; i < 3; ++i) live.push_back(fresh());
+
+  for (int step = 0; step < 3000; ++step) {
+    // Now and then a buffer dies and a fresh one takes its place.
+    if (rng.next_below(64) == 0) {
+      Live& dead = live[rng.next_below(live.size())];
+      mem.release_region(dead.id);
+      ref.release(dead.id, dead.bytes);
+      dead = fresh();
+    }
+    const Live& r = live[rng.next_below(live.size())];
+    const uint64_t chunks = (r.bytes + cb - 1) / cb;
+    // Bytes [start, end] span 1-3 chunks and may start or end mid-chunk.
+    const uint64_t first = rng.next_below(chunks);
+    const uint64_t last =
+        std::min(first + rng.next_below(3), chunks - 1);
+    const uint64_t start = first * cb + rng.next_below(
+                                            std::min(cb, r.bytes - first * cb));
+    const uint64_t lo = std::max(start, last * cb);
+    const uint64_t end = lo + rng.next_below(std::min((last + 1) * cb,
+                                                      r.bytes) - lo);
+    const int core = static_cast<int>(rng.next_below(
+        static_cast<uint64_t>(cores)));
+    const bool write = rng.next_below(3) == 0;
+    const uint64_t len = end - start + 1;
+    ASSERT_EQ(mem.access(core, r.id, start, len, write),
+              ref.access(core, r.id, start, len, write))
+        << "cores=" << cores << " seed=" << seed << " step=" << step
+        << " core=" << core << " region=" << r.id << " bytes [" << start
+        << ", " << end << "] write=" << write;
   }
+  const sim::MemStats& got = mem.stats();
+  EXPECT_EQ(got.accesses, ref.stats.accesses);
+  EXPECT_EQ(got.l1_hits, ref.stats.l1_hits);
+  EXPECT_EQ(got.l2_hits, ref.stats.l2_hits);
+  EXPECT_EQ(got.mem_fetches, ref.stats.mem_fetches);
+  EXPECT_EQ(got.invalidations, ref.stats.invalidations);
+  EXPECT_EQ(got.stall_cycles, ref.stats.stall_cycles);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheEquivalenceTest,
-                         ::testing::Range<uint64_t>(100, 112));
+// sim::kMaxCores fills the whole presence word (every L1 bit plus the
+// L2's); the wide_mask_engine_equivalence ctest leg runs those cases.
+INSTANTIATE_TEST_SUITE_P(
+    CoresSeeds, CacheEquivalenceTest,
+    ::testing::Combine(::testing::Values(1, 3, 8, sim::kMaxCores),
+                       ::testing::Range<uint64_t>(100, 112)),
+    [](const ::testing::TestParamInfo<CacheEquivalenceTest::ParamType>& info) {
+      return "cores" + std::to_string(std::get<0>(info.param)) + "_seed" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace

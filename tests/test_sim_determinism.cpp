@@ -1,9 +1,10 @@
 // Determinism regression tests for the simulator hot path: repeated
-// runs, both LRU cache engines, charge-trace replay, and the parallel
-// sweep driver must all produce identical simulated results, and a
-// golden snapshot pins the absolute cycle counts of one small
-// configuration so an accidental semantic change to the cache model or
-// event loop fails loudly instead of silently shifting every figure.
+// runs, charge-trace replay, and the parallel sweep driver must all
+// produce identical simulated results, and a golden snapshot pins the
+// absolute cycle counts of one small configuration so an accidental
+// semantic change to the cache model or event loop fails loudly instead
+// of silently shifting every figure. The cache model's own oracle is
+// CacheEquivalenceTest (test_sim.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,20 +21,12 @@ apps::PipConfig small_pip() {
   return c;
 }
 
-apps::JpipConfig small_jpip() {
-  apps::JpipConfig c = bench::paper_jpip(1);
-  c.frames = 3;
-  return c;
-}
-
-hinch::SimResult run_once(const std::string& spec, int64_t frames, int cores,
-                          sim::LruImpl impl) {
+hinch::SimResult run_once(const std::string& spec, int64_t frames, int cores) {
   auto prog = bench::build_program(spec);
   hinch::RunConfig run;
   run.iterations = frames;
   hinch::SimParams sim;
   sim.cores = cores;
-  sim.cache.lru_impl = impl;
   return hinch::run_on_sim(*prog, run, sim);
 }
 
@@ -51,32 +44,9 @@ void expect_same(const hinch::SimResult& a, const hinch::SimResult& b) {
 
 TEST(SimDeterminism, RepeatedRunsIdentical) {
   const std::string spec = apps::pip_xspcl(small_pip());
-  hinch::SimResult a = run_once(spec, 6, 2, sim::LruImpl::kFlat);
-  hinch::SimResult b = run_once(spec, 6, 2, sim::LruImpl::kFlat);
+  hinch::SimResult a = run_once(spec, 6, 2);
+  hinch::SimResult b = run_once(spec, 6, 2);
   expect_same(a, b);
-}
-
-TEST(SimDeterminism, LruEnginesAgree) {
-  for (int cores : {1, 3}) {
-    const std::string pip = apps::pip_xspcl(small_pip());
-    expect_same(run_once(pip, 6, cores, sim::LruImpl::kFlat),
-                run_once(pip, 6, cores, sim::LruImpl::kListReference));
-    const std::string jpip = apps::jpip_xspcl(small_jpip());
-    expect_same(run_once(jpip, 3, cores, sim::LruImpl::kFlat),
-                run_once(jpip, 3, cores, sim::LruImpl::kListReference));
-  }
-}
-
-// The widest machine the model holds: at sim::kMaxCores cores the L1
-// bits and the L2 bit fill the flat engine's whole 64-bit presence word,
-// and it must stay stat-identical to the reference engine.
-TEST(SimDeterminism, FullMaskEnginesAgree) {
-  const std::string pip = apps::pip_xspcl(small_pip());
-  expect_same(run_once(pip, 6, sim::kMaxCores, sim::LruImpl::kFlat),
-              run_once(pip, 6, sim::kMaxCores, sim::LruImpl::kListReference));
-  const std::string jpip = apps::jpip_xspcl(small_jpip());
-  expect_same(run_once(jpip, 3, sim::kMaxCores, sim::LruImpl::kFlat),
-              run_once(jpip, 3, sim::kMaxCores, sim::LruImpl::kListReference));
 }
 
 // One core past the presence word is a checked abort in the cache
@@ -91,10 +61,9 @@ TEST(SimGuards, MemorySystemAboveMaxCoresAborts) {
 // the machine from the host's CPU count) simulates a full tile.
 TEST(SimGuards, CoresAboveMaxSimulateAFullTile) {
   const std::string pip = apps::pip_xspcl(small_pip());
-  hinch::SimResult over =
-      run_once(pip, 2, sim::kMaxCores + 1, sim::LruImpl::kFlat);
+  hinch::SimResult over = run_once(pip, 2, sim::kMaxCores + 1);
   EXPECT_EQ(over.core_busy.size(), static_cast<size_t>(sim::kMaxCores));
-  expect_same(over, run_once(pip, 2, sim::kMaxCores, sim::LruImpl::kFlat));
+  expect_same(over, run_once(pip, 2, sim::kMaxCores));
 }
 
 // Utilization is the summed busy cycles over the capacity of every core
@@ -107,25 +76,13 @@ TEST(SimResultUtilization, SummedBusyOverCapacity) {
   EXPECT_DOUBLE_EQ(r.utilization(), 0.75);  // (100 + 50) / (100 * 2)
 }
 
-TEST(SimDeterminism, SequentialEnginesAgree) {
-  sim::CacheConfig flat;
-  flat.lru_impl = sim::LruImpl::kFlat;
-  sim::CacheConfig list;
-  list.lru_impl = sim::LruImpl::kListReference;
-  apps::SeqResult a = apps::run_pip_sequential(small_pip(), flat);
-  apps::SeqResult b = apps::run_pip_sequential(small_pip(), list);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_TRUE(a.mem == b.mem);
-}
-
 // Golden snapshot: PiP-1 at paper scale, 6 frames, 2 cores. These
 // numbers were produced by the list-based seed implementation and must
 // never drift — any change here is a semantic change to the cycle
 // model, not an optimization.
 TEST(SimDeterminism, GoldenCycleSnapshot) {
   const std::string spec = apps::pip_xspcl(small_pip());
-  hinch::SimResult r = run_once(spec, 6, 2, sim::LruImpl::kFlat);
+  hinch::SimResult r = run_once(spec, 6, 2);
   EXPECT_EQ(r.total_cycles, 11388050u);
   EXPECT_EQ(r.mem.accesses, 24072u);
   EXPECT_EQ(r.mem.l1_hits, 185u);
@@ -152,20 +109,16 @@ TEST(SimDeterminism, ChargeTraceReplayMatches) {
   hinch::SimResult recorded = hinch::run_on_sim(*prog, run, record);
   EXPECT_GT(trace.jobs.size(), 0u);
 
-  for (sim::LruImpl impl :
-       {sim::LruImpl::kFlat, sim::LruImpl::kListReference}) {
-    hinch::SimParams replay;
-    replay.cores = 2;
-    replay.cache.lru_impl = impl;
-    replay.replay_trace = &trace;
-    hinch::SimResult replayed = hinch::run_on_sim(*prog, run, replay);
-    EXPECT_EQ(replayed.total_cycles, recorded.total_cycles);
-    EXPECT_TRUE(replayed.mem == recorded.mem);
-    EXPECT_EQ(replayed.core_busy, recorded.core_busy);
-    EXPECT_EQ(replayed.queue_wait_cycles, recorded.queue_wait_cycles);
-    EXPECT_EQ(replayed.jobs, recorded.jobs);
-    EXPECT_EQ(replayed.task_cycles, recorded.task_cycles);
-  }
+  hinch::SimParams replay;
+  replay.cores = 2;
+  replay.replay_trace = &trace;
+  hinch::SimResult replayed = hinch::run_on_sim(*prog, run, replay);
+  EXPECT_EQ(replayed.total_cycles, recorded.total_cycles);
+  EXPECT_TRUE(replayed.mem == recorded.mem);
+  EXPECT_EQ(replayed.core_busy, recorded.core_busy);
+  EXPECT_EQ(replayed.queue_wait_cycles, recorded.queue_wait_cycles);
+  EXPECT_EQ(replayed.jobs, recorded.jobs);
+  EXPECT_EQ(replayed.task_cycles, recorded.task_cycles);
 }
 
 TEST(SimDeterminism, SeqTraceReplayMatches) {
@@ -173,14 +126,9 @@ TEST(SimDeterminism, SeqTraceReplayMatches) {
   apps::SeqResult recorded =
       apps::run_pip_sequential(small_pip(), {}, &trace);
   EXPECT_GT(trace.ops.size(), 0u);
-  for (sim::LruImpl impl :
-       {sim::LruImpl::kFlat, sim::LruImpl::kListReference}) {
-    sim::CacheConfig cache;
-    cache.lru_impl = impl;
-    apps::SeqReplay replayed = apps::replay_seq_trace(trace, cache);
-    EXPECT_EQ(replayed.cycles, recorded.cycles);
-    EXPECT_TRUE(replayed.mem == recorded.mem);
-  }
+  apps::SeqReplay replayed = apps::replay_seq_trace(trace, {});
+  EXPECT_EQ(replayed.cycles, recorded.cycles);
+  EXPECT_TRUE(replayed.mem == recorded.mem);
 }
 
 TEST(RegionStats, BreakdownMatchesTotals) {
@@ -312,10 +260,7 @@ TEST(ParallelSweep, DeterministicAcrossWorkerCounts) {
   const std::string spec = apps::pip_xspcl(small_pip());
   auto sweep = [&] {
     return bench::parallel_sweep(6, [&](int idx) -> uint64_t {
-      int cores = idx % 3 + 1;
-      sim::LruImpl impl =
-          idx < 3 ? sim::LruImpl::kFlat : sim::LruImpl::kListReference;
-      return run_once(spec, 4, cores, impl).total_cycles;
+      return run_once(spec, 4, idx % 3 + 1).total_cycles;
     });
   };
   setenv("XSPCL_SWEEP_THREADS", "1", 1);
@@ -324,7 +269,7 @@ TEST(ParallelSweep, DeterministicAcrossWorkerCounts) {
   std::vector<uint64_t> threaded = sweep();
   unsetenv("XSPCL_SWEEP_THREADS");
   EXPECT_EQ(serial, threaded);
-  // flat (points 0-2) and list (points 3-5) agree per core count.
+  // Points i and i + 3 simulate the same core count.
   for (int i = 0; i < 3; ++i) EXPECT_EQ(serial[i], serial[i + 3]);
 }
 

@@ -39,6 +39,9 @@
 // that closes tenants while later ones are still feeding.
 //
 //   hinchd [--workers=N] [--max-sessions=N]
+//
+// --workers takes 1..hinch::SessionExecutor::kMaxWorkers (1024); a
+// larger count or a bad number is a usage error (exit 2).
 #include <cstdio>
 #include <limits>
 #include <map>
@@ -348,19 +351,20 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     bool bad_number = false;
-    auto int_flag = [&](const char* name, int* out) {
+    auto int_flag = [&](const char* name, int hi, int* out) {
       std::string prefix = std::string(name) + "=";
       if (arg.rfind(prefix, 0) != 0) return false;
-      auto v = support::parse_int_in(arg.substr(prefix.size()), 0,
-                                     std::numeric_limits<int>::max());
+      auto v = support::parse_int_in(arg.substr(prefix.size()), 0, hi);
       if (v.is_ok())
         *out = static_cast<int>(v.value());
       else
         bad_number = true;
       return true;
     };
-    if (int_flag("--workers", &serve_opts.workers) ||
-        int_flag("--max-sessions", &serve_opts.max_sessions)) {
+    if (int_flag("--workers", hinch::SessionExecutor::kMaxWorkers,
+                 &serve_opts.workers) ||
+        int_flag("--max-sessions", std::numeric_limits<int>::max(),
+                 &serve_opts.max_sessions)) {
       if (bad_number) return usage();
     } else {
       return usage();

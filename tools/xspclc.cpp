@@ -3,10 +3,11 @@
 //
 //   xspclc validate <spec.xml>            check the specification builds
 //   xspclc dot      <spec.xml> [-o f]     Graphviz of the source tree
+//                                         (after the build check)
 //   xspclc taskdot  <spec.xml> [-o f]     Graphviz of the compiled task
 //                                         DAG (slices expanded, groups
 //                                         fused, reentrant tasks dashed)
-//   xspclc codegen  <spec.xml> --name N [-o f] [--no-main]
+//   xspclc codegen  <spec.xml> [--name=N] [-o f] [--no-main]
 //                                         emit C++ glue (after the build
 //                                         check validate runs)
 //   xspclc run      <spec.xml> [--backend=sim|threads] [--cores=N]
@@ -36,12 +37,13 @@
 // chain, above 1 only chains that give up no parallel tasks, slices or
 // reentrancy.
 //
-// --cores takes 1..kMaxWorkers (1024 threads-backend workers), and at
-// most sim::kMaxCores (63) for run on the sim backend, where it sizes the
-// simulated tile (predict simulates one core and takes --cores only as
-// the top of its analytic curve). --iterations takes a positive count. A
-// bad number, a core count the simulated tile cannot hold or an unknown
-// --backend is a usage error (exit 2).
+// --cores takes 1..hinch::SessionExecutor::kMaxWorkers (1024
+// threads-backend workers), and at most sim::kMaxCores (63) for run on
+// the sim backend, where it sizes the simulated tile (predict simulates
+// one core and takes --cores only as the top of its analytic curve).
+// --iterations takes a positive count. A bad number, a core count the
+// simulated tile cannot hold or an unknown --backend is a usage error
+// (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -54,6 +56,7 @@
 #include "apps/apps.hpp"
 #include "components/components.hpp"
 #include "hinch/runtime.hpp"
+#include "hinch/session.hpp"
 #include "obs/chrome_export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -66,9 +69,6 @@
 #include "xspcl/loader.hpp"
 
 namespace {
-
-// Upper bound on --cores as the threads backend's worker count.
-constexpr int64_t kMaxWorkers = 1024;
 
 int usage() {
   std::fprintf(stderr,
@@ -124,7 +124,9 @@ bool parse_args(int argc, char** argv, Args* args) {
       args->backend = v;
     } else if (const char* v = value("--cores=")) {
       int64_t cores = 0;
-      if (!int_value("--cores", v, 1, kMaxWorkers, &cores)) return false;
+      if (!int_value("--cores", v, 1, hinch::SessionExecutor::kMaxWorkers,
+                     &cores))
+        return false;
       args->cores = static_cast<int>(cores);
     } else if (const char* v = value("--iterations=")) {
       int64_t iterations = 0;
@@ -274,18 +276,19 @@ int main(int argc, char** argv) {
   owned = std::move(transformed).take();
   const sp::Node& root = *owned;
 
-  if (args.command == "dot") {
-    return write_output(args, sp::to_dot(root, args.name));
-  }
-  // validate and codegen check the spec the way run builds it: a
-  // build-time error (an unknown class, a misspelt param, an unbound
-  // port, an unsafe reentrant opt-in) is reported here, not at the first
-  // run or in the generated program.
+  // Every subcommand checks the spec the way run builds it: a build-time
+  // error (an unknown class, a misspelt param, an unbound port, an
+  // unsafe reentrant opt-in) is reported here, not at the first run, in
+  // the generated program or never (dot).
   hinch::BuildConfig build_config;
   build_config.passes = sp::PassOptions::none();  // pipeline already ran
   auto prog = hinch::Program::build(root, hinch::ComponentRegistry::global(),
                                     build_config);
   if (!prog.is_ok()) return fail(prog.status());
+  if (args.command == "dot") {
+    // The source-level tree, not the compiled tasks (that is taskdot).
+    return write_output(args, sp::to_dot(root, args.name));
+  }
   if (args.command == "codegen") {
     xspcl::CodegenOptions options;
     options.app_name = args.name;
